@@ -78,6 +78,7 @@ def _frame_wrap(env: OpEnvironment, label: str, fn):
         finally:
             stack.pop()
 
+    framed.__wrapped__ = fn  # lets adapter factories read the body's marks
     return framed
 
 

@@ -1,17 +1,16 @@
 """Execution-time context: progress reporting and the compute pool.
 
 Every op invocation pushes a frame onto a thread-local stack. Bodies report
-progress through report_progress without knowing who is listening; the
-innermost frame labels the report with the op name and fans it out to the
-listeners registered on the environment at invocation time. Outside any
-frame both report_progress and current_pool degrade to safe no-ops, so op
-bodies stay plain callables.
+progress through report_progress (or report_steps, for a run of equal steps)
+without knowing who is listening; the innermost frame labels the report with
+the op name and fans it out to the listeners registered on the environment
+at invocation time. Outside any frame the report functions and current_pool
+degrade to safe no-ops, so op bodies stay plain callables.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,16 +123,6 @@ def frame_stack() -> list:
     return frames.stack
 
 
-@contextmanager
-def execution_frame(label: str, listeners, pool: ComputePool):
-    stack = frame_stack()
-    stack.append((label, tuple(listeners), pool))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
 def report_progress(fraction: float, stage: str = "") -> None:
     """Report completion of the innermost executing op; no-op outside one."""
     stack = frame_stack()
@@ -145,6 +134,24 @@ def report_progress(fraction: float, stage: str = "") -> None:
     report = ProgressReport(label, float(fraction), stage)
     for listener in listeners:
         listener(report)
+
+
+def report_steps(count: int, stage: str = "") -> None:
+    """Report ``count`` equal steps of the innermost op, the last at 1.0.
+
+    Same reports as ``report_progress((i + 1) / count, stage)`` for each
+    step, with the frame and its listeners looked up once.
+    """
+    stack = frame_stack()
+    if not stack:
+        return
+    label, listeners, _ = stack[-1]
+    if not listeners:
+        return
+    for i in range(1, count + 1):
+        report = ProgressReport(label, i / count, stage)
+        for listener in listeners:
+            listener(report)
 
 
 def current_pool() -> ComputePool:

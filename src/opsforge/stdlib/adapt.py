@@ -5,7 +5,8 @@ dependency callables, in declaration order) and returns a callable in the
 adapted shape. Compiled computers return their content rather than writing
 it, so computer/function adaptation in either direction is the identity;
 inplace adaptation buffers a private copy so the caller's argument stays
-untouched.
+untouched. The elementwise lift calls a body marked ``elementwise`` once on
+whole arrays and any other body once per element.
 """
 
 from __future__ import annotations
@@ -45,8 +46,37 @@ def inplace_to_function(inner, create_fn, copy_fn):
 inplace_to_computer = inplace_to_function
 
 
+def elementwise(body):
+    """Mark a binary scalar body the lift may call once on whole arrays.
+
+    Only bodies that are one IEEE operation on their two arguments (``a + b``,
+    ``a - b``, ``a * b``) qualify: numpy computes those per element with
+    bitwise the same result. A body that branches on its values or raises
+    (``div_reals`` rejects a zero divisor, where numpy would give inf) stays
+    unmarked and keeps the per-element loop.
+    """
+    body.elementwise = True
+    return body
+
+
 def lift2_elementwise(inner):
-    """Lift a binary scalar function to a same-shape elementwise computer."""
+    """Lift a binary scalar function to a same-shape elementwise computer.
+
+    ``inner`` is the compiled body, whose frame wrapper exposes the body as
+    ``__wrapped__``. When that body is marked ``elementwise`` the lift calls
+    ``inner`` once on the whole arrays (floating-point warnings silenced, as
+    the scalar loop raises none); any other body is called per element.
+    Shapes are checked before any body call.
+    """
+    if getattr(getattr(inner, "__wrapped__", inner), "elementwise", False):
+
+        def whole(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if a.shape != b.shape:
+                raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+            with np.errstate(all="ignore"):
+                return inner(a, b)
+
+        return whole
 
     def adapted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape != b.shape:

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from ..errors import PreconditionError
-from ..runtime import current_pool, report_progress
+from ..runtime import current_pool, report_steps
+from .adapt import elementwise
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -39,16 +40,19 @@ def mul_ints(a: int, b: int) -> int:
     return _wrap64(a * b)
 
 
+@elementwise
 def add_reals(a: float, b: float) -> float:
-    return float(a + b)
+    return a + b
 
 
+@elementwise
 def sub_reals(a: float, b: float) -> float:
-    return float(a - b)
+    return a - b
 
 
+@elementwise
 def mul_reals(a: float, b: float) -> float:
-    return float(a * b)
+    return a * b
 
 
 def div_reals(a: float, b: float) -> float:
@@ -153,34 +157,58 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_line(line: np.ndarray, kernel: np.ndarray, radius: int) -> np.ndarray:
-    padded = np.concatenate(
-        (np.full(radius, line[0]), line, np.full(radius, line[-1]))
-    )
-    return np.convolve(padded, kernel, mode="valid")
+# Row-pass pixels per band of the compute pool. Each band past the first
+# starts a thread, which a smaller band does not earn back (timings in
+# CHANGES.md).
+BAND_PIXELS = 1 << 16
+
+
+def _weighted_sum(kernel: np.ndarray, shifted: list, out: np.ndarray) -> np.ndarray:
+    """``out = sum(kernel[d] * shifted[d])``, accumulated in kernel order."""
+    np.multiply(shifted[0], kernel[0], out=out)
+    term = np.empty_like(out)
+    for d in range(1, len(kernel)):
+        np.multiply(shifted[d], kernel[d], out=term)
+        out += term
+    return out
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with clamp-to-edge borders.
 
-    Rows are filtered through the compute pool (each row depends only on its
-    index, so any slot budget gives identical output). The column pass runs
-    on the calling thread and reports per-row progress ending at exactly 1.0.
+    Each pass is 2r+1 shifted whole-array multiply-adds over an edge-padded
+    copy, summed in kernel order. The row pass is split into bands of rows
+    through the compute pool, one band per ``BAND_PIXELS`` pixels up to the
+    pool's budget; every row depends only on its own pixels, so any budget
+    gives bitwise identical output. The column pass runs on the calling
+    thread, which then reports per-row progress ending at exactly 1.0.
     """
     kernel = gaussian_kernel(float(sigma))
-    radius = len(kernel) // 2
+    k = len(kernel)
+    radius = k // 2
     h, w = image.shape
+    padded = np.empty((h, w + 2 * radius), dtype=np.float64)
+    padded[:, radius : radius + w] = image
+    padded[:, :radius] = image[:, :1]
+    padded[:, radius + w :] = image[:, -1:]
+    # the row pass writes into the middle of the column pass's padded input
+    tall = np.empty((h + 2 * radius, w), dtype=np.float64)
+    rows = tall[radius : radius + h]
+
     pool = current_pool()
-    rows = pool.map_indexed(lambda y: _convolve_line(image[y], kernel, radius), h)
-    tmp = np.stack(rows, axis=0)
-    out = np.empty((h, w), dtype=np.float64)
-    for y in range(h):
-        acc = np.zeros(w, dtype=np.float64)
-        for d, weight in enumerate(kernel):
-            yy = min(max(y + d - radius, 0), h - 1)
-            acc += weight * tmp[yy]
-        out[y] = acc
-        report_progress((y + 1) / h, "columns")
+    bands = max(1, min(pool.budget, h, h * w // BAND_PIXELS))
+    edges = [h * i // bands for i in range(bands + 1)]
+
+    def row_band(i: int) -> None:
+        lo, hi = edges[i], edges[i + 1]
+        shifted = [padded[lo:hi, d : d + w] for d in range(k)]
+        _weighted_sum(kernel, shifted, rows[lo:hi])
+
+    pool.map_indexed(row_band, bands)
+    tall[:radius] = rows[0]
+    tall[radius + h :] = rows[-1]
+    out = _weighted_sum(kernel, [tall[d : d + h] for d in range(k)], np.empty((h, w)))
+    report_steps(h, "columns")
     return out
 
 

@@ -1,5 +1,7 @@
 """Builder terminals, handles, history, progress, and the compute pool."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from opsforge.errors import (
     PreconditionError,
 )
 from opsforge.runtime import ComputePool
-from opsforge.stdlib import default_environment
+from opsforge.stdlib import bodies, default_environment
 from opsforge.values import Value, image_f64, wrap
 
 BYTE_ARRAY = "ByteArray"
@@ -219,6 +221,41 @@ def test_determinism_across_pool_budgets():
         out = env.op("filter.gauss").input(img, wrap(1.7)).apply()
         outs.append(out.payload)
     assert np.array_equal(outs[0], outs[1])
+
+
+def _shifted_sum_blur(image, sigma):
+    # both passes as whole-array shifted sums over an edge-padded copy, in
+    # kernel order: the arithmetic gaussian_blur must reproduce bit for bit
+    kernel = bodies.gaussian_kernel(sigma)
+    r = len(kernel) // 2
+    h, w = image.shape
+    p = np.pad(image, ((0, 0), (r, r)), mode="edge")
+    rows = kernel[0] * p[:, :w]
+    for d in range(1, len(kernel)):
+        rows = rows + kernel[d] * p[:, d : d + w]
+    q = np.pad(rows, ((r, r), (0, 0)), mode="edge")
+    out = kernel[0] * q[:h]
+    for d in range(1, len(kernel)):
+        out = out + kernel[d] * q[d : d + h]
+    return out
+
+
+def test_gauss_above_band_threshold_splits_rows_bitwise_equal():
+    # the smallest square image whose row pass fills two bands
+    side = math.isqrt(2 * bodies.BAND_PIXELS - 1) + 1
+    data = np.random.default_rng(12).random((side, side))
+    expected = _shifted_sum_blur(data, 1.0).tobytes()
+    for budget, peak in ((1, 1), (2, 2), (4, 2)):
+        pool = ComputePool(budget)
+        env = default_environment(include_legacy=False, pool=pool)
+        fractions = []
+        env.add_progress_listener(lambda report: fractions.append(report.fraction))
+        out = env.op("filter.gauss").input(wrap(data.copy()), wrap(1.0)).apply()
+        assert out.payload.tobytes() == expected, budget
+        assert pool.peak_slots == peak, budget
+        assert len(fractions) == side
+        assert all(x < y for x, y in zip(fractions, fractions[1:]))
+        assert fractions[-1] == 1.0
 
 
 def test_repeat_runs_bitwise_equal(env):

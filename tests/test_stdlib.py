@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opsforge.errors import (
     DimensionMismatchError,
+    ExecutionError,
     NoMatchError,
     PreconditionError,
 )
 from opsforge.registry import Io, Kind
-from opsforge.stdlib import BINDINGS, bodies, default_environment
+from opsforge.stdlib import BINDINGS, adapt, bodies, default_environment
 from opsforge.values import image_f64, image_u8, wrap
 
 INT64_MAX = 2**63 - 1
@@ -370,6 +372,133 @@ def test_lifted_element_op_equals_scalar_loop(env, name, scalar):
         for x in range(4):
             expected[y, x] = scalar(a.payload[y, x], b.payload[y, x])
     assert np.array_equal(out.payload, expected)
+
+
+LIFTED = ("math.add", "math.sub", "math.mul")
+
+# Edge values for the whole-array lift: signed zeros, infinities, one NaN,
+# subnormals, the largest finite values and values whose sum or product
+# overflows. Only the canonical NaN appears, see
+# test_lift_of_two_nans_gives_nan for operands that are both NaN.
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+     1e200, -1e200, 1.0, -1.5]
+)
+_ELEMENTS = st.one_of(st.floats(allow_nan=False), _EDGE_FLOATS)
+
+
+@pytest.fixture(scope="module")
+def lift_env():
+    return default_environment(include_legacy=False)
+
+
+def _looped(body):
+    """The per-element lift of ``body``: the wrapper carries no mark."""
+    return adapt.lift2_elementwise(lambda a, b: body(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+)
+def test_lifted_ops_bitwise_equal_the_element_loop(lift_env, data, shape):
+    a = data.draw(hnp.arrays(np.float64, shape, elements=_ELEMENTS))
+    b = data.draw(hnp.arrays(np.float64, shape, elements=_ELEMENTS))
+    for name in LIFTED:
+        body = BINDINGS[f"builtin:math/{name[5:]}_reals"]
+        expected = _looped(body)(a, b).tobytes()
+        applied = lift_env.op(name).input(wrap(a.copy()), wrap(b.copy())).apply()
+        container = wrap(np.zeros(shape))
+        lift_env.op(name).input(wrap(a.copy()), wrap(b.copy())).container(container).compute()
+        assert applied.payload.tobytes() == expected, name
+        assert container.payload.tobytes() == expected, name
+
+
+def test_lift_of_two_nans_gives_nan():
+    # IEEE 754 leaves open which payload a NaN-with-NaN result carries;
+    # CPython's scalar a + b and numpy's array a + b may pick different
+    # operands, so only NaN-ness is the contract there.
+    quiet, negative = math.nan, -math.nan
+    a = np.array([[quiet, negative, quiet, 1.0]])
+    b = np.array([[negative, quiet, 2.0, negative]])
+    for body in (bodies.add_reals, bodies.sub_reals, bodies.mul_reals):
+        whole = adapt.lift2_elementwise(body)(a, b)
+        looped = _looped(body)(a, b)
+        assert np.isnan(whole[0, :2]).all()
+        assert whole[0, 2:].tobytes() == looped[0, 2:].tobytes()
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_lift_shape_mismatch_raises_before_any_body_call(marked):
+    calls = []
+
+    def body(a, b):
+        calls.append(1)
+        return a - b
+
+    if marked:
+        body = adapt.elementwise(body)
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
+        adapt.lift2_elementwise(body)(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", LIFTED)
+@pytest.mark.parametrize("terminal", ["apply", "compute"])
+def test_lifted_plan_shape_mismatch_names_the_same_error(env, name, terminal):
+    builder = env.op(name).input(wrap(np.zeros((2, 3))), wrap(np.zeros((3, 2))))
+    if terminal == "compute":
+        builder = builder.container(wrap(np.zeros((2, 3))))
+    with pytest.raises(ExecutionError) as err:
+        getattr(builder, terminal)()
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.__cause__) == "shape mismatch: (2, 3) vs (3, 2)"
+
+
+@pytest.mark.parametrize("marked,calls_expected", [(True, 1), (False, 12)])
+def test_compiled_lift_calls_a_marked_body_once(marked, calls_expected):
+    calls = []
+
+    def sub(a, b):
+        calls.append(1)
+        return a - b
+
+    if marked:
+        sub = adapt.elementwise(sub)
+    env = default_environment(
+        include_legacy=False, extra_bindings={"builtin:math/sub_reals": sub}
+    )
+    a, b = _rand_image(32, 4, 3), _rand_image(33, 4, 3)
+    out = env.op("math.sub").input(a, b).apply()
+    assert calls == [1] * calls_expected
+    assert out.payload.tobytes() == (a.payload - b.payload).tobytes()
+
+
+def test_only_the_ieee_bodies_are_marked_elementwise():
+    marked = {fn.__name__ for fn in BINDINGS.values() if getattr(fn, "elementwise", False)}
+    assert marked == {"add_reals", "sub_reals", "mul_reals"}
+
+
+@pytest.mark.parametrize("terminal", ["apply", "compute"])
+def test_lifted_div_keeps_the_loop_and_rejects_a_zero_divisor(env, terminal):
+    builder = env.op("math.div").input(
+        wrap(np.ones((2, 2))), wrap(np.array([[1.0, 2.0], [0.0, 4.0]]))
+    )
+    if terminal == "compute":
+        builder = builder.container(wrap(np.zeros((2, 2))))
+    with pytest.raises(PreconditionError, match="zero"):
+        getattr(builder, terminal)()
+
+
+@pytest.mark.parametrize("name", LIFTED)
+def test_scalar_real_ops_return_plain_floats(env, name):
+    out = env.op(name).input(1.5, 2.25).apply()
+    assert type(out.payload) is float
+    container = wrap(0.0)
+    env.op(name).input(1.5, 2.25).container(container).compute()
+    assert type(container.payload) is float
 
 
 def test_lifted_function_leaves_original_untouched(env):
