@@ -30,8 +30,8 @@ from .errors import (
     ExecutionError,
     OpsError,
 )
-from .matcher import InfoTree, OpRequest, _as_type, staged_key
-from .runtime import frames
+from .matcher import InfoTree, OpRequest, _as_type, function_request, staged_key
+from .runtime import runs_op
 from .types import Io, Kind, SemanticType, describe_type
 from .values import _SCALAR_BASES, Value, wrap, write_back
 
@@ -68,15 +68,10 @@ def _build(env: OpEnvironment, tree: InfoTree):
 
 
 def _frame_wrap(env: OpEnvironment, label: str, fn):
-    pool = env.pool
-
-    def framed(*args):
-        stack = frames.stack
-        stack.append((label, env._listeners, pool))
-        try:
-            return fn(*args)
-        finally:
-            stack.pop()
+    # op_frame is never read here: runtime finds it on the Python stack
+    @runs_op
+    def framed(*args, op_frame=(label, env, env.pool)):
+        return fn(*args)
 
     framed.__wrapped__ = fn  # lets adapter factories read the body's marks
     return framed
@@ -163,8 +158,9 @@ def _conversion_wrap(env: OpEnvironment, tree: InfoTree, fn):
 def _make_runner(env: OpEnvironment, tree: InfoTree):
     """The one run path of a plan: ``run(values, container) -> Value``.
 
-    The runner pushes the op's frame (listeners read at call time), calls
-    the plan on the argument payloads, turns body failures into
+    The runner holds the op's frame in its ``op_frame`` local, where the
+    runtime finds it when a body reports progress or asks for the pool. It
+    calls the plan on the argument payloads, turns body failures into
     ExecutionErrors that carry the plan signature, enforces the effective
     kind's contract (assign a scalar inplace result, wrap a function
     result, write a computer result back), and records history. A leaf
@@ -178,13 +174,13 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
     # The plan's data is bound as parameter defaults, not closure cells:
     # cells cost more to create (an uncached call makes one runner per
     # call) and defaults read as plain locals on every cached call.
+    @runs_op
     def run(
         values,
         container,
-        env=env,
         call=env.binding(info.source) if leaf else compile_tree(env, tree),
+        op_frame=(info.name, env, env.pool),
         label=info.name,
-        pool=env.pool,
         sig=tree.signature,
         arity=tree.eff_arity,
         inplace=tree.eff_kind is Kind.INPLACE,
@@ -194,10 +190,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         log=history._log.extend,  # OpHistory.record, inlined below
         by_uid=history._by_uid,
         now=time.time,
-        frames=frames,
     ):
-        stack = frames.stack
-        stack.append((label, env._listeners, pool))
         try:
             # the common arities spelled out: *-unpacking costs more than
             # most op bodies
@@ -213,8 +206,6 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
             raise
         except Exception as exc:
             raise ExecutionError(f"{label} failed: {exc}", signature=sig) from exc
-        finally:
-            stack.pop()
         if inplace:
             out = values[mi]
             if result is not out.payload and out.type.base in _SCALAR_BASES:
@@ -515,8 +506,6 @@ class InplaceHandle(_Handle):
 def describe_semantic_type(env: OpEnvironment, t: SemanticType) -> str:
     """Render a type for humans via a matched engine.describe op, if any."""
     try:
-        from .matcher import function_request
-
         tree = env.match(function_request("engine.describe", [t], "Text"))
         fn = compile_tree(env, tree)
         return str(fn(None))

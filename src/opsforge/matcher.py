@@ -350,7 +350,8 @@ def _decompose_pattern(t: SemanticType) -> _Shape | None:
     return None
 
 
-def _adapter_patterns(adapter: OpInfo) -> tuple[_Shape, _Shape] | None:
+def adapter_patterns(adapter: OpInfo) -> tuple[_Shape, _Shape] | None:
+    """An engine.adapt entry's (FROM, TO) shapes, or None if it cannot adapt."""
     if adapter.kind is not Kind.FUNCTION or len(adapter.params) != 2:
         return None
     frm = _decompose_pattern(adapter.params[0].type)
@@ -360,13 +361,20 @@ def _adapter_patterns(adapter: OpInfo) -> tuple[_Shape, _Shape] | None:
     return frm, to
 
 
+def _same_shape(shape: _Shape, req: OpRequest) -> bool:
+    """Do kind, arity and (for INPLACE) the mutable position match the request?"""
+    return (
+        shape.kind is req.kind
+        and shape.arity == len(req.arg_types)
+        and (req.kind is not Kind.INPLACE or shape.mutable_index == req.mutable_index)
+    )
+
+
 def _shape_fits_request(
     shape: _Shape, req: OpRequest, hierarchy: TypeHierarchy
 ) -> bool:
     """Can a concrete op of this shape serve the request as-is?"""
-    if shape.kind is not req.kind or shape.arity != len(req.arg_types):
-        return False
-    if req.kind is Kind.INPLACE and shape.mutable_index != req.mutable_index:
+    if not _same_shape(shape, req):
         return False
     for rt, st in zip(req.arg_types, shape.types):
         if not is_assignable(rt, st, hierarchy):
@@ -463,10 +471,6 @@ def _resolve_deps(
     return tuple(children)
 
 
-def match_direct(env: OpEnvironment, req: OpRequest) -> InfoTree | None:
-    return _match_direct(_Search(env, (f"{req.name}[{req.kind.value}]",)), req)
-
-
 def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
     hierarchy = s.env.hierarchy
     for info in s.env.candidates(req.name):
@@ -523,59 +527,79 @@ def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
     return None
 
 
-def match_adapted(env: OpEnvironment, req: OpRequest) -> InfoTree | None:
-    return _match_adapted(_Search(env, (f"{req.name}[{req.kind.value}]",)), req)
+def _shaped_candidates(s: _Search, name: str):
+    """``(info, shape)`` of each non-adapter candidate, counting every one.
 
-
-def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
-    hierarchy = s.env.hierarchy
-    for info in s.env.candidates(req.name):
+    Candidates with generic parameter types are counted but not yielded:
+    adaptation and conversion only work on concrete shapes.
+    """
+    for info in s.env.candidates(name):
         if ADAPT_NAME in info.names:
             continue
         s.considered += 1
         cand = _encode_info(info)
-        if any(not t.is_concrete() for t in cand.types):
+        if all(t.is_concrete() for t in cand.types):
+            yield info, cand
+
+
+def _adaptations(env: OpEnvironment, cand: _Shape):
+    """Adapters whose FROM pattern unifies with a candidate, canonical order.
+
+    Yields ``(adapter, bindings, target)`` where target is the TO shape with
+    the bindings applied; adapters whose TO types stay generic are skipped.
+    """
+    hierarchy = env.hierarchy
+    for ad, (frm, to) in env.adapters:
+        if (
+            frm.kind is not cand.kind
+            or len(frm.types) != len(cand.types)
+            or frm.mutable_index != cand.mutable_index
+        ):
             continue
+        bindings: dict[str, SemanticType] = {}
+        if not all(
+            is_assignable(ct, ft, hierarchy, bindings)
+            for ct, ft in zip(cand.types, frm.types)
+        ):
+            continue
+        to_types = tuple(t.substitute(bindings) for t in to.types)
+        if any(not t.is_concrete() for t in to_types):
+            continue
+        yield ad, bindings, _Shape(to.kind, to_types, to.mutable_index)
+
+
+def _adapter_tree(
+    s: _Search, ad: OpInfo, bindings: dict[str, SemanticType]
+) -> InfoTree | None:
+    """The adapter as a DIRECT plan, or None (logged) if its dependencies fail."""
+    children = _resolve_deps(s, ad, bindings)
+    if isinstance(children, NearMiss):
+        s.near.append(children)
+        return None
+    return InfoTree(
+        ad,
+        RoutineTag.DIRECT,
+        children=children,
+        eff_kind=ad.kind,
+        eff_arity=len(ad.arg_params),
+    )
+
+
+def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
+    hierarchy = s.env.hierarchy
+    for info, cand in _shaped_candidates(s, req.name):
         fitted = False
-        for ad in s.env.adapters:
-            pats = _adapter_patterns(ad)
-            if pats is None:
-                continue
-            frm, to = pats
-            if (
-                frm.kind is not cand.kind
-                or len(frm.types) != len(cand.types)
-                or frm.mutable_index != cand.mutable_index
-            ):
-                continue
-            bindings: dict[str, SemanticType] = {}
-            if not all(
-                is_assignable(ct, ft, hierarchy, bindings)
-                for ct, ft in zip(cand.types, frm.types)
-            ):
-                continue
-            to_types = tuple(t.substitute(bindings) for t in to.types)
-            if any(not t.is_concrete() for t in to_types):
-                continue
-            target = _Shape(to.kind, to_types, to.mutable_index)
+        for ad, bindings, target in _adaptations(s.env, cand):
             if not _shape_fits_request(target, req, hierarchy):
                 continue
             fitted = True
-            ad_children = _resolve_deps(s, ad, bindings)
-            if isinstance(ad_children, NearMiss):
-                s.near.append(ad_children)
+            adapter_tree = _adapter_tree(s, ad, bindings)
+            if adapter_tree is None:
                 continue
             children = _resolve_deps(s, info, {})
             if isinstance(children, NearMiss):
                 s.near.append(children)
                 break
-            adapter_tree = InfoTree(
-                ad,
-                RoutineTag.DIRECT,
-                children=ad_children,
-                eff_kind=ad.kind,
-                eff_arity=len(ad.arg_params),
-            )
             return InfoTree(
                 info,
                 RoutineTag.ADAPTED,
@@ -584,7 +608,7 @@ def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
                 eff_kind=req.kind,
                 eff_arity=len(req.arg_types),
                 eff_mutable=req.mutable_index,
-                out_type=to_types[-1] if req.kind is Kind.FUNCTION else None,
+                out_type=target.types[-1] if req.kind is Kind.FUNCTION else None,
             )
         if not fitted:
             s.near.append(NearMiss(info.source, "missing adapter", "*"))
@@ -633,16 +657,6 @@ def _find_copy(env: OpEnvironment, t: SemanticType) -> OpInfo | None:
     return None
 
 
-def match_converted(
-    env: OpEnvironment, req: OpRequest, allow_adaptation: bool = False
-) -> InfoTree | None:
-    return _match_converted(
-        _Search(env, (f"{req.name}[{req.kind.value}]",)),
-        req,
-        allow_adaptation=allow_adaptation,
-    )
-
-
 def _param_label(info: OpInfo, target_from_adapter: bool, position: int) -> str:
     if target_from_adapter:
         return f"arg{position}"
@@ -658,62 +672,21 @@ def _match_converted(
     hierarchy = s.env.hierarchy
     env = s.env
     n_args = len(req.arg_types)
-    for info in env.candidates(req.name):
-        if ADAPT_NAME in info.names:
-            continue
-        s.considered += 1
-        cand = _encode_info(info)
-        if any(not t.is_concrete() for t in cand.types):
-            continue
-        adapter_sel: tuple[OpInfo, tuple[InfoTree, ...]] | None = None
+    for info, cand in _shaped_candidates(s, req.name):
+        adapter_tree: InfoTree | None = None
         if not allow_adaptation:
-            if (
-                cand.kind is not req.kind
-                or cand.arity != n_args
-                or (req.kind is Kind.INPLACE and cand.mutable_index != req.mutable_index)
-            ):
+            if not _same_shape(cand, req):
                 continue
             target = cand
         else:
-            target = None
-            for ad in env.adapters:
-                pats = _adapter_patterns(ad)
-                if pats is None:
-                    continue
-                frm, to = pats
-                if (
-                    frm.kind is not cand.kind
-                    or len(frm.types) != len(cand.types)
-                    or frm.mutable_index != cand.mutable_index
-                ):
-                    continue
-                bindings: dict[str, SemanticType] = {}
-                if not all(
-                    is_assignable(ct, ft, hierarchy, bindings)
-                    for ct, ft in zip(cand.types, frm.types)
-                ):
-                    continue
-                to_types = tuple(t.substitute(bindings) for t in to.types)
-                if any(not t.is_concrete() for t in to_types):
-                    continue
-                shaped = _Shape(to.kind, to_types, to.mutable_index)
-                if (
-                    shaped.kind is not req.kind
-                    or shaped.arity != n_args
-                    or (
-                        req.kind is Kind.INPLACE
-                        and shaped.mutable_index != req.mutable_index
-                    )
-                ):
-                    continue
-                ad_children = _resolve_deps(s, ad, bindings)
-                if isinstance(ad_children, NearMiss):
-                    s.near.append(ad_children)
-                    continue
-                target = shaped
-                adapter_sel = (ad, ad_children)
-                break
-            if target is None:
+            # first fit: the first adapter of the right shape whose own
+            # dependencies resolve is the only one tried for conversion
+            for ad, bindings, target in _adaptations(env, cand):
+                if _same_shape(target, req):
+                    adapter_tree = _adapter_tree(s, ad, bindings)
+                    if adapter_tree is not None:
+                        break
+            if adapter_tree is None:
                 continue
 
         conversions: list[ConvEntry] = []
@@ -732,7 +705,7 @@ def _match_converted(
                 failed = NearMiss(
                     info.source,
                     "missing convert",
-                    _param_label(info, adapter_sel is not None, i),
+                    _param_label(info, adapter_tree is not None, i),
                 )
                 break
             conversions.append(ConvEntry(i, conv_in, conv_out))
@@ -755,7 +728,7 @@ def _match_converted(
                         NearMiss(
                             info.source,
                             "missing convert",
-                            _param_label(info, adapter_sel is not None, n_args),
+                            _param_label(info, adapter_tree is not None, n_args),
                         )
                     )
                     continue
@@ -772,7 +745,7 @@ def _match_converted(
                         NearMiss(
                             info.source,
                             "missing convert",
-                            _param_label(info, adapter_sel is not None, n_args),
+                            _param_label(info, adapter_tree is not None, n_args),
                         )
                     )
                     continue
@@ -785,20 +758,11 @@ def _match_converted(
         if isinstance(children, NearMiss):
             s.near.append(children)
             continue
-        adapter_tree = None
-        routine = RoutineTag.CONVERTED
-        if adapter_sel is not None:
-            routine = RoutineTag.ADAPTED_AND_CONVERTED
-            adapter_tree = InfoTree(
-                adapter_sel[0],
-                RoutineTag.DIRECT,
-                children=adapter_sel[1],
-                eff_kind=adapter_sel[0].kind,
-                eff_arity=len(adapter_sel[0].arg_params),
-            )
         return InfoTree(
             info,
-            routine,
+            RoutineTag.CONVERTED
+            if adapter_tree is None
+            else RoutineTag.ADAPTED_AND_CONVERTED,
             children=children,
             adapter=adapter_tree,
             conversions=tuple(conversions),

@@ -19,7 +19,7 @@ import yaml
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
-from .matcher import MatchCache, match
+from .matcher import ADAPT_NAME, MatchCache, adapter_patterns, match
 from .runtime import ComputePool
 from .types import (
     DescriptorTable,
@@ -134,10 +134,6 @@ class OpInfo:
     @property
     def aliases(self) -> tuple[str, ...]:
         return self.names[1:]
-
-    @property
-    def input_params(self) -> tuple[ParamSpec, ...]:
-        return tuple(p for p in self.params if p.io is Io.INPUT)
 
     @property
     def arg_params(self) -> tuple[ParamSpec, ...]:
@@ -471,8 +467,17 @@ class OpEnvironment:
             seen.add(key)
         expanded.sort(key=_canonical_key)
         self._infos = tuple(expanded)
+        by_name: dict[str, list[OpInfo]] = {}
+        for info in self._infos:
+            for name in set(info.names):
+                by_name.setdefault(name, []).append(info)
+        self._by_name = {name: tuple(found) for name, found in by_name.items()}
+        # (adapter, (FROM shape, TO shape)); adapters whose patterns do not
+        # decompose can never match and are left out.
         self.adapters = tuple(
-            info for info in self._infos if "engine.adapt" in info.names
+            (info, patterns)
+            for info in self.candidates(ADAPT_NAME)
+            if (patterns := adapter_patterns(info)) is not None
         )
 
         resolved: dict[str, Callable] = {}
@@ -516,9 +521,9 @@ class OpEnvironment:
     def binding(self, source: str) -> Callable:
         return self._bindings[source]
 
-    def candidates(self, name: str) -> list[OpInfo]:
+    def candidates(self, name: str) -> tuple[OpInfo, ...]:
         """All entries carrying the name (canonical or alias), canonical order."""
-        return [info for info in self._infos if name in info.names]
+        return self._by_name.get(name, ())
 
     def distinct_names(self) -> list[str]:
         return sorted({info.name for info in self._infos})
@@ -534,10 +539,6 @@ class OpEnvironment:
     def match_calls(self) -> int:
         return self._match_calls
 
-    def cache_stats(self) -> tuple[int, int]:
-        """(hits, misses) observed by the match cache."""
-        return self.cache.stats()
-
     # -- execution ----------------------------------------------------------
 
     # env.op(name) -> OpBuilder, the first step of every builder call
@@ -549,10 +550,6 @@ class OpEnvironment:
     def add_progress_listener(self, listener: Callable) -> None:
         with self._listener_lock:
             self._listeners = (*self._listeners, listener)
-
-    @property
-    def progress_listeners(self) -> tuple[Callable, ...]:
-        return self._listeners
 
 
 def build_environment(

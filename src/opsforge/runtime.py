@@ -1,15 +1,16 @@
 """Execution-time context: progress reporting and the compute pool.
 
-Every op invocation pushes a frame onto a thread-local stack. Bodies report
-progress through report_progress (or report_steps, for a run of equal steps)
-without knowing who is listening; the innermost frame labels the report with
-the op name and fans it out to the listeners registered on the environment
-at invocation time. Outside any frame the report functions and current_pool
-degrade to safe no-ops, so op bodies stay plain callables.
+Every executing op has a frame: a (label, environment, pool) tuple. Bodies
+report progress through report_progress (or report_steps, for a run of equal
+steps) without knowing who is listening; the innermost frame labels the
+report with the op name and fans it out to the listeners registered on the
+environment when the report is made. Outside any op the report functions and
+current_pool degrade to safe no-ops, so op bodies stay plain callables.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -104,31 +105,37 @@ class ComputePool:
 
 _DEFAULT_POOL = ComputePool(1)
 
-# Frames are bare (label, listeners, pool) tuples on a thread-local stack;
-# this sits on the per-invocation hot path, so no frame classes, no managers.
-# Runners in execution.py push and pop ``frames.stack`` inline.
+# An op's frame is built once per compiled plan and held in the ``op_frame``
+# local of the function that runs the op (see runs_op). Running an op pushes
+# nothing, since that sits on every invocation's path: the innermost frame
+# is found, only when a body asks for it, by walking the calling thread's
+# own Python stack to the nearest such function. Each thread, pool workers
+# included, thus sees only the ops it runs itself.
+_RUNNER_CODES: set = set()
 
 
-class _FrameStacks(threading.local):
-    """One frame stack per thread, created empty on the thread's first use."""
-
-    def __init__(self):
-        self.stack: list = []
-
-
-frames = _FrameStacks()
+def runs_op(fn):
+    """Mark ``fn`` as running an op whose frame is its ``op_frame`` local."""
+    _RUNNER_CODES.add(fn.__code__)
+    return fn
 
 
-def frame_stack() -> list:
-    return frames.stack
+def _innermost_frame() -> tuple | None:
+    f = sys._getframe(1)
+    while f is not None:
+        if f.f_code in _RUNNER_CODES:
+            return f.f_locals["op_frame"]
+        f = f.f_back
+    return None
 
 
 def report_progress(fraction: float, stage: str = "") -> None:
     """Report completion of the innermost executing op; no-op outside one."""
-    stack = frame_stack()
-    if not stack:
+    frame = _innermost_frame()
+    if frame is None:
         return
-    label, listeners, _ = stack[-1]
+    label, env, _ = frame
+    listeners = env._listeners
     if not listeners:
         return
     report = ProgressReport(label, float(fraction), stage)
@@ -142,10 +149,11 @@ def report_steps(count: int, stage: str = "") -> None:
     Same reports as ``report_progress((i + 1) / count, stage)`` for each
     step, with the frame and its listeners looked up once.
     """
-    stack = frame_stack()
-    if not stack:
+    frame = _innermost_frame()
+    if frame is None:
         return
-    label, listeners, _ = stack[-1]
+    label, env, _ = frame
+    listeners = env._listeners
     if not listeners:
         return
     for i in range(1, count + 1):
@@ -155,5 +163,5 @@ def report_steps(count: int, stage: str = "") -> None:
 
 
 def current_pool() -> ComputePool:
-    stack = frame_stack()
-    return stack[-1][2] if stack else _DEFAULT_POOL
+    frame = _innermost_frame()
+    return frame[2] if frame is not None else _DEFAULT_POOL

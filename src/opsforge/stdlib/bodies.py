@@ -183,6 +183,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     gives bitwise identical output. The column pass runs on the calling
     thread, which then reports per-row progress ending at exactly 1.0.
     """
+    if image.size == 0:
+        raise PreconditionError("image must be non-empty")
     kernel = gaussian_kernel(float(sigma))
     k = len(kernel)
     radius = k // 2

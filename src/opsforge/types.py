@@ -223,13 +223,6 @@ class TypeHierarchy:
             queue.extend(self._supers.get(node, ()))
         return False
 
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for sub in sorted(self._supers):
-            for sup in sorted(self._supers[sub]):
-                out.append((sub, sup))
-        return tuple(out)
-
 
 def is_assignable(
     frm: SemanticType,
@@ -281,9 +274,6 @@ class DescriptorTable:
 
     def lookup(self, base: str) -> str | None:
         return self._entries.get(base)
-
-    def items(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._entries.items()))
 
 
 def describe_type(t: SemanticType, table: DescriptorTable) -> str:

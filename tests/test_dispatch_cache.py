@@ -12,9 +12,21 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opsforge.errors import RegistrationError
-from opsforge.stdlib import default_environment
+from opsforge.errors import NoMatchError, RegistrationError
+from opsforge.matcher import OpRequest
+from opsforge.registry import Kind, OpEnvironment, parse_descriptors
+from opsforge.stdlib import (
+    BINDINGS,
+    builtin_descriptors_path,
+    default_describe_table,
+    default_environment,
+    default_hierarchy,
+    legacy_descriptors_path,
+)
+from opsforge.types import parse_type
 from opsforge.values import image_f64, wrap
 
 
@@ -167,7 +179,107 @@ def test_uncached_builder_call_matches_once(name):
     assert env.cache.stats() == (0, 0)
 
 
-# -- listeners are read at call time ----------------------------------------
+# -- cache on, cache off and load order agree on random requests ------------
+
+# one parsed entry list per stdlib descriptor file, in file order
+STDLIB_FILES = [
+    parse_descriptors(path.read_text(encoding="utf-8"), origin=str(path))
+    for path in (builtin_descriptors_path(), legacy_descriptors_path())
+]
+STDLIB_INFOS = [info for infos in STDLIB_FILES for info in infos]
+STDLIB_NAMES = sorted({n for info in STDLIB_INFOS for n in info.names})
+UNKNOWN_NAME = "no.such_op"
+CONCRETE_TYPES = [
+    parse_type(t)
+    for t in (
+        "Integer",
+        "Real",
+        "Boolean",
+        "Text",
+        "ByteArray",
+        "RealArray",
+        "Image",
+        "ImageU8",
+        "ImageF64",
+    )
+]
+
+
+def _stdlib_env(infos, cache_enabled):
+    return OpEnvironment(
+        infos,
+        BINDINGS,
+        hierarchy=default_hierarchy(),
+        describe_table=default_describe_table(),
+        cache_enabled=cache_enabled,
+    )
+
+
+@st.composite
+def stdlib_requests(draw):
+    """Requests shaped after a random stdlib entry, often perturbed into a miss."""
+    info = draw(st.sampled_from(STDLIB_INFOS))
+    # the entry's own name, kind and types are drawn more often than noise
+    name = draw(st.sampled_from([*info.names * 6, UNKNOWN_NAME]))
+    any_type = st.sampled_from(CONCRETE_TYPES)
+    own = [
+        p.type if p.type.is_concrete() else draw(any_type) for p in info.arg_params
+    ]
+    args = draw(st.sampled_from([own, own, None]))
+    if args is None:
+        args = draw(st.lists(any_type, max_size=3))
+    kind = draw(st.sampled_from([info.kind] * 3 + list(Kind)))
+    special = info.special_param.type
+    special = special if special.is_concrete() else draw(any_type)
+    if kind is Kind.FUNCTION:
+        out = draw(st.none() | st.just(special) | any_type)
+        return OpRequest(name, kind, tuple(args), output_type=out)
+    if kind is Kind.COMPUTER:
+        container = draw(st.just(special) | any_type)
+        return OpRequest(name, kind, tuple(args), container_type=container)
+    if not args:
+        args = [draw(any_type)]
+    index = draw(st.integers(0, len(args) - 1))
+    return OpRequest(name, kind, tuple(args), mutable_index=index)
+
+
+def _outcome(env, req):
+    """The plan signature, or the near-miss lines of the failed match."""
+    try:
+        return env.match(req).signature
+    except NoMatchError as exc:
+        return [m.render() for m in exc.near_misses]
+
+
+@pytest.fixture(scope="module")
+def cached_and_uncached():
+    return _stdlib_env(STDLIB_INFOS, True), _stdlib_env(STDLIB_INFOS, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(req=stdlib_requests(), order=st.randoms(use_true_random=False))
+def test_cache_and_load_order_do_not_change_matching(cached_and_uncached, req, order):
+    on, off = cached_and_uncached
+    files = [list(infos) for infos in STDLIB_FILES]
+    order.shuffle(files)
+    for infos in files:
+        order.shuffle(infos)
+    shuffled = _stdlib_env([i for infos in files for i in infos], True)
+
+    expected = _outcome(off, req)
+    # the second call on the cached environment is a hit when the first matched
+    assert _outcome(on, req) == expected
+    assert _outcome(on, req) == expected
+    assert _outcome(shuffled, req) == expected
+
+    assert shuffled.infos == off.infos
+    for name in [*STDLIB_NAMES, UNKNOWN_NAME]:
+        assert list(shuffled.candidates(name)) == [
+            i for i in shuffled.infos if name in i.names
+        ]
+
+
+# -- listeners are read when a body reports ---------------------------------
 
 
 @pytest.mark.parametrize("terminal", ["apply", "compute"])

@@ -11,7 +11,7 @@ from opsforge.errors import (
     NoMatchError,
     PreconditionError,
 )
-from opsforge.runtime import ComputePool
+from opsforge.runtime import ComputePool, current_pool, report_progress
 from opsforge.stdlib import bodies, default_environment
 from opsforge.values import Value, image_f64, wrap
 
@@ -203,6 +203,25 @@ def test_progress_listener_sees_op_label():
     env.add_progress_listener(lambda report: labels.add(report.op_label))
     env.op("filter.gauss").input(_rand_image(8, 4, 4), wrap(0.8)).apply()
     assert "filter.gauss" in labels
+
+
+def test_nested_op_reports_under_its_own_label():
+    env = default_environment(include_legacy=False)
+    seen = []
+    env.add_progress_listener(seen.append)
+    env.op("filter.dog").input(_rand_image(8, 4, 6), wrap(1.0), wrap(2.0)).apply()
+    # dog reports nothing itself; each of its two gauss children reports rows
+    assert [r.op_label for r in seen] == ["filter.gauss"] * 12
+
+
+def test_progress_and_pool_outside_any_op_are_defaults():
+    env = default_environment(include_legacy=False, pool=ComputePool(3))
+    seen = []
+    env.add_progress_listener(seen.append)
+    env.op("math.add").input(2, 3).apply()
+    report_progress(0.5)
+    assert seen == []
+    assert current_pool() is not env.pool and current_pool().budget == 1
 
 
 def test_pool_budget_bounds_parallelism():

@@ -149,6 +149,17 @@ def test_dog_rejects_nonpositive_sigma(env):
         env.op("filter.dog").input(img, wrap(-1.0), wrap(2.0)).apply()
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize(
+    "name, sigmas", [("filter.gauss", (1.0,)), ("filter.dog", (1.0, 2.0))]
+)
+def test_blur_rejects_empty_image(env, name, sigmas, shape):
+    img = wrap(np.zeros(shape))
+    with pytest.raises(PreconditionError) as err:
+        env.op(name).input(img, *map(wrap, sigmas)).apply()
+    assert "non-empty" in str(err.value)
+
+
 # -- rescale ------------------------------------------------------------------
 
 
