@@ -1,10 +1,14 @@
 """Turning matched plans into calls.
 
-compile_tree lowers an InfoTree to a plain payload-level callable: dependency
+_compile lowers an InfoTree to a plain payload-level callable: dependency
 children become leading arguments bound with functools.partial, the adapter
 binding (a factory) wraps the native callable, and conversion entries wrap
-individual parameters. Execution then moves between Values and payloads in
-one place, so op bodies never see framework objects.
+individual parameters. A plan is compiled once, when its runner is made; a
+cached plan keeps its runner, and so its compiled callable, in its cache
+entry. The op's frame sits at the plan boundary: the runner holds it for a
+top-level plan, and compile_tree adds it for dependency children, adapter
+dependencies and standalone use. Execution then moves between Values and
+payloads in one place, so op bodies never see framework objects.
 
 Kind contracts enforced here:
 - functions allocate a fresh Value and never touch their arguments,
@@ -40,28 +44,24 @@ if TYPE_CHECKING:
 
 
 def compile_tree(env: OpEnvironment, tree: InfoTree):
-    """Payload-level callable for a plan, cached per environment by signature."""
-    if env.cache_enabled:
-        # lock-free read: dict lookup is atomic under CPython
-        fn = env._exec_cache.get(tree.signature)
-        if fn is not None:
-            return fn
-    fn = _build(env, tree)
-    if env.cache_enabled:
-        with env._exec_lock:
-            env._exec_cache[tree.signature] = fn
-    return fn
+    """Payload-level callable for a plan, framed as its op."""
+    return _frame_wrap(env, tree.info.name, _compile(env, tree))
 
 
-def _build(env: OpEnvironment, tree: InfoTree):
-    deps = tuple(compile_tree(env, child) for child in tree.children)
-    body = env.binding(tree.info.source)
-    base = partial(body, *deps) if deps else body
-    fn = _frame_wrap(env, tree.info.name, base)
+def _compile(env: OpEnvironment, tree: InfoTree):
+    """Payload-level callable for a plan, with no frame of its own.
+
+    Dependency children are bound as leading arguments, the adapter factory
+    wraps the result, and conversions wrap that; children and adapter
+    dependencies are framed through compile_tree. A leaf plan is its bare
+    body.
+    """
+    fn = env.binding(tree.info.source)
+    if tree.children:
+        fn = partial(fn, *[compile_tree(env, c) for c in tree.children])
     if tree.adapter is not None:
-        ad_deps = tuple(compile_tree(env, c) for c in tree.adapter.children)
         factory = env.binding(tree.adapter.info.source)
-        fn = factory(fn, *ad_deps)
+        fn = factory(fn, *[compile_tree(env, c) for c in tree.adapter.children])
     if tree.conversions or tree.copyback is not None:
         fn = _conversion_wrap(env, tree, fn)
     return fn
@@ -73,7 +73,6 @@ def _frame_wrap(env: OpEnvironment, label: str, fn):
     def framed(*args, op_frame=(label, env, env.pool)):
         return fn(*args)
 
-    framed.__wrapped__ = fn  # lets adapter factories read the body's marks
     return framed
 
 
@@ -163,12 +162,11 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
     calls the plan on the argument payloads, turns body failures into
     ExecutionErrors that carry the plan signature, enforces the effective
     kind's contract (assign a scalar inplace result, wrap a function
-    result, write a computer result back), and records history. A leaf
-    plan's body is called directly; any other plan calls its compiled
-    callable.
+    result, write a computer result back), and records history. The plan
+    is compiled here, once per runner, so a cached plan never compiles
+    again; a leaf plan's call is its bare body.
     """
     info = tree.info
-    leaf = not (tree.children or tree.adapter or tree.conversions or tree.copyback)
     history = env.history
 
     # The plan's data is bound as parameter defaults, not closure cells:
@@ -178,7 +176,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
     def run(
         values,
         container,
-        call=env.binding(info.source) if leaf else compile_tree(env, tree),
+        call=_compile(env, tree),
         op_frame=(info.name, env, env.pool),
         label=info.name,
         sig=tree.signature,

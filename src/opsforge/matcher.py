@@ -132,13 +132,6 @@ class OpRequest:
     def __hash__(self) -> int:
         return hash(self.cache_key)
 
-    def key(self) -> str:
-        args = ",".join(str(t) for t in self.arg_types)
-        return (
-            f"{self.name}|{self.kind.value}|{args}"
-            f"|o={self.output_type}|c={self.container_type}|m={self.mutable_index}"
-        )
-
     def describe(self) -> str:
         args = ", ".join(str(t) for t in self.arg_types)
         if self.kind is Kind.FUNCTION:

@@ -508,8 +508,6 @@ class OpEnvironment:
         self.cache = MatchCache()
         self.history = OpHistory()
         self.pool = pool if pool is not None else ComputePool(1)
-        self._exec_cache: dict[str, Any] = {}
-        self._exec_lock = threading.Lock()
         self._listeners: tuple[Callable, ...] = ()
         self._listener_lock = threading.Lock()
         self._match_calls = 0

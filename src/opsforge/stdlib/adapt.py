@@ -62,13 +62,14 @@ def elementwise(body):
 def lift2_elementwise(inner):
     """Lift a binary scalar function to a same-shape elementwise computer.
 
-    ``inner`` is the compiled body, whose frame wrapper exposes the body as
-    ``__wrapped__``. When that body is marked ``elementwise`` the lift calls
-    ``inner`` once on the whole arrays (floating-point warnings silenced, as
-    the scalar loop raises none); any other body is called per element.
-    Shapes are checked before any body call.
+    ``inner`` is the lifted plan compiled without a frame, which for a leaf
+    plan is its bare body: the op's frame sits outside the adapter, at the
+    plan boundary. When that body is marked ``elementwise`` the lift calls
+    it once on the whole arrays (floating-point warnings silenced, as the
+    scalar loop raises none); any other body is called per element. Shapes
+    are checked before any body call.
     """
-    if getattr(getattr(inner, "__wrapped__", inner), "elementwise", False):
+    if getattr(inner, "elementwise", False):
 
         def whole(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if a.shape != b.shape:

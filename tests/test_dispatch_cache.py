@@ -4,7 +4,9 @@ A cached builder call skips request construction and matching, so these
 tests pin what it must still do exactly like an uncached call: raise the
 same validation errors, produce the same payloads and history signatures,
 report progress to listeners added later, and stay consistent when one
-environment is shared across threads.
+environment is shared across threads. A plan compiles once, when its
+runner is made, so these tests also pin that a cached plan never compiles
+again and that plans sharing a signature still run their own code.
 """
 
 import sys
@@ -27,7 +29,7 @@ from opsforge.stdlib import (
     legacy_descriptors_path,
 )
 from opsforge.types import parse_type
-from opsforge.values import image_f64, wrap
+from opsforge.values import image_f64, image_u8, wrap
 
 
 def _rand_image(seed, w=8, h=8):
@@ -341,3 +343,169 @@ def test_shared_environment_keeps_exact_history_and_one_entry_per_request():
     assert len(env.history) == threads_n * rounds * 2
     assert len(env.cache) == 2
     assert all(d[0] == rounds % 256 for d in datas)
+
+
+# -- one compile per plan -----------------------------------------------------
+
+
+def test_reduced_optional_variants_sharing_a_signature_run_their_own_plans():
+    # Both reduced variants of rescale2D sign the same: the cached runner of
+    # one must never run the other's request.
+    img = image_f64(4, 2, range(8))
+    calls = {
+        (4, 8): lambda env: env.op("transform.rescale2D").input(img, wrap(8.0)).apply(),
+        (3, 8): lambda env: env.op("transform.rescale2D")
+        .input(img, wrap(8.0), wrap(3))
+        .apply(),
+    }
+    off = default_environment(cache_enabled=False, include_legacy=False)
+    expected = {shape: _payload(call(off)) for shape, call in calls.items()}
+    for order in (list(calls), list(reversed(calls))):
+        env = default_environment(include_legacy=False)
+        for _ in range(2):
+            for shape in order:
+                out = calls[shape](env)
+                assert out.payload.shape == shape
+                assert _payload(out) == expected[shape]
+
+
+def _record_bindings(env):
+    """Log every ``env.binding`` lookup, which compiling a plan makes per op."""
+    bound = []
+    binding = env.binding
+
+    def recording(source):
+        bound.append(source)
+        return binding(source)
+
+    env.binding = recording
+    return bound
+
+
+DOG_SOURCES = sorted(
+    [
+        "builtin:filter/dog",
+        "builtin:adapt/computer3_to_function3",
+        "builtin:filter/gauss",
+        "builtin:filter/gauss",
+        "builtin:math/sub_reals",
+        "builtin:adapt/lift2_real_to_imagef64",
+    ]
+)
+
+
+def test_a_cached_plan_compiles_once_per_entry():
+    env = default_environment(include_legacy=False)
+    bound = _record_bindings(env)
+    img = _rand_image(5)
+
+    def dog():
+        return env.op("filter.dog").input(img, wrap(1.0), wrap(2.0))
+
+    dog().apply()
+    assert sorted(bound) == DOG_SOURCES
+    dog().apply()
+    dog().apply()
+    dog().function()(img, wrap(1.0), wrap(2.0))
+    assert sorted(bound) == DOG_SOURCES
+
+
+def test_an_uncached_call_compiles_every_time():
+    env = default_environment(cache_enabled=False, include_legacy=False)
+    bound = _record_bindings(env)
+    img = _rand_image(5)
+    for k in range(1, 4):
+        env.op("filter.dog").input(img, wrap(1.0), wrap(2.0)).apply()
+        assert sorted(bound) == sorted(DOG_SOURCES * k)
+
+
+def _mixed_calls():
+    """Builder calls, handles and one deliberate miss, by name; each takes (env, j)."""
+    imgs = [_rand_image(10 + j) for j in range(3)]
+    u8s = [image_u8(8, 8, np.random.default_rng(20 + j).integers(0, 256, 64)) for j in range(3)]
+
+    def gauss_handle(env, j):
+        handle = (
+            env.op("filter.gauss")
+            .input_types("ImageF64", "Real")
+            .container_type("ImageF64")
+            .computer()
+        )
+        return handle(imgs[j], wrap(1.5), container=wrap(np.zeros((8, 8))))
+
+    return {
+        "add builder": lambda env, j: env.op("math.add").input(j, 7).apply(),
+        "add handle": lambda env, j: env.op("math.add")
+        .input_types("Integer", "Integer")
+        .function()(j, 7),
+        "gauss builder": lambda env, j: env.op("filter.gauss")
+        .input(imgs[j], wrap(1.5))
+        .container(wrap(np.zeros((8, 8))))
+        .compute(),
+        "gauss handle": gauss_handle,
+        "dog builder": lambda env, j: env.op("filter.dog")
+        .input(imgs[j], wrap(1.0), wrap(2.0))
+        .apply(),
+        "dog handle": lambda env, j: env.op("filter.dog")
+        .input_types("ImageF64", "Real", "Real")
+        .function()(imgs[j], wrap(1.0), wrap(2.0)),
+        "u8 gauss builder": lambda env, j: env.op("filter.gauss")
+        .input(u8s[j], wrap(1.0))
+        .container(image_u8(8, 8, [0] * 64))
+        .compute(),
+        "miss": lambda env, j: env.op("math.add").input(wrap("x"), wrap(1.0)).apply(),
+    }
+
+
+def _outcome_of(call, env, j):
+    try:
+        out = call(env, j)
+    except NoMatchError as exc:
+        return ("miss", tuple(m.render() for m in exc.near_misses))
+    return (str(out.type), _payload(out))
+
+
+def test_eight_threads_share_one_environment_over_mixed_calls_and_misses():
+    calls = _mixed_calls()
+    names = sorted(calls)
+    ref = default_environment(include_legacy=False)
+    expected = {(n, j): _outcome_of(calls[n], ref, j) for n in names for j in range(3)}
+    assert expected["miss", 0][0] == "miss" and expected["miss", 0][1]
+
+    env = default_environment(include_legacy=False)
+    threads_n, rounds = 8, 12
+    start = threading.Barrier(threads_n)
+    seen = [[] for _ in range(threads_n)]
+    errors = []
+
+    def work(t):
+        try:
+            start.wait(timeout=60)
+            for i in range(rounds):
+                for k in range(len(names)):
+                    # each thread walks the calls from its own offset, so
+                    # every request is first missed by several threads at once
+                    name, j = names[(t + k) % len(names)], (t + i) % 3
+                    seen[t].append(((name, j), _outcome_of(calls[name], env, j)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append((t, repr(exc)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    outcomes = [o for per_thread in seen for o in per_thread]
+    assert len(outcomes) == threads_n * rounds * len(names)
+    for key, outcome in outcomes:
+        assert outcome == expected[key], key
+    successes = sum(1 for (name, _), _ in outcomes if name != "miss")
+    assert len(env.history) == successes
+    assert len(env.cache) == len(ref.cache)

@@ -11,9 +11,11 @@ from opsforge.errors import (
     NoMatchError,
     PreconditionError,
 )
+from opsforge.execution import compile_tree
+from opsforge.matcher import computer_request
 from opsforge.runtime import ComputePool, current_pool, report_progress
 from opsforge.stdlib import bodies, default_environment
-from opsforge.values import Value, image_f64, wrap
+from opsforge.values import Value, image_f64, image_u8, wrap
 
 BYTE_ARRAY = "ByteArray"
 
@@ -222,6 +224,56 @@ def test_progress_and_pool_outside_any_op_are_defaults():
     report_progress(0.5)
     assert seen == []
     assert current_pool() is not env.pool and current_pool().budget == 1
+
+
+def test_gauss_runs_in_its_own_frame_on_every_path():
+    # The frame sits at the plan boundary (runner or compile_tree), outside
+    # any adapter or conversion; a body sees the same label and pool on
+    # every path that runs it.
+    pool = ComputePool(3)
+    pools = []
+
+    def probe(image, sigma):
+        pools.append(current_pool())
+        report_progress(1.0)
+        return image.copy()
+
+    env = default_environment(
+        include_legacy=False, pool=pool, extra_bindings={"builtin:filter/gauss": probe}
+    )
+    reports = []
+    env.add_progress_listener(reports.append)
+    img = _rand_image(9, 6, 4)
+    u8 = image_u8(6, 4, range(24))
+    gauss_plan = env.match(computer_request("filter.gauss", ["ImageF64", "Real"], "ImageF64"))
+    paths = {
+        "DIRECT compute": lambda: env.op("filter.gauss")
+        .input(img, wrap(1.0))
+        .container(wrap(np.zeros((4, 6))))
+        .compute(),
+        "ADAPTED apply": lambda: env.op("filter.gauss").input(img, wrap(1.0)).apply(),
+        "CONVERTED u8 compute": lambda: env.op("filter.gauss")
+        .input(u8, wrap(1.0))
+        .container(image_u8(6, 4, [0] * 24))
+        .compute(),
+        "handle": lambda: env.op("filter.gauss")
+        .input_types("ImageF64", "Real")
+        .container_type("ImageF64")
+        .computer()(img, wrap(1.0), container=wrap(np.zeros((4, 6)))),
+        "compile_tree": lambda: compile_tree(env, gauss_plan)(img.payload, 1.0),
+        "filter.dog children": lambda: env.op("filter.dog")
+        .input(img, wrap(1.0), wrap(2.0))
+        .apply(),
+    }
+    for path, call in paths.items():
+        runs = 2 if path == "filter.dog children" else 1
+        for _ in range(2):  # the second call runs the cached runner
+            del pools[:], reports[:]
+            call()
+            assert [(r.op_label, r.fraction) for r in reports] == [
+                ("filter.gauss", 1.0)
+            ] * runs, path
+            assert len(pools) == runs and all(p is pool for p in pools), path
 
 
 def test_pool_budget_bounds_parallelism():

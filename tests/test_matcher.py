@@ -291,5 +291,5 @@ def test_request_key_is_canonical():
     req = inplace_request("benchmark.increment", ["ByteArray"], 0)
     same = inplace_request("benchmark.increment", ["ByteArray"], 0)
     assert req == same
-    assert req.key() == same.key()
-    assert "benchmark.increment" in req.key()
+    assert req.cache_key == same.cache_key
+    assert hash(req) == hash(same)
