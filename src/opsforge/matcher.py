@@ -31,7 +31,9 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     DependencyCycleError,
@@ -254,12 +256,13 @@ class MatchCache:
     builder terminals share this one store and its counters (a builder
     terminal reads ``entries`` under staged_key and counts its own hits).
     Reads are lock-free: a dict lookup is atomic under CPython, and the
-    hit/miss counters are diagnostic only, never load-bearing.
+    hit/miss counters are diagnostic only, never load-bearing. ``lock``
+    guards writes: the first entry per key and its one runner.
     """
 
     def __init__(self):
         self.entries: dict[tuple, CacheEntry] = {}
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -272,8 +275,10 @@ class MatchCache:
         return entry.tree
 
     def put(self, request: OpRequest, tree: InfoTree) -> None:
-        with self._lock:
-            self.entries[request.cache_key] = CacheEntry(tree)
+        # The first entry stays: another thread may already have given it
+        # a runner.
+        with self.lock:
+            self.entries.setdefault(request.cache_key, CacheEntry(tree))
 
     def stats(self) -> tuple[int, int]:
         return (self.hits, self.misses)
@@ -315,7 +320,7 @@ class _Shape:
     types: tuple[SemanticType, ...]
     mutable_index: int | None = None
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return len(self.types) - (0 if self.kind is Kind.INPLACE else 1)
 
@@ -355,11 +360,14 @@ def adapter_patterns(adapter: OpInfo) -> tuple[_Shape, _Shape] | None:
 
 
 def _same_shape(shape: _Shape, req: OpRequest) -> bool:
-    """Do kind, arity and (for INPLACE) the mutable position match the request?"""
+    """Do kind, arity and (for INPLACE) the mutable position match the request?
+
+    Shapes and requests of the other kinds have no mutable index.
+    """
     return (
         shape.kind is req.kind
         and shape.arity == len(req.arg_types)
-        and (req.kind is not Kind.INPLACE or shape.mutable_index == req.mutable_index)
+        and shape.mutable_index == req.mutable_index
     )
 
 
@@ -372,15 +380,94 @@ def _shape_fits_request(
     for rt, st in zip(req.arg_types, shape.types):
         if not is_assignable(rt, st, hierarchy):
             return False
-    if req.kind is Kind.FUNCTION:
-        if req.output_type is not None and not is_assignable(
-            shape.types[-1], req.output_type, hierarchy
-        ):
-            return False
-    elif req.kind is Kind.COMPUTER:
-        if not is_assignable(req.container_type, shape.types[-1], hierarchy):
-            return False
+    # only a FUNCTION request has an output type, only a COMPUTER a container
+    if req.output_type is not None:
+        return is_assignable(shape.types[-1], req.output_type, hierarchy)
+    if req.container_type is not None:
+        return is_assignable(req.container_type, shape.types[-1], hierarchy)
     return True
+
+
+def matcher_tables(
+    by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
+) -> tuple[dict, tuple, tuple]:
+    """``(shaped, converts, copies)``: the matcher's facts past DIRECT.
+
+    An environment builds them once from its name index; they are sized by
+    the registry and never grow per call. ``shaped`` maps each name to
+    ``(info, shape, adaptations)`` per non-adapter candidate in canonical
+    order; shape is None, with no adaptations, for a candidate with generic
+    parameter types, since adaptation and conversion only work on concrete
+    shapes. ``converts`` and ``copies`` are ``_convert_table`` rows.
+    """
+    # adapters whose patterns do not decompose can never match
+    adapters = tuple(
+        (info, patterns)
+        for info in by_name.get(ADAPT_NAME, ())
+        if (patterns := adapter_patterns(info)) is not None
+    )
+    shaped = {}
+    for name, found in by_name.items():
+        rows = []
+        for info in found:
+            if ADAPT_NAME in info.names:
+                continue
+            cand = _encode_info(info)
+            if all(t.is_concrete() for t in cand.types):
+                rows.append((info, cand, _adaptations(adapters, cand, hierarchy)))
+            else:
+                rows.append((info, None, ()))
+        shaped[name] = tuple(rows)
+    return (
+        shaped,
+        _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION),
+        _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER),
+    )
+
+
+def _adaptations(adapters, cand: _Shape, hierarchy: TypeHierarchy) -> tuple:
+    """Adapters whose FROM pattern unifies with a candidate, canonical order.
+
+    Rows are ``(adapter, bindings, target)`` where target is the TO shape
+    with the read-only bindings applied; adapters whose TO types stay
+    generic are skipped.
+    """
+    rows = []
+    for ad, (frm, to) in adapters:
+        if (
+            frm.kind is not cand.kind
+            or len(frm.types) != len(cand.types)
+            or frm.mutable_index != cand.mutable_index
+        ):
+            continue
+        bindings: dict[str, SemanticType] = {}
+        if not all(
+            is_assignable(ct, ft, hierarchy, bindings)
+            for ct, ft in zip(cand.types, frm.types)
+        ):
+            continue
+        to_types = tuple(t.substitute(bindings) for t in to.types)
+        if all(t.is_concrete() for t in to_types):
+            target = _Shape(to.kind, to_types, to.mutable_index)
+            rows.append((ad, MappingProxyType(bindings), target))
+    return tuple(rows)
+
+
+def _convert_table(candidates: tuple[OpInfo, ...], kind: Kind) -> tuple:
+    """``(info, src, dst)`` of each usable convert or copy entry, in order.
+
+    Usable entries have the given kind, one dependency-free argument of
+    concrete type ``src`` and a concrete output or container type ``dst``.
+    """
+    return tuple(
+        (info, info.arg_params[0].type, info.special_param.type)
+        for info in candidates
+        if info.kind is kind
+        and len(info.arg_params) == 1
+        and not info.dependencies
+        and info.arg_params[0].type.is_concrete()
+        and info.special_param.type.is_concrete()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,48 +608,18 @@ def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
 
 
 def _shaped_candidates(s: _Search, name: str):
-    """``(info, shape)`` of each non-adapter candidate, counting every one.
+    """``(info, shape, adaptations)`` of each concrete non-adapter candidate.
 
-    Candidates with generic parameter types are counted but not yielded:
-    adaptation and conversion only work on concrete shapes.
+    Every non-adapter candidate is counted, generic ones too.
     """
-    for info in s.env.candidates(name):
-        if ADAPT_NAME in info.names:
-            continue
+    for row in s.env.shaped.get(name, ()):
         s.considered += 1
-        cand = _encode_info(info)
-        if all(t.is_concrete() for t in cand.types):
-            yield info, cand
-
-
-def _adaptations(env: OpEnvironment, cand: _Shape):
-    """Adapters whose FROM pattern unifies with a candidate, canonical order.
-
-    Yields ``(adapter, bindings, target)`` where target is the TO shape with
-    the bindings applied; adapters whose TO types stay generic are skipped.
-    """
-    hierarchy = env.hierarchy
-    for ad, (frm, to) in env.adapters:
-        if (
-            frm.kind is not cand.kind
-            or len(frm.types) != len(cand.types)
-            or frm.mutable_index != cand.mutable_index
-        ):
-            continue
-        bindings: dict[str, SemanticType] = {}
-        if not all(
-            is_assignable(ct, ft, hierarchy, bindings)
-            for ct, ft in zip(cand.types, frm.types)
-        ):
-            continue
-        to_types = tuple(t.substitute(bindings) for t in to.types)
-        if any(not t.is_concrete() for t in to_types):
-            continue
-        yield ad, bindings, _Shape(to.kind, to_types, to.mutable_index)
+        if row[1] is not None:
+            yield row
 
 
 def _adapter_tree(
-    s: _Search, ad: OpInfo, bindings: dict[str, SemanticType]
+    s: _Search, ad: OpInfo, bindings: Mapping[str, SemanticType]
 ) -> InfoTree | None:
     """The adapter as a DIRECT plan, or None (logged) if its dependencies fail."""
     children = _resolve_deps(s, ad, bindings)
@@ -580,9 +637,9 @@ def _adapter_tree(
 
 def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
     hierarchy = s.env.hierarchy
-    for info, cand in _shaped_candidates(s, req.name):
+    for info, _, adaptations in _shaped_candidates(s, req.name):
         fitted = False
-        for ad, bindings, target in _adaptations(s.env, cand):
+        for ad, bindings, target in adaptations:
             if not _shape_fits_request(target, req, hierarchy):
                 continue
             fitted = True
@@ -612,40 +669,18 @@ def _find_convert(
     env: OpEnvironment, frm: SemanticType, to: SemanticType
 ) -> OpInfo | None:
     """First convert function accepting ``frm`` and producing ``to``."""
-    for info in env.candidates(CONVERT_NAME):
-        if (
-            info.kind is not Kind.FUNCTION
-            or len(info.arg_params) != 1
-            or info.dependencies
-        ):
-            continue
-        src = info.arg_params[0].type
-        dst = info.special_param.type
-        if not (src.is_concrete() and dst.is_concrete()):
-            continue
-        if is_assignable(frm, src, env.hierarchy) and is_assignable(
-            dst, to, env.hierarchy
-        ):
+    hierarchy = env.hierarchy
+    for info, src, dst in env.converts:
+        if is_assignable(frm, src, hierarchy) and is_assignable(dst, to, hierarchy):
             return info
     return None
 
 
 def _find_copy(env: OpEnvironment, t: SemanticType) -> OpInfo | None:
     """First copy computer able to write ``t`` content into a ``t`` container."""
-    for info in env.candidates(COPY_NAME):
-        if (
-            info.kind is not Kind.COMPUTER
-            or len(info.arg_params) != 1
-            or info.dependencies
-        ):
-            continue
-        src = info.arg_params[0].type
-        dst = info.special_param.type
-        if not (src.is_concrete() and dst.is_concrete()):
-            continue
-        if is_assignable(t, src, env.hierarchy) and is_assignable(
-            t, dst, env.hierarchy
-        ):
+    hierarchy = env.hierarchy
+    for info, src, dst in env.copies:
+        if is_assignable(t, src, hierarchy) and is_assignable(t, dst, hierarchy):
             return info
     return None
 
@@ -665,7 +700,8 @@ def _match_converted(
     hierarchy = s.env.hierarchy
     env = s.env
     n_args = len(req.arg_types)
-    for info, cand in _shaped_candidates(s, req.name):
+    function, computer = req.kind is Kind.FUNCTION, req.kind is Kind.COMPUTER
+    for info, cand, adaptations in _shaped_candidates(s, req.name):
         adapter_tree: InfoTree | None = None
         if not allow_adaptation:
             if not _same_shape(cand, req):
@@ -674,7 +710,7 @@ def _match_converted(
         else:
             # first fit: the first adapter of the right shape whose own
             # dependencies resolve is the only one tried for conversion
-            for ad, bindings, target in _adaptations(env, cand):
+            for ad, bindings, target in adaptations:
                 if _same_shape(target, req):
                     adapter_tree = _adapter_tree(s, ad, bindings)
                     if adapter_tree is not None:
@@ -690,7 +726,7 @@ def _match_converted(
             tt = target.types[i]
             if is_assignable(rt, tt, hierarchy):
                 continue
-            mutable_here = req.kind is Kind.INPLACE and i == req.mutable_index
+            mutable_here = i == req.mutable_index  # None unless INPLACE
             conv_in = _find_convert(env, rt, tt)
             conv_out = _find_convert(env, tt, rt) if mutable_here else None
             copier = _find_copy(env, rt) if mutable_here else None
@@ -709,7 +745,7 @@ def _match_converted(
             continue
 
         out_type = None
-        if req.kind is Kind.FUNCTION:
+        if function:
             produced = target.types[-1]
             out_type = produced
             if req.output_type is not None and not is_assignable(
@@ -727,7 +763,7 @@ def _match_converted(
                     continue
                 conversions.append(ConvEntry(n_args, None, conv_out))
                 out_type = req.output_type
-        elif req.kind is Kind.COMPUTER:
+        elif computer:
             wanted = target.types[-1]
             if not is_assignable(req.container_type, wanted, hierarchy):
                 conv_in = _find_convert(env, req.container_type, wanted)

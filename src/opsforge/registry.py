@@ -19,7 +19,7 @@ import yaml
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
-from .matcher import ADAPT_NAME, MatchCache, adapter_patterns, match
+from .matcher import MatchCache, match, matcher_tables
 from .runtime import ComputePool
 from .types import (
     DescriptorTable,
@@ -237,7 +237,7 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     document is valid and yields an empty list.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as e:
         raise SchemaError(f"{origin}: not valid YAML: {e}") from e
     if doc is None:
@@ -438,10 +438,11 @@ class OpEnvironment:
     """A sealed, canonically ordered collection of ops plus their bindings.
 
     Construction applies optional-parameter reduction, sorts entries by
-    (priority desc, canonical name asc, source asc), verifies bindings, and
-    freezes everything. Matching state (cache, counters), the execution
-    history, and progress listeners live alongside but never alter the
-    registered content; the content hash covers only the op entries.
+    (priority desc, canonical name asc, source asc), builds the name index
+    and the matcher's tables, verifies bindings, and freezes everything.
+    Matching state (cache, counters), the execution history, and progress
+    listeners live alongside but never alter the registered content; the
+    content hash covers only the op entries.
     """
 
     def __init__(
@@ -472,12 +473,9 @@ class OpEnvironment:
             for name in set(info.names):
                 by_name.setdefault(name, []).append(info)
         self._by_name = {name: tuple(found) for name, found in by_name.items()}
-        # (adapter, (FROM shape, TO shape)); adapters whose patterns do not
-        # decompose can never match and are left out.
-        self.adapters = tuple(
-            (info, patterns)
-            for info in self.candidates(ADAPT_NAME)
-            if (patterns := adapter_patterns(info)) is not None
+        self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
+        self.shaped, self.converts, self.copies = matcher_tables(
+            self._by_name, self.hierarchy
         )
 
         resolved: dict[str, Callable] = {}
@@ -493,7 +491,6 @@ class OpEnvironment:
                 resolved[info.source] = _missing_binding(info.source)
         self._bindings = resolved
 
-        self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
         self.describe_table = (
             describe_table if describe_table is not None else DescriptorTable()
         )

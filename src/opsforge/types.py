@@ -16,7 +16,6 @@ functional Kind and a parameter's Io role.
 from __future__ import annotations
 
 import re
-from collections import deque
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -175,8 +174,10 @@ def parse_type(text: str) -> SemanticType:
 class TypeHierarchy:
     """Acyclic set of subtype edges between base names.
 
-    Only edges are stored; reflexivity and transitivity are computed by the
-    path query. Adding an edge that would close a cycle is rejected.
+    The transitive closure is built once at construction (Vitek, Horspool
+    & Krall, "Efficient Type Inclusion Tests", OOPSLA 1997), so a path
+    query is a set lookup. Adding an edge that would close a cycle is
+    rejected.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]] = ()):
@@ -185,43 +186,35 @@ class TypeHierarchy:
             if sub == sup:
                 raise RegistrationError(f"self edge {sub} -> {sup}")
             supers.setdefault(sub, set()).add(sup)
-        self._supers = {k: frozenset(v) for k, v in supers.items()}
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(node: str, trail: list[str]) -> None:
-            if node in done:
-                return
-            if node in visiting:
-                cycle = " -> ".join(trail + [node])
-                raise RegistrationError(f"cyclic type hierarchy: {cycle}")
-            visiting.add(node)
-            for sup in self._supers.get(node, ()):
-                visit(sup, trail + [node])
-            visiting.discard(node)
-            done.add(node)
-
-        for start in list(self._supers):
-            visit(start, [])
+        self._ancestors = _close({k: frozenset(v) for k, v in supers.items()})
 
     def has_path(self, sub: str, sup: str) -> bool:
         """True when sub == sup or declared edges connect sub to sup."""
-        if sub == sup:
-            return True
-        seen = {sub}
-        queue = deque(self._supers.get(sub, ()))
-        while queue:
-            node = queue.popleft()
-            if node == sup:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(self._supers.get(node, ()))
-        return False
+        return sub == sup or sup in self._ancestors.get(sub, ())
+
+
+def _close(supers: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    """Each name's proper supertypes; raises on a cycle, naming its trail."""
+    visiting: set[str] = set()
+    ancestors: dict[str, frozenset[str]] = {}
+
+    def visit(node: str, trail: list[str]) -> frozenset[str]:
+        if node in ancestors:
+            return ancestors[node]
+        if node in visiting:
+            cycle = " -> ".join(trail + [node])
+            raise RegistrationError(f"cyclic type hierarchy: {cycle}")
+        visiting.add(node)
+        found = set(supers.get(node, ()))
+        for sup in supers.get(node, ()):
+            found |= visit(sup, trail + [node])
+        visiting.discard(node)
+        ancestors[node] = frozenset(found)
+        return ancestors[node]
+
+    for start in list(supers):
+        visit(start, [])
+    return ancestors
 
 
 def is_assignable(

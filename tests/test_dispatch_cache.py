@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsforge import execution
 from opsforge.errors import NoMatchError, RegistrationError
 from opsforge.matcher import OpRequest
 from opsforge.registry import Kind, OpEnvironment, parse_descriptors
@@ -465,7 +466,7 @@ def _outcome_of(call, env, j):
     return (str(out.type), _payload(out))
 
 
-def test_eight_threads_share_one_environment_over_mixed_calls_and_misses():
+def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeypatch):
     calls = _mixed_calls()
     names = sorted(calls)
     ref = default_environment(include_legacy=False)
@@ -473,6 +474,16 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses():
     assert expected["miss", 0][0] == "miss" and expected["miss", 0][1]
 
     env = default_environment(include_legacy=False)
+    runners = []
+    make_runner = execution._make_runner
+
+    def counting(made_for, tree):
+        run = make_runner(made_for, tree)
+        if made_for is env:
+            runners.append(run)
+        return run
+
+    monkeypatch.setattr(execution, "_make_runner", counting)
     threads_n, rounds = 8, 12
     start = threading.Barrier(threads_n)
     seen = [[] for _ in range(threads_n)]
@@ -509,3 +520,7 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses():
     successes = sum(1 for (name, _), _ in outcomes if name != "miss")
     assert len(env.history) == successes
     assert len(env.cache) == len(ref.cache)
+    # concurrent first misses compile each of the 4 distinct requests once
+    assert len(runners) == 4
+    cached = [e.run for e in env.cache.entries.values() if e.run is not None]
+    assert sorted(map(id, cached)) == sorted(map(id, runners))

@@ -1,8 +1,10 @@
 """Descriptor parsing, optional-parameter reduction, environment assembly."""
 
 import random
+import re
 
 import pytest
+import yaml
 
 from opsforge.errors import RegistrationError, SchemaError
 from opsforge.registry import (
@@ -15,7 +17,12 @@ from opsforge.registry import (
     parse_descriptors,
     reduce_optional,
 )
-from opsforge.stdlib import BINDINGS, builtin_descriptors_path, default_environment
+from opsforge.stdlib import (
+    BINDINGS,
+    builtin_descriptors_path,
+    default_environment,
+    legacy_descriptors_path,
+)
 from opsforge.types import parse_type
 
 
@@ -271,3 +278,50 @@ ops:
     with pytest.raises(SchemaError) as err:
         parse_descriptors(text)
     assert "Q" in str(err.value)
+
+
+# -- libyaml and its pure-Python fallback parse alike ------------------------
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+def _parse_with_each_loader(monkeypatch, text, origin):
+    """parse_descriptors' outcome under the C loader, then under SafeLoader."""
+    outcomes = []
+    for drop_c in (False, True):
+        if drop_c:
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        try:
+            outcomes.append(parse_descriptors(text, origin=origin))
+        except SchemaError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", [builtin_descriptors_path(), legacy_descriptors_path()])
+def test_both_yaml_loaders_give_equal_infos(monkeypatch, path):
+    c_infos, py_infos = _parse_with_each_loader(
+        monkeypatch, path.read_text(encoding="utf-8"), str(path)
+    )
+    assert c_infos == py_infos and len(c_infos) > 0
+
+
+@needs_libyaml
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ops:\n  - name: a\n    parameters: [\n  - b\n",
+        "ops: [a, b\n",
+        "ops:\n  - name: a\n   bad: 1\n",
+    ],
+)
+def test_both_yaml_loaders_place_malformed_yaml_alike(monkeypatch, text):
+    # the two loaders word the problem differently; only the marks must agree
+    errors = _parse_with_each_loader(monkeypatch, text, "bad.yaml")
+    assert all(isinstance(e, SchemaError) for e in errors)
+    assert all(str(e).startswith("bad.yaml: not valid YAML:") for e in errors)
+    c_marks, py_marks = (re.findall(r"line \d+, column \d+", str(e)) for e in errors)
+    assert c_marks == py_marks and c_marks

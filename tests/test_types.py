@@ -177,3 +177,87 @@ def test_type_names_limited_to_identifier_characters():
     for ch in string.punctuation.replace("_", ""):
         with pytest.raises(TypeSyntaxError):
             parse_type(f"Bad{ch}Name")
+
+
+# -- the closure agrees with a search over the declared edges ----------------
+
+_NODES = [f"N{i}" for i in range(8)]
+
+
+def _reference_supers(edges):
+    supers = {}
+    for sub, sup in edges:
+        supers.setdefault(sub, set()).add(sup)
+    return {k: frozenset(v) for k, v in supers.items()}
+
+
+def _reference_has_path(supers, sub, sup):
+    """Breadth-first search over declared edges, as has_path did per query."""
+    if sub == sup:
+        return True
+    seen, queue = {sub}, list(supers.get(sub, ()))
+    while queue:
+        node = queue.pop(0)
+        if node == sup:
+            return True
+        if node not in seen:
+            seen.add(node)
+            queue.extend(supers.get(node, ()))
+    return False
+
+
+def _reference_cycle_message(supers):
+    """The message the per-query hierarchy gave for a cycle, or None."""
+    visiting, done = set(), set()
+
+    def visit(node, trail):
+        if node in done:
+            return None
+        if node in visiting:
+            return "cyclic type hierarchy: " + " -> ".join(trail + [node])
+        visiting.add(node)
+        for sup in supers.get(node, ()):
+            found = visit(sup, trail + [node])
+            if found is not None:
+                return found
+        visiting.discard(node)
+        done.add(node)
+        return None
+
+    for start in list(supers):
+        found = visit(start, [])
+        if found is not None:
+            return found
+    return None
+
+
+@given(st.data())
+def test_closure_has_path_agrees_with_search_over_random_dags(data):
+    # edges only run from a lower to a higher index, so the graph is acyclic
+    pairs = [(a, b) for i, a in enumerate(_NODES) for b in _NODES[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=16))
+    edges = data.draw(st.permutations(edges))
+    h = TypeHierarchy(edges)
+    supers = _reference_supers(edges)
+    for sub in [*_NODES, "Other"]:
+        for sup in [*_NODES, "Other"]:
+            assert h.has_path(sub, sup) == _reference_has_path(supers, sub, sup)
+
+
+@given(st.data())
+def test_cycle_rejection_message_is_unchanged(data):
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(_NODES[:5]), st.sampled_from(_NODES[:5])).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=10,
+        )
+    )
+    expected = _reference_cycle_message(_reference_supers(edges))
+    if expected is None:
+        TypeHierarchy(edges)
+        return
+    with pytest.raises(RegistrationError) as info:
+        TypeHierarchy(edges)
+    assert str(info.value) == expected
