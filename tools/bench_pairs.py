@@ -197,7 +197,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seconds", type=int, default=30, help="perfbench --seconds")
     parser.add_argument("--criterion6", type=int, default=10, help="runs per side")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--tmp", default=None, help="where to put the worktree")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.seconds < 1 or args.criterion6 < 0:
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
         _git("worktree", "add", "--detach", str(parent_root), report["parent"], cwd=root)
         try:
             sides = {"parent": parent_root, "head": root}
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 runs = []
                 for i, seed in enumerate(report["settings"]["seeds"]):
                     order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
