@@ -536,7 +536,7 @@ def _dep_request(dep: DependencySpec, sig: tuple[SemanticType, ...]) -> OpReques
 
 
 def _resolve_deps(
-    s: _Search, info: OpInfo, bindings: dict[str, SemanticType]
+    s: _Search, info: OpInfo, bindings: Mapping[str, SemanticType]
 ):
     """Resolve an op's dependencies. Returns children or a NearMiss."""
     children: list[InfoTree] = []
