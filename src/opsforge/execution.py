@@ -238,7 +238,7 @@ def _resolve(env: OpEnvironment, req: OpRequest):
     if entry is None:
         return tree, _make_runner(env, tree)
     if entry.run is None:
-        with env.cache.lock:  # one runner per entry under concurrent misses
+        with entry.lock:  # one runner per entry under concurrent misses
             if entry.run is None:
                 entry.run = _make_runner(env, entry.tree)
     return entry.tree, entry.run

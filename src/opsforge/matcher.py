@@ -239,14 +239,15 @@ class CacheEntry:
 
     The runner is attached by execution when a builder call or a handle
     first needs it, so matching alone (dependencies, env.match) never
-    compiles.
+    compiles. ``lock`` attaches it once; only first calls on this key wait.
     """
 
-    __slots__ = ("tree", "run")
+    __slots__ = ("tree", "run", "lock")
 
     def __init__(self, tree: InfoTree):
         self.tree = tree
         self.run = None
+        self.lock = threading.Lock()
 
 
 class MatchCache:
@@ -257,7 +258,7 @@ class MatchCache:
     terminal reads ``entries`` under staged_key and counts its own hits).
     Reads are lock-free: a dict lookup is atomic under CPython, and the
     hit/miss counters are diagnostic only, never load-bearing. ``lock``
-    guards writes: the first entry per key and its one runner.
+    guards ``put``: the first entry per key stays.
     """
 
     def __init__(self):

@@ -524,3 +524,39 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeyp
     assert len(runners) == 4
     cached = [e.run for e in env.cache.entries.values() if e.run is not None]
     assert sorted(map(id, cached)) == sorted(map(id, runners))
+
+
+def test_a_runner_being_made_holds_up_only_its_own_request(monkeypatch):
+    env = default_environment(include_legacy=False)
+    inside, release = threading.Event(), threading.Event()
+    make_runner = execution._make_runner
+
+    def held(made_for, tree):
+        if tree.info.name == "filter.dog":
+            inside.set()
+            release.wait(timeout=60)
+        return make_runner(made_for, tree)
+
+    monkeypatch.setattr(execution, "_make_runner", held)
+    img = _rand_image(3)
+    dog = threading.Thread(
+        target=lambda: env.op("filter.dog").input(img, wrap(1.0), wrap(2.0)).apply()
+    )
+    added = []
+    add = threading.Thread(
+        target=lambda: added.append(env.op("math.add").input(2, 7).apply().payload)
+    )
+    dog.start()
+    try:
+        assert inside.wait(timeout=60)
+        # a first call on another key compiles and runs while filter.dog's
+        # runner is still being made
+        add.start()
+        add.join(timeout=30)
+        assert added == [9]
+        assert dog.is_alive()
+    finally:
+        release.set()
+        dog.join(timeout=60)
+        add.join(timeout=60)
+    assert not dog.is_alive() and not add.is_alive()

@@ -9,10 +9,11 @@ line of every run. For each end-to-end metric it records the paired values,
 each side's median, q1 and q3, the change's relative median delta and how
 many pairs the change won (ties count for neither side).
 
-It also runs ``opsforge.bench.run_benchmark`` at criterion 6's settings K
-times per side, alternating, each in a fresh process, and records the
-criterion's ratio and verdict per run. These are pass counts for the
-record, not a gate. Paired, order-alternated runs follow Kalibera & Jones,
+The workloads and the run length are BENCHMARK.json's. The script also
+runs criterion 6's own test (``pytest tests/test_acceptance.py -k
+criterion_06``) K times per side, alternating, each in a fresh process, and
+records the verdict line it prints: pass or fail, the cached/uncached ratio
+and the additivity. These are pass counts for the record, not a gate. Paired, order-alternated runs follow Kalibera & Jones,
 "Rigorous Benchmarking in Reasonable Time" (ISMM 2013). Standard library
 only; run it from a checkout of the change.
 """
@@ -24,6 +25,7 @@ import importlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,29 +33,21 @@ import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("dispatch_hot", "match_cold", "imaging")
-
-# criterion 6 as tests/test_acceptance.py states it
-CRITERION6_SETTINGS = {"size": 1024, "warmup": 1000, "iterations": 8000, "reps": 3}
-CRITERION6_BOUND = 0.10
-CRITERION6_RUN = (
-    "import json; from opsforge.bench import run_benchmark; "
-    f"r = run_benchmark(**{CRITERION6_SETTINGS!r}); "
-    "print(json.dumps({x.scenario: x.mean_ns for x in r.results}))"
+CRITERION6_TEST = ["-m", "pytest", "tests/test_acceptance.py", "-k", "criterion_06",
+                   "-s", "-q", "-p", "no:cacheprovider"]
+# the verdict line tests/test_acceptance.py prints for criterion 6
+CRITERION6_LINE = re.compile(
+    r"criterion +6 \[(PASS|FAIL)\].*?ordering=(True|False), "
+    r"cached/nocache=(\S+) .*?additivity=(\S+) in"
 )
-
-
-def last_json(stdout: str) -> dict:
-    """The JSON object on the last non-empty line of a run's output."""
-    lines = [line for line in stdout.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("the run printed nothing")
-    return json.loads(lines[-1])
 
 
 def parse_result(stdout: str) -> dict:
     """The one-line JSON result perfbench prints last."""
-    result = last_json(stdout)
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    result = json.loads(lines[-1])
     for key in ("correct", "attempted", "failed", "metrics"):
         if key not in result:
             raise ValueError(f"perfbench result has no {key!r}")
@@ -109,33 +103,27 @@ def workload_record(runs: list[tuple[dict, dict]], directions: dict) -> dict:
     }
 
 
-def criterion6_verdict(mean_ns: dict) -> dict:
-    """Criterion 6's checks on one run's scenario means."""
-    static, cached = mean_ns["STATIC"], mean_ns["MATCHED_CACHED"]
-    nocache, adapted = mean_ns["MATCHED_NOCACHE"], mean_ns["ADAPTED"]
-    converted, both = mean_ns["CONVERTED"], mean_ns["ADAPTED_CONVERTED"]
-    ordering = (
-        static < cached < nocache
-        and nocache <= adapted
-        and nocache <= converted
-        and adapted <= both
-        and converted <= both
-    )
-    ratio = cached / nocache
-    additive = (both - nocache) / ((adapted - nocache) + (converted - nocache))
-    return {
-        "ratio": ratio,
-        "additivity": additive,
-        "ordering": ordering,
-        "passed": ordering and ratio <= CRITERION6_BOUND and 0.5 <= additive <= 1.5,
-    }
+def criterion6_verdict(stdout: str) -> dict:
+    """The verdict criterion 6's test printed, read from the test run's output."""
+    for line in stdout.splitlines():
+        found = CRITERION6_LINE.search(line)
+        if found:
+            verdict, ordering, ratio, additive = found.groups()
+            return {
+                "passed": verdict == "PASS",
+                "ordering": ordering == "True",
+                "ratio": float(ratio),
+                "additivity": float(additive),
+                "line": line.strip(),
+            }
+    raise ValueError(f"no criterion 6 verdict line in:\n{stdout[-2000:]}")
 
 
 def criterion6_record(verdicts: list[dict]) -> dict:
     return {
         "runs": len(verdicts),
         "passed": sum(1 for v in verdicts if v["passed"]),
-        "ratios": [round(v["ratio"], 4) for v in verdicts],
+        "ratios": [v["ratio"] for v in verdicts],
         "verdicts": verdicts,
     }
 
@@ -163,7 +151,7 @@ def _run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def _run_criterion6(root: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    return criterion6_verdict(last_json(_run([sys.executable, "-c", CRITERION6_RUN], root, env)))
+    return criterion6_verdict(_run([sys.executable, *CRITERION6_TEST], root, env))
 
 
 def host_facts() -> dict:
@@ -184,10 +172,15 @@ def host_facts() -> dict:
     return facts
 
 
-def directions(root: Path) -> dict:
-    """End-to-end metric name -> "higher" or "lower", from BENCHMARK.json."""
+def benchmark_spec(root: Path) -> tuple[list[str], int, dict]:
+    """BENCHMARK.json's workload names, run seconds and, per end-to-end
+    metric, "higher" or "lower"."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return (
+        [w["name"] for w in spec["workloads"]],
+        spec["run_seconds"],
+        {m["name"]: m["better"] for m in spec["end_to_end"]},
+    )
 
 
 def main(argv=None) -> int:
@@ -195,35 +188,35 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--seeds", type=int, default=10, help="pairs per workload")
-    parser.add_argument("--seconds", type=int, default=30, help="perfbench --seconds")
     parser.add_argument("--criterion6", type=int, default=10, help="runs per side")
     parser.add_argument("--tmp", default=None, help="where to put the worktree")
     args = parser.parse_args(argv)
-    if args.seeds < 1 or args.seconds < 1 or args.criterion6 < 0:
-        parser.error("--seeds and --seconds must be at least 1, --criterion6 at least 0")
+    if args.seeds < 1 or args.criterion6 < 0:
+        parser.error("--seeds must be at least 1, --criterion6 at least 0")
 
     root = Path(_git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    workloads, seconds, better = benchmark_spec(root)
     report = {
         "parent": _git("rev-parse", args.parent, cwd=root),
         "head": _git("rev-parse", "HEAD", cwd=root),
         "head_dirty": bool(_git("status", "--porcelain", "--untracked-files=no", cwd=root)),
         "host": host_facts(),
-        "settings": {"seeds": list(range(1, args.seeds + 1)), "seconds": args.seconds,
-                     "criterion6_runs": args.criterion6, "criterion6": CRITERION6_SETTINGS},
+        "settings": {"seeds": list(range(1, args.seeds + 1)), "seconds": seconds,
+                     "criterion6_runs": args.criterion6,
+                     "criterion6": " ".join(["python3", *CRITERION6_TEST])},
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
-    better = directions(root)
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         parent_root = Path(tmp) / "parent"
         _git("worktree", "add", "--detach", str(parent_root), report["parent"], cwd=root)
         try:
             sides = {"parent": parent_root, "head": root}
-            for workload in WORKLOADS:
+            for workload in workloads:
                 runs = []
                 for i, seed in enumerate(report["settings"]["seeds"]):
                     order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
-                    got = {s: _run_perfbench(sides[s], workload, seed, args.seconds)
+                    got = {s: _run_perfbench(sides[s], workload, seed, seconds)
                            for s in order}
                     runs.append((got["parent"], got["head"]))
                     print(f"{workload} seed {seed}: " + ", ".join(
