@@ -17,11 +17,13 @@ Kind contracts enforced here:
 - inplaces mutate exactly the declared argument and return it.
 
 Every completed invocation is recorded in the environment's history as
-(value uid -> plan signature).
+(value uid -> plan signature); the history keeps the newest records up to
+its cap.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -185,8 +187,12 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         function=tree.eff_kind is Kind.FUNCTION,
         out_type=tree.out_type,
         mi=tree.eff_mutable,
-        log=history._log.extend,  # OpHistory.record, inlined below
-        by_uid=history._by_uid,
+        by_uid=history._by_uid,  # OpHistory.record, inlined below
+        log=history._log.extend,
+        entries=history._log,
+        size=len,
+        limit=history._limit,
+        trim=history.trim,
         now=time.time,
     ):
         try:
@@ -224,8 +230,10 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
                 raise
             out = container
         uid, at = out.uid, now()
-        log((uid, sig, at))
         by_uid[uid] = (sig, at)
+        log((uid, sig, at))
+        if size(entries) >= limit:
+            trim()
         return out
 
     return run
@@ -251,37 +259,94 @@ class HistoryRecord:
     at: float
 
 
+HISTORY_CAP = 65_536
+
+
 class OpHistory:
     """Maps produced values (by uid) to the plan signature that made them.
 
-    The log is one flat list of (uid, signature, time) triples and the
-    index maps each uid to its latest (signature, time). Recording is
-    lock-free: list.extend with a tuple and dict assignment are each atomic
-    under CPython, so readers always see whole records. The flat log holds
-    no object the cyclic garbage collector tracks, and recording a value
-    again replaces its index tuple, so a hot loop on one value triggers no
-    collections.
+    Keeps the newest ``cap`` records (default HISTORY_CAP) and evicts
+    oldest first: ``len`` and ``snapshot`` cover only the kept records, and
+    ``lookup`` returns None once a value's newest record is evicted. The log
+    is one flat list of (uid, signature, time) triples, oldest first, and
+    the index maps each uid to its latest (signature, time).
+
+    Recording is lock-free: dict assignment and list.extend with a tuple
+    are each atomic under CPython, so readers always see whole records. The
+    index is written before the log, so a record can never be evicted
+    before its index entry exists. The flat log holds no object the cyclic
+    garbage collector tracks, and recording a value again replaces its
+    index tuple, so a hot loop on one value triggers no collections.
+
+    Eviction is amortised. Records past the cap leave the index when a
+    lookup next runs, and the log itself is cut back to ``cap`` records by
+    the recording call that brings it to ``cap + cap // 8``. An index entry
+    leaves only with the record that wrote it, so a value recorded again
+    keeps its newest record. Trims take a lock that recording never takes,
+    and each costs O(records evicted) in Python plus one move of the kept
+    part of the log.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int = HISTORY_CAP):
+        if cap < 1:
+            raise ValueError(f"history cap must be at least 1, got {cap}")
+        self.cap = cap
         self._log: list = []
         self._by_uid: dict[int, tuple[str, float]] = {}
+        self._span = 3 * cap  # log items the kept records take
+        # a recording call trims once the log holds this many items
+        self._limit = 3 * (cap + max(1, cap // 8))
+        self._head = 0  # log items at the front already gone from the index
+        self._lock = threading.Lock()
 
     def record(self, value: Value, signature: str) -> None:
         uid, at = value.uid, time.time()
-        self._log.extend((uid, signature, at))
         self._by_uid[uid] = (signature, at)
+        self._log.extend((uid, signature, at))
+        if len(self._log) >= self._limit:
+            self.trim()
+
+    def _evict(self) -> None:
+        """Drop the index entries of records past the cap; the caller holds _lock.
+
+        An entry goes only with the record that wrote it, told apart by its
+        time object, which that record alone holds. Each entry is popped
+        first and put back if a newer record wrote it: one dict operation
+        for a value recorded once. A lookup never sees an entry between the
+        two, as it waits on the lock while records are pending eviction.
+        """
+        log, head = self._log, self._head
+        stop = len(log) - self._span
+        if stop <= head:
+            return
+        gone = log[head:stop]
+        pop, put_back = self._by_uid.pop, self._by_uid.setdefault
+        for uid, at in zip(gone[0::3], gone[2::3]):
+            rec = pop(uid, None)
+            if rec is not None and rec[1] is not at:
+                put_back(uid, rec)
+        self._head = stop
+
+    def trim(self) -> None:
+        """Evict every record past the cap, from the index and the log."""
+        with self._lock:
+            self._evict()
+            del self._log[: self._head]
+            self._head = 0
 
     def lookup(self, value: Value) -> HistoryRecord | None:
+        if len(self._log) - self._head > self._span:
+            with self._lock:
+                self._evict()
         rec = self._by_uid.get(value.uid)
         return HistoryRecord(value.uid, *rec) if rec is not None else None
 
     def snapshot(self) -> tuple[HistoryRecord, ...]:
-        log = self._log[:]
+        log = self._log[-self._span :]
         return tuple(map(HistoryRecord, log[0::3], log[1::3], log[2::3]))
 
     def __len__(self) -> int:
-        return len(self._log) // 3
+        return min(len(self._log) // 3, self.cap)
 
 
 class OpBuilder:

@@ -48,6 +48,8 @@ if TYPE_CHECKING:
 
 MAX_DEPTH = 32
 
+_new = object.__new__
+
 ADAPT_NAME = "engine.adapt"
 CONVERT_NAME = "engine.convert"
 COPY_NAME = "engine.copy"
@@ -250,6 +252,9 @@ class CacheEntry:
         self.lock = threading.Lock()
 
 
+CACHE_CAP = 4_096
+
+
 class MatchCache:
     """Map from request keys to CacheEntry (plan plus runner), one per environment.
 
@@ -259,9 +264,17 @@ class MatchCache:
     Reads are lock-free: a dict lookup is atomic under CPython, and the
     hit/miss counters are diagnostic only, never load-bearing. ``lock``
     guards ``put``: the first entry per key stays.
+
+    The cache holds at most ``cap`` entries (default CACHE_CAP). Once a
+    ``put`` passes the cap it evicts the oldest entry, in insertion order,
+    so a hit does no bookkeeping. An evicted entry takes its runner with
+    it; the next call on its key matches again and gets one new runner.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int = CACHE_CAP):
+        if cap < 1:
+            raise ValueError(f"cache cap must be at least 1, got {cap}")
+        self.cap = cap
         self.entries: dict[tuple, CacheEntry] = {}
         self.lock = threading.Lock()
         self.hits = 0
@@ -278,8 +291,11 @@ class MatchCache:
     def put(self, request: OpRequest, tree: InfoTree) -> None:
         # The first entry stays: another thread may already have given it
         # a runner.
+        entries = self.entries
         with self.lock:
-            self.entries.setdefault(request.cache_key, CacheEntry(tree))
+            entries.setdefault(request.cache_key, CacheEntry(tree))
+            if len(entries) > self.cap:
+                del entries[next(iter(entries))]
 
     def stats(self) -> tuple[int, int]:
         return (self.hits, self.misses)
@@ -524,16 +540,30 @@ def _match_internal(
 
 
 def _dep_request(dep: DependencySpec, sig: tuple[SemanticType, ...]) -> OpRequest:
-    if dep.kind is Kind.FUNCTION:
-        return OpRequest(
-            dep.op_name, Kind.FUNCTION, sig[:-1], output_type=sig[-1]
-        )
-    if dep.kind is Kind.COMPUTER:
-        return OpRequest(
-            dep.op_name, Kind.COMPUTER, sig[:-1], container_type=sig[-1]
-        )
-    # YAML dependency entries carry no mutable index; index 0 by convention.
-    return OpRequest(dep.op_name, Kind.INPLACE, sig, mutable_index=0)
+    """The request a dependency makes, built without OpRequest's validation.
+
+    _resolve_deps has just checked that ``sig`` is concrete, the descriptor
+    schema makes it non-empty, and each kind below sets only the extra its
+    kind takes, so ``__post_init__`` would have nothing to reject.
+    """
+    kind = dep.kind
+    output = container = index = None
+    if kind is Kind.FUNCTION:
+        sig, output = sig[:-1], sig[-1]
+    elif kind is Kind.COMPUTER:
+        sig, container = sig[:-1], sig[-1]
+    else:
+        index = 0  # YAML dependency entries carry no mutable index; 0 by convention
+    req = _new(OpRequest)
+    req.__dict__.update(
+        name=dep.op_name,
+        kind=kind,
+        arg_types=sig,
+        output_type=output,
+        container_type=container,
+        mutable_index=index,
+    )
+    return req
 
 
 def _resolve_deps(

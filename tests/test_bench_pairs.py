@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,52 @@ def test_committed_bench_files_follow_the_schema(path):
             assert {"median", "q1", "q3"} <= set(m["parent"]) & set(m["head"])
     for side in ("parent", "head"):
         assert report["criterion6"][side]["runs"] == report["settings"]["criterion6_runs"]
+
+
+def _report(medians):
+    """A BENCH report whose head medians are ``{workload: {metric: median}}``."""
+    return {
+        "workloads": {
+            w: {"metrics": {m: {"head": {"median": v}} for m, v in ms.items()}}
+            for w, ms in medians.items()
+        }
+    }
+
+
+def test_prior_deltas_compare_head_medians_with_the_last_report():
+    prior = _report({"dispatch_hot": {"peak_rss_mb": 200.0, "setup_s": 0.0},
+                     "imaging": {"throughput_ops_s": 4000.0}})
+    now = _report({"dispatch_hot": {"peak_rss_mb": 120.0, "setup_s": 0.1,
+                                    "latency_p50_us": 5.0},
+                   "match_cold": {"throughput_ops_s": 6000.0}})
+    deltas = bench_pairs.prior_deltas(now, prior)
+    assert deltas["dispatch_hot"]["peak_rss_mb"] == pytest.approx(-0.4)
+    # a zero or missing prior median, or a workload the prior never ran, gives None
+    assert deltas["dispatch_hot"]["setup_s"] is None
+    assert deltas["dispatch_hot"]["latency_p50_us"] is None
+    assert deltas["match_cold"]["throughput_ops_s"] is None
+    assert set(deltas) == {"dispatch_hot", "match_cold"}
+
+
+def test_last_committed_bench_is_the_highest_number_at_head(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name, median in (("BENCH_2.json", 2.0), ("BENCH_10.json", 10.0),
+                         ("BENCH_x.json", 0.0)):
+        (tmp_path / name).write_text(json.dumps(_report({"w": {"m": median}})))
+    git("add", ".")
+    git("commit", "-q", "-m", "reports")
+    # written but not committed: never read
+    (tmp_path / "BENCH_11.json").write_text(json.dumps(_report({"w": {"m": 11.0}})))
+    name, report = bench_pairs.last_committed_bench(tmp_path, skip="BENCH_11.json")
+    assert name == "BENCH_10.json"
+    assert report["workloads"]["w"]["metrics"]["m"]["head"]["median"] == 10.0
+    assert bench_pairs.last_committed_bench(tmp_path, skip="BENCH_10.json")[0] == "BENCH_2.json"
+    # the parent side runs from the committed tree alone
+    dest = tmp_path / "parent"
+    bench_pairs._export(tmp_path, "HEAD", dest)
+    assert sorted(p.name for p in dest.iterdir()) == ["BENCH_10.json", "BENCH_2.json",
+                                                     "BENCH_x.json"]

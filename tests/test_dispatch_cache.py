@@ -458,33 +458,26 @@ def _mixed_calls():
     }
 
 
-def _outcome_of(call, env, j):
+def _call(call, env, j):
+    """``(outcome, value)``: the value made, or None for a miss."""
     try:
         out = call(env, j)
     except NoMatchError as exc:
-        return ("miss", tuple(m.render() for m in exc.near_misses))
-    return (str(out.type), _payload(out))
+        return ("miss", tuple(m.render() for m in exc.near_misses)), None
+    return (str(out.type), _payload(out)), out
 
 
-def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeypatch):
-    calls = _mixed_calls()
+def _outcome_of(call, env, j):
+    return _call(call, env, j)[0]
+
+
+def _eight_threads(env, calls, rounds=12):
+    """Eight threads make the mixed calls on one environment at once.
+
+    Returns ``((name, j), outcome, value)`` for every call made.
+    """
     names = sorted(calls)
-    ref = default_environment(include_legacy=False)
-    expected = {(n, j): _outcome_of(calls[n], ref, j) for n in names for j in range(3)}
-    assert expected["miss", 0][0] == "miss" and expected["miss", 0][1]
-
-    env = default_environment(include_legacy=False)
-    runners = []
-    make_runner = execution._make_runner
-
-    def counting(made_for, tree):
-        run = make_runner(made_for, tree)
-        if made_for is env:
-            runners.append(run)
-        return run
-
-    monkeypatch.setattr(execution, "_make_runner", counting)
-    threads_n, rounds = 8, 12
+    threads_n = 8
     start = threading.Barrier(threads_n)
     seen = [[] for _ in range(threads_n)]
     errors = []
@@ -497,7 +490,7 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeyp
                     # each thread walks the calls from its own offset, so
                     # every request is first missed by several threads at once
                     name, j = names[(t + k) % len(names)], (t + i) % 3
-                    seen[t].append(((name, j), _outcome_of(calls[name], env, j)))
+                    seen[t].append(((name, j), *_call(calls[name], env, j)))
         except Exception as exc:  # reported by the assertion below
             errors.append((t, repr(exc)))
 
@@ -513,17 +506,72 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeyp
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    outcomes = [o for per_thread in seen for o in per_thread]
-    assert len(outcomes) == threads_n * rounds * len(names)
-    for key, outcome in outcomes:
+    made = [entry for per_thread in seen for entry in per_thread]
+    assert len(made) == threads_n * rounds * len(names)
+    return made
+
+
+def _expected_outcomes(calls):
+    ref = default_environment(include_legacy=False)
+    expected = {(n, j): _outcome_of(calls[n], ref, j) for n in calls for j in range(3)}
+    assert expected["miss", 0][0] == "miss" and expected["miss", 0][1]
+    return expected, ref
+
+
+def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeypatch):
+    calls = _mixed_calls()
+    expected, ref = _expected_outcomes(calls)
+
+    env = default_environment(include_legacy=False)
+    runners = []
+    make_runner = execution._make_runner
+
+    def counting(made_for, tree):
+        run = make_runner(made_for, tree)
+        if made_for is env:
+            runners.append(run)
+        return run
+
+    monkeypatch.setattr(execution, "_make_runner", counting)
+    outcomes = _eight_threads(env, calls)
+    for key, outcome, _ in outcomes:
         assert outcome == expected[key], key
-    successes = sum(1 for (name, _), _ in outcomes if name != "miss")
+    successes = sum(1 for (name, _), _, _ in outcomes if name != "miss")
     assert len(env.history) == successes
     assert len(env.cache) == len(ref.cache)
     # concurrent first misses compile each of the 4 distinct requests once
     assert len(runners) == 4
     cached = [e.run for e in env.cache.entries.values() if e.run is not None]
     assert sorted(map(id, cached)) == sorted(map(id, runners))
+
+
+def test_eight_threads_with_eviction_on_keep_the_history_index_and_log_in_step():
+    calls = _mixed_calls()
+    expected, _ = _expected_outcomes(calls)
+    env = default_environment(include_legacy=False, history_cap=64, cache_cap=3)
+    early = env.op("math.add").input(1, 2).apply()
+
+    outcomes = _eight_threads(env, calls)
+    for key, outcome, _ in outcomes:
+        assert outcome == expected[key], key
+    # every success made a new value: its result or the container it filled
+    values = [early] + [value for _, _, value in outcomes if value is not None]
+    assert len({v.uid for v in values}) == len(values) > 64 + 64 // 8
+    history = env.history
+    assert len(history) == min(len(values), 64)
+    snapshot = history.snapshot()
+    assert len(snapshot) == 64
+    assert all(
+        (type(r.uid), type(r.signature), type(r.at)) == (int, str, float) for r in snapshot
+    )
+    newest = {r.uid: r for r in snapshot}
+    by_uid = {v.uid: v for v in values}
+    for uid, record in newest.items():
+        assert history.lookup(by_uid[uid]) == record
+    # the index and the log agree exactly: no entry outlived its record
+    assert set(history._by_uid) == set(newest)
+    assert history.lookup(early) is None
+    assert len(env.cache) <= 3
 
 
 def test_a_runner_being_made_holds_up_only_its_own_request(monkeypatch):

@@ -2,12 +2,16 @@
 
     python3 tools/bench_pairs.py --out BENCH_7.json --seeds 10 --criterion6 10
 
-Checks the parent commit out into a temporary ``git worktree`` and runs
-``perfbench/run.py --trace 0`` there and in this checkout, alternating which
-side runs first, for each workload over seeds 1..N. It reads the JSON last
-line of every run. For each end-to-end metric it records the paired values,
-each side's median, q1 and q3, the change's relative median delta and how
-many pairs the change won (ties count for neither side).
+Unpacks the parent commit's tree (``git archive``) into a temporary
+directory and runs ``perfbench/run.py --trace 0`` there and in this
+checkout, alternating which side runs first, for each workload over seeds
+1..N. It reads the JSON last line of every run. For each end-to-end metric
+it records the paired values, each side's median, q1 and q3, the change's
+relative median delta and how many pairs the change won (ties count for
+neither side). The summary it prints also gives each head median's
+relative delta against the head median of the newest committed
+``BENCH_<n>.json`` (other than the one being written), so a change reads
+against the trajectory as well as against its parent.
 
 The workloads and the run length are BENCHMARK.json's. The script also
 runs criterion 6's own test (``pytest tests/test_acceptance.py -k
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import os
 import platform
@@ -29,6 +34,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -128,10 +134,48 @@ def criterion6_record(verdicts: list[dict]) -> dict:
     }
 
 
+BENCH_NAME = re.compile(r"BENCH_(\d+)\.json")
+
+
+def prior_deltas(report: dict, prior: dict) -> dict:
+    """Per workload and metric, the relative delta of ``report``'s head median
+    against ``prior``'s head median; None where either lacks the metric or
+    the prior median is 0."""
+    deltas = {}
+    for workload, record in report["workloads"].items():
+        before = prior.get("workloads", {}).get(workload, {}).get("metrics", {})
+        for name, m in record["metrics"].items():
+            old = before.get(name, {}).get("head", {}).get("median")
+            deltas.setdefault(workload, {})[name] = (
+                (m["head"]["median"] - old) / old if old else None
+            )
+    return deltas
+
+
+def last_committed_bench(root: Path, skip: str) -> tuple[str, dict] | None:
+    """The newest BENCH_<n>.json committed at HEAD, other than ``skip``, and its report."""
+    names = [
+        name for name in _git("ls-tree", "--name-only", "HEAD", cwd=root).splitlines()
+        if BENCH_NAME.fullmatch(name) and name != skip
+    ]
+    if not names:
+        return None
+    name = max(names, key=lambda n: int(BENCH_NAME.fullmatch(n).group(1)))
+    return name, json.loads(_git("show", f"HEAD:{name}", cwd=root))
+
+
 def _git(*args: str, cwd: Path) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def _export(root: Path, commit: str, dest: Path) -> None:
+    """Unpack ``commit``'s committed tree into ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
 
 
 def _run(cmd: list[str], root: Path, env=None) -> str:
@@ -189,7 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--seeds", type=int, default=10, help="pairs per workload")
     parser.add_argument("--criterion6", type=int, default=10, help="runs per side")
-    parser.add_argument("--tmp", default=None, help="where to put the worktree")
+    parser.add_argument("--tmp", default=None, help="where to unpack the parent")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.criterion6 < 0:
         parser.error("--seeds must be at least 1, --criterion6 at least 0")
@@ -209,35 +253,37 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         parent_root = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_root), report["parent"], cwd=root)
-        try:
-            sides = {"parent": parent_root, "head": root}
-            for workload in workloads:
-                runs = []
-                for i, seed in enumerate(report["settings"]["seeds"]):
-                    order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
-                    got = {s: _run_perfbench(sides[s], workload, seed, seconds)
-                           for s in order}
-                    runs.append((got["parent"], got["head"]))
-                    print(f"{workload} seed {seed}: " + ", ".join(
-                        f"{s} {got[s]['metrics']['throughput_ops_s']['value']:.1f} ops/s"
-                        for s in order), file=sys.stderr)
-                report["workloads"][workload] = workload_record(runs, better)
-            verdicts = {"parent": [], "head": []}
-            for i in range(args.criterion6):
-                for s in ("parent", "head") if i % 2 == 0 else ("head", "parent"):
-                    verdicts[s].append(_run_criterion6(sides[s]))
-            report["criterion6"] = {s: criterion6_record(v) for s, v in verdicts.items()}
-        finally:
-            _git("worktree", "remove", "--force", str(parent_root), cwd=root)
+        _export(root, report["parent"], parent_root)
+        sides = {"parent": parent_root, "head": root}
+        for workload in workloads:
+            runs = []
+            for i, seed in enumerate(report["settings"]["seeds"]):
+                order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
+                got = {s: _run_perfbench(sides[s], workload, seed, seconds) for s in order}
+                runs.append((got["parent"], got["head"]))
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{s} {got[s]['metrics']['throughput_ops_s']['value']:.1f} ops/s"
+                    for s in order), file=sys.stderr)
+            report["workloads"][workload] = workload_record(runs, better)
+        verdicts = {"parent": [], "head": []}
+        for i in range(args.criterion6):
+            for s in ("parent", "head") if i % 2 == 0 else ("head", "parent"):
+                verdicts[s].append(_run_criterion6(sides[s]))
+        report["criterion6"] = {s: criterion6_record(v) for s, v in verdicts.items()}
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    prior = last_committed_bench(root, skip=Path(args.out).name)
+    against = prior_deltas(report, prior[1]) if prior else {}
     for workload, record in report["workloads"].items():
         for name, m in record["metrics"].items():
             delta = "n/a" if m["delta"] is None else f"{m['delta']:+.1%}"
-            print(f"{workload:<13} {name:<17} parent {m['parent']['median']:>12.4g} "
-                  f"head {m['head']['median']:>12.4g} delta {delta} "
-                  f"wins {m['wins']}/{len(m['pairs'])}")
+            line = (f"{workload:<13} {name:<17} parent {m['parent']['median']:>12.4g} "
+                    f"head {m['head']['median']:>12.4g} delta {delta} "
+                    f"wins {m['wins']}/{len(m['pairs'])}")
+            if prior:
+                was = against[workload][name]
+                line += f" vs {prior[0]} head " + ("n/a" if was is None else f"{was:+.1%}")
+            print(line)
     for s, record in report.get("criterion6", {}).items():
         print(f"criterion 6 {s}: {record['passed']}/{record['runs']} passed")
     return 0
