@@ -139,8 +139,8 @@ BENCH_NAME = re.compile(r"BENCH_(\d+)\.json")
 
 def prior_deltas(report: dict, prior: dict) -> dict:
     """Per workload and metric, the relative delta of ``report``'s head median
-    against ``prior``'s head median; None where either lacks the metric or
-    the prior median is 0."""
+    against ``prior``'s head median; None where ``prior`` lacks the metric
+    or its median is 0."""
     deltas = {}
     for workload, record in report["workloads"].items():
         before = prior.get("workloads", {}).get(workload, {}).get("metrics", {})
