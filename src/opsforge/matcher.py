@@ -48,8 +48,6 @@ if TYPE_CHECKING:
 
 MAX_DEPTH = 32
 
-_new = object.__new__
-
 ADAPT_NAME = "engine.adapt"
 CONVERT_NAME = "engine.convert"
 COPY_NAME = "engine.copy"
@@ -269,6 +267,10 @@ class MatchCache:
     ``put`` passes the cap it evicts the oldest entry, in insertion order,
     so a hit does no bookkeeping. An evicted entry takes its runner with
     it; the next call on its key matches again and gets one new runner.
+    CACHE_CAP is a memory bound, not a tuned size: the perfbench workloads
+    hold at most 7 entries, so none reaches it, and neither its value nor
+    the insertion-order policy (a hot key goes after CACHE_CAP newer puts)
+    has been measured against traffic that does.
     """
 
     def __init__(self, cap: int = CACHE_CAP):
@@ -540,30 +542,16 @@ def _match_internal(
 
 
 def _dep_request(dep: DependencySpec, sig: tuple[SemanticType, ...]) -> OpRequest:
-    """The request a dependency makes, built without OpRequest's validation.
-
-    _resolve_deps has just checked that ``sig`` is concrete, the descriptor
-    schema makes it non-empty, and each kind below sets only the extra its
-    kind takes, so ``__post_init__`` would have nothing to reject.
-    """
-    kind = dep.kind
-    output = container = index = None
-    if kind is Kind.FUNCTION:
-        sig, output = sig[:-1], sig[-1]
-    elif kind is Kind.COMPUTER:
-        sig, container = sig[:-1], sig[-1]
-    else:
-        index = 0  # YAML dependency entries carry no mutable index; 0 by convention
-    req = _new(OpRequest)
-    req.__dict__.update(
-        name=dep.op_name,
-        kind=kind,
-        arg_types=sig,
-        output_type=output,
-        container_type=container,
-        mutable_index=index,
-    )
-    return req
+    if dep.kind is Kind.FUNCTION:
+        return OpRequest(
+            dep.op_name, Kind.FUNCTION, sig[:-1], output_type=sig[-1]
+        )
+    if dep.kind is Kind.COMPUTER:
+        return OpRequest(
+            dep.op_name, Kind.COMPUTER, sig[:-1], container_type=sig[-1]
+        )
+    # YAML dependency entries carry no mutable index; index 0 by convention.
+    return OpRequest(dep.op_name, Kind.INPLACE, sig, mutable_index=0)
 
 
 def _resolve_deps(

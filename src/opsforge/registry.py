@@ -18,8 +18,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import yaml
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
-from .execution import HISTORY_CAP, OpHistory, help_text, new_builder
-from .matcher import CACHE_CAP, MatchCache, match, matcher_tables
+from .execution import OpHistory, help_text, new_builder
+from .matcher import MatchCache, match, matcher_tables
 from .runtime import ComputePool
 from .types import (
     DescriptorTable,
@@ -442,9 +442,7 @@ class OpEnvironment:
     and the matcher's tables, verifies bindings, and freezes everything.
     Matching state (cache, counters), the execution history, and progress
     listeners live alongside but never alter the registered content; the
-    content hash covers only the op entries. ``history_cap`` and
-    ``cache_cap`` bound the history and the plan cache (see OpHistory and
-    MatchCache).
+    content hash covers only the op entries.
     """
 
     def __init__(
@@ -456,8 +454,6 @@ class OpEnvironment:
         describe_table: DescriptorTable | None = None,
         cache_enabled: bool = True,
         pool=None,
-        history_cap: int = HISTORY_CAP,
-        cache_cap: int = CACHE_CAP,
     ):
         expanded: list[OpInfo] = []
         for info in infos:
@@ -506,8 +502,8 @@ class OpEnvironment:
             sha.update(b"\n")
         self.content_hash = sha.hexdigest()
 
-        self.cache = MatchCache(cache_cap)
-        self.history = OpHistory(history_cap)
+        self.cache = MatchCache()
+        self.history = OpHistory()
         self.pool = pool if pool is not None else ComputePool(1)
         self._listeners: tuple[Callable, ...] = ()
         self._listener_lock = threading.Lock()
@@ -559,8 +555,6 @@ def build_environment(
     describe_table: DescriptorTable | None = None,
     cache_enabled: bool = True,
     pool=None,
-    history_cap: int = HISTORY_CAP,
-    cache_cap: int = CACHE_CAP,
 ) -> OpEnvironment:
     """Parse descriptor files (or directories of ``*.yaml``) into an environment.
 
@@ -588,6 +582,4 @@ def build_environment(
         describe_table=describe_table,
         cache_enabled=cache_enabled,
         pool=pool,
-        history_cap=history_cap,
-        cache_cap=cache_cap,
     )

@@ -12,8 +12,6 @@ import os
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..execution import HISTORY_CAP
-from ..matcher import CACHE_CAP
 from ..registry import OpEnvironment, build_environment
 from ..types import DescriptorTable, TypeHierarchy, parse_type
 from . import adapt, bodies, legacy
@@ -139,8 +137,6 @@ def default_environment(
     include_legacy: bool = True,
     extra_paths=(),
     extra_bindings: Mapping[str, Callable] | None = None,
-    history_cap: int = HISTORY_CAP,
-    cache_cap: int = CACHE_CAP,
 ) -> OpEnvironment:
     paths = [builtin_descriptors_path()]
     if include_legacy:
@@ -156,6 +152,4 @@ def default_environment(
         describe_table=default_describe_table(),
         cache_enabled=cache_enabled,
         pool=pool,
-        history_cap=history_cap,
-        cache_cap=cache_cap,
     )

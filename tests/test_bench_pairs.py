@@ -180,3 +180,18 @@ def test_last_committed_bench_is_the_highest_number_at_head(tmp_path):
     bench_pairs._export(tmp_path, "HEAD", dest)
     assert sorted(p.name for p in dest.iterdir()) == ["BENCH_10.json", "BENCH_2.json",
                                                      "BENCH_x.json"]
+
+
+def test_export_runs_without_extraction_filters(tmp_path, monkeypatch):
+    # Python before 3.10.12 / 3.11.4 has no tarfile.data_filter and no
+    # ``filter`` keyword on extractall
+    monkeypatch.delattr(bench_pairs.tarfile, "data_filter")
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "tools" / "run.py").write_text("print(1)\n")
+    for args in (("init", "-q"), ("add", "."), ("commit", "-q", "-m", "tree")):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=repo, check=True, capture_output=True)
+    dest = tmp_path / "tree"
+    bench_pairs._export(repo, "HEAD", dest)
+    assert (dest / "tools" / "run.py").read_text() == "print(1)\n"

@@ -14,20 +14,28 @@ from hypothesis import strategies as st
 
 from opsforge import execution
 from opsforge.execution import HISTORY_CAP, OpHistory
-from opsforge.matcher import CACHE_CAP, MatchCache, OpRequest, _dep_request
-from opsforge.registry import DependencySpec
+from opsforge.matcher import CACHE_CAP, MatchCache, OpRequest
 from opsforge.stdlib import default_environment
 from opsforge.types import Kind, parse_type
 from opsforge.values import wrap
 
 
-def test_default_caps_and_their_pass_through():
+def capped(history_cap=HISTORY_CAP, cache_cap=CACHE_CAP, **kwargs):
+    """A stdlib environment whose history and plan cache have the given caps.
+
+    Runners and matches read ``env.history`` and ``env.cache`` when they are
+    made, so swapping both before the first call caps every record and entry.
+    """
+    env = default_environment(include_legacy=False, **kwargs)
+    env.history, env.cache = OpHistory(history_cap), MatchCache(cache_cap)
+    return env
+
+
+def test_default_caps():
     assert (HISTORY_CAP, CACHE_CAP) == (65_536, 4_096)
     assert OpHistory().cap == HISTORY_CAP and MatchCache().cap == CACHE_CAP
     env = default_environment(include_legacy=False)
     assert (env.history.cap, env.cache.cap) == (HISTORY_CAP, CACHE_CAP)
-    env = default_environment(include_legacy=False, history_cap=5, cache_cap=7)
-    assert (env.history.cap, env.cache.cap) == (5, 7)
 
 
 @pytest.mark.parametrize("make", [OpHistory, MatchCache])
@@ -54,7 +62,7 @@ STEPS = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(cap=st.integers(1, 5), steps=st.lists(STEPS, max_size=40))
 def test_history_matches_a_list_cut_to_its_last_cap_records(cap, steps):
-    env = default_environment(include_legacy=False, history_cap=cap)
+    env = capped(history_cap=cap)
     history = env.history
     pool = [wrap(bytearray(1)) for _ in range(4)]
     made = []  # fresh values, looked up by index past the pool
@@ -157,7 +165,7 @@ def uncached_signatures():
 def test_cache_evicts_its_oldest_entry_and_a_re_miss_makes_one_runner(
     uncached_signatures, cap, names
 ):
-    env = default_environment(include_legacy=False, cache_cap=cap)
+    env = capped(cache_cap=cap)
     made = []
     make_runner = execution._make_runner
 
@@ -205,28 +213,3 @@ def test_cache_put_keeps_the_first_entry_and_evicts_in_insertion_order():
     cache.put(reqs[2], trees[2])
     assert list(cache.entries) == [reqs[1].cache_key, reqs[2].cache_key]
     assert cache.get(reqs[0]) is None
-
-
-# -- dependency requests are built without re-validation --------------------
-
-CONCRETE = [parse_type(t) for t in ("Integer", "Real", "ByteArray", "ImageF64", "ImageU8")]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(list(Kind)),
-    sig=st.lists(st.sampled_from(CONCRETE), min_size=1, max_size=4).map(tuple),
-)
-def test_dependency_request_equals_a_validated_request(kind, sig):
-    dep = DependencySpec("field", "some.op", kind, sig)
-    if kind is Kind.FUNCTION:
-        want = OpRequest("some.op", kind, sig[:-1], output_type=sig[-1])
-    elif kind is Kind.COMPUTER:
-        want = OpRequest("some.op", kind, sig[:-1], container_type=sig[-1])
-    else:
-        want = OpRequest("some.op", kind, sig, mutable_index=0)
-    got = _dep_request(dep, sig)
-    assert type(got) is OpRequest
-    assert vars(got) == vars(want)
-    assert got == want and got.cache_key == want.cache_key
-    assert got.describe() == want.describe()

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from opsforge import execution
 from opsforge.errors import NoMatchError, RegistrationError
-from opsforge.matcher import OpRequest
+from opsforge.execution import OpHistory
+from opsforge.matcher import MatchCache, OpRequest
 from opsforge.registry import Kind, OpEnvironment, parse_descriptors
 from opsforge.stdlib import (
     BINDINGS,
@@ -548,7 +549,10 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeyp
 def test_eight_threads_with_eviction_on_keep_the_history_index_and_log_in_step():
     calls = _mixed_calls()
     expected, _ = _expected_outcomes(calls)
-    env = default_environment(include_legacy=False, history_cap=64, cache_cap=3)
+    env = default_environment(include_legacy=False)
+    # runners read env.history and matches env.cache when they are made, so
+    # both caps hold from the first call on
+    env.history, env.cache = OpHistory(64), MatchCache(3)
     early = env.op("math.add").input(1, 2).apply()
 
     outcomes = _eight_threads(env, calls)

@@ -174,8 +174,11 @@ def _export(root: Path, commit: str, dest: Path) -> None:
     """Unpack ``commit``'s committed tree into ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
                          check=True, capture_output=True).stdout
+    # extraction filters came with Python 3.10.12 and 3.11.4; a tree from
+    # git archive needs none, so older patch releases extract without one
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        archive.extractall(dest, **safe)
 
 
 def _run(cmd: list[str], root: Path, env=None) -> str:
