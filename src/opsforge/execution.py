@@ -35,11 +35,12 @@ from .errors import (
     DimensionMismatchError,
     ExecutionError,
     OpsError,
+    RegistrationError,
 )
 from .matcher import InfoTree, OpRequest, _as_type, function_request, staged_key
 from .runtime import runs_op
 from .types import Io, Kind, SemanticType, describe_type
-from .values import _SCALAR_BASES, Value, wrap, write_back
+from .values import _SCALAR_BASES, Value, copy_into, wrap, write_back
 
 if TYPE_CHECKING:
     from .registry import OpEnvironment, OpInfo
@@ -82,76 +83,38 @@ def _leaf_fn(env: OpEnvironment, info: OpInfo):
     return _frame_wrap(env, info.name, env.binding(info.source))
 
 
-def _assign_into(dst, src) -> None:
-    """Physically copy converted content back into the caller's payload."""
-    if isinstance(dst, bytearray):
-        if not isinstance(src, (bytes, bytearray)) or len(src) != len(dst):
-            raise DimensionMismatchError(
-                f"copy-back length mismatch: {len(src)} into {len(dst)}"
-            )
-        dst[:] = src
-        return
-    if isinstance(dst, np.ndarray):
-        if not isinstance(src, np.ndarray) or src.shape != dst.shape or src.dtype != dst.dtype:
-            raise DimensionMismatchError("copy-back shape or dtype mismatch")
-        np.copyto(dst, src)
-        return
-    raise ExecutionError("cannot copy back into a scalar payload")
-
-
 def _conversion_wrap(env: OpEnvironment, tree: InfoTree, fn):
+    """Convert the arguments in, the one converted-out result back, copy back.
+
+    A plan has at most one out conversion: its output's, its container's or
+    its mutable argument's. A container's in conversion is recorded for
+    provenance but has nothing to feed: computers ignore incoming container
+    content. When the mutable argument was converted, the copied-back
+    content goes into the caller's byte or array payload; a scalar payload
+    cannot change in place, so the content is returned for the runner to
+    assign.
+    """
     n = tree.eff_arity
     in_map = {}
-    mutable_out = None
-    special_out = None
-    copy_fn = _leaf_fn(env, tree.copyback) if tree.copyback is not None else None
+    out_fn = None
     for c in tree.conversions:
-        if c.position < n:
-            if c.in_op is not None:
-                in_map[c.position] = _leaf_fn(env, c.in_op)
-            if c.out_op is not None:
-                mutable_out = _leaf_fn(env, c.out_op)
-        else:
-            # Container conv-in is recorded for provenance but has nothing to
-            # feed: computers ignore incoming container content.
-            if c.out_op is not None:
-                special_out = _leaf_fn(env, c.out_op)
-
-    def convert_args(args):
-        return [in_map[i](a) if i in in_map else a for i, a in enumerate(args)]
-
-    if tree.eff_kind is Kind.FUNCTION:
-
-        def wrapped(*args):
-            result = fn(*convert_args(args))
-            return special_out(result) if special_out is not None else result
-
-        return wrapped
-
-    if tree.eff_kind is Kind.COMPUTER:
-
-        def wrapped(*args):
-            content = fn(*convert_args(args))
-            if special_out is not None:
-                content = special_out(content)
-            if copy_fn is not None:
-                content = copy_fn(content)
-            return content
-
-        return wrapped
-
-    mi = tree.eff_mutable
+        if c.in_op is not None and c.position < n:
+            in_map[c.position] = _leaf_fn(env, c.in_op)
+        if c.out_op is not None:
+            out_fn = _leaf_fn(env, c.out_op)
+    copy_fn = _leaf_fn(env, tree.copyback) if tree.copyback is not None else None
+    mi = tree.eff_mutable if tree.eff_mutable in in_map else None
 
     def wrapped(*args):
-        converted = convert_args(args)
-        mutated = fn(*converted)
-        if mi in in_map:
-            staged = mutable_out(mutated)
-            if copy_fn is not None:
-                staged = copy_fn(staged)
-            _assign_into(args[mi], staged)
+        content = fn(*[in_map[i](a) if i in in_map else a for i, a in enumerate(args)])
+        if out_fn is not None:
+            content = out_fn(content)
+        if copy_fn is not None:
+            content = copy_fn(content)
+        if mi is not None and isinstance(args[mi], (bytearray, np.ndarray)):
+            copy_into(args[mi], content)
             return args[mi]
-        return mutated
+        return content
 
     return wrapped
 
@@ -213,7 +176,12 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         if inplace:
             out = values[mi]
             if result is not out.payload and out.type.base in _SCALAR_BASES:
-                out.payload = result
+                try:
+                    write_back(out, result)
+                except RegistrationError as exc:
+                    raise ExecutionError(
+                        f"{label} produced invalid output: {exc}", signature=sig
+                    ) from exc
         elif function:
             try:
                 out = Value(out_type, result)

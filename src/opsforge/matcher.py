@@ -390,23 +390,6 @@ def _same_shape(shape: _Shape, req: OpRequest) -> bool:
     )
 
 
-def _shape_fits_request(
-    shape: _Shape, req: OpRequest, hierarchy: TypeHierarchy
-) -> bool:
-    """Can a concrete op of this shape serve the request as-is?"""
-    if not _same_shape(shape, req):
-        return False
-    for rt, st in zip(req.arg_types, shape.types):
-        if not is_assignable(rt, st, hierarchy):
-            return False
-    # only a FUNCTION request has an output type, only a COMPUTER a container
-    if req.output_type is not None:
-        return is_assignable(shape.types[-1], req.output_type, hierarchy)
-    if req.container_type is not None:
-        return is_assignable(req.container_type, shape.types[-1], hierarchy)
-    return True
-
-
 def matcher_tables(
     by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
 ) -> tuple[dict, tuple, tuple]:
@@ -655,11 +638,13 @@ def _adapter_tree(
 
 
 def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
-    hierarchy = s.env.hierarchy
+    env = s.env
     for info, _, adaptations in _shaped_candidates(s, req.name):
         fitted = False
         for ad, bindings, target in adaptations:
-            if not _shape_fits_request(target, req, hierarchy):
+            if not _same_shape(target, req) or isinstance(
+                _bridge(env, req, target, False), int
+            ):
                 continue
             fitted = True
             adapter_tree = _adapter_tree(s, ad, bindings)
@@ -713,13 +698,59 @@ def _param_label(info: OpInfo, target_from_adapter: bool, position: int) -> str:
     return info.special_param.name
 
 
+def _bridge(
+    env: OpEnvironment, req: OpRequest, target: _Shape, convert: bool
+) -> tuple[list[ConvEntry], OpInfo | None] | int:
+    """Fit a request onto a target shape of its own kind and arity.
+
+    Returns ``(conversions, copyback)``, or the first position that does not
+    fit; the output or container is position ``arity``. A request argument
+    or container fits where its type is assignable to the target's, and the
+    target's output where it is assignable to the requested one. Without
+    ``convert`` nothing else fits and no convert is looked up. With it, an
+    argument fits through an ``engine.convert`` in, and the output through
+    one out; the mutable argument and the container need a convert in, a
+    convert out and an ``engine.copy`` for the copy-back.
+    """
+    hierarchy = env.hierarchy
+    n = len(req.arg_types)
+    pairs = zip(req.arg_types, target.types)
+    round_trip = req.mutable_index  # None unless INPLACE
+    if req.container_type is not None:
+        pairs = [*pairs, (req.container_type, target.types[n])]
+        round_trip = n
+    conversions: list[ConvEntry] = []
+    copyback: OpInfo | None = None
+    for i, (rt, tt) in enumerate(pairs):
+        if is_assignable(rt, tt, hierarchy):
+            continue
+        if not convert:
+            return i
+        conv_in = _find_convert(env, rt, tt)
+        if conv_in is None:
+            return i
+        conv_out = None
+        if i == round_trip:
+            conv_out = _find_convert(env, tt, rt)
+            copyback = _find_copy(env, rt)
+            if conv_out is None or copyback is None:
+                return i
+        conversions.append(ConvEntry(i, conv_in, conv_out))
+    out = req.output_type  # only a FUNCTION request has one
+    if out is not None and not is_assignable(target.types[n], out, hierarchy):
+        conv_out = _find_convert(env, target.types[n], out) if convert else None
+        if conv_out is None:
+            return n
+        conversions.append(ConvEntry(n, None, conv_out))
+    return conversions, copyback
+
+
 def _match_converted(
     s: _Search, req: OpRequest, allow_adaptation: bool
 ) -> InfoTree | None:
-    hierarchy = s.env.hierarchy
     env = s.env
     n_args = len(req.arg_types)
-    function, computer = req.kind is Kind.FUNCTION, req.kind is Kind.COMPUTER
+    function = req.kind is Kind.FUNCTION
     for info, cand, adaptations in _shaped_candidates(s, req.name):
         adapter_tree: InfoTree | None = None
         if not allow_adaptation:
@@ -737,75 +768,28 @@ def _match_converted(
             if adapter_tree is None:
                 continue
 
-        conversions: list[ConvEntry] = []
-        copyback: OpInfo | None = None
-        failed: NearMiss | None = None
-        for i in range(n_args):
-            rt = req.arg_types[i]
-            tt = target.types[i]
-            if is_assignable(rt, tt, hierarchy):
-                continue
-            mutable_here = i == req.mutable_index  # None unless INPLACE
-            conv_in = _find_convert(env, rt, tt)
-            conv_out = _find_convert(env, tt, rt) if mutable_here else None
-            copier = _find_copy(env, rt) if mutable_here else None
-            if conv_in is None or (mutable_here and (conv_out is None or copier is None)):
-                failed = NearMiss(
+        fit = _bridge(env, req, target, True)
+        if isinstance(fit, int):
+            s.near.append(
+                NearMiss(
                     info.source,
                     "missing convert",
-                    _param_label(info, adapter_tree is not None, i),
+                    _param_label(info, adapter_tree is not None, fit),
                 )
-                break
-            conversions.append(ConvEntry(i, conv_in, conv_out))
-            if mutable_here:
-                copyback = copier
-        if failed is not None:
-            s.near.append(failed)
+            )
             continue
-
-        out_type = None
-        if function:
-            produced = target.types[-1]
-            out_type = produced
-            if req.output_type is not None and not is_assignable(
-                produced, req.output_type, hierarchy
-            ):
-                conv_out = _find_convert(env, produced, req.output_type)
-                if conv_out is None:
-                    s.near.append(
-                        NearMiss(
-                            info.source,
-                            "missing convert",
-                            _param_label(info, adapter_tree is not None, n_args),
-                        )
-                    )
-                    continue
-                conversions.append(ConvEntry(n_args, None, conv_out))
-                out_type = req.output_type
-        elif computer:
-            wanted = target.types[-1]
-            if not is_assignable(req.container_type, wanted, hierarchy):
-                conv_in = _find_convert(env, req.container_type, wanted)
-                conv_out = _find_convert(env, wanted, req.container_type)
-                copier = _find_copy(env, req.container_type)
-                if conv_in is None or conv_out is None or copier is None:
-                    s.near.append(
-                        NearMiss(
-                            info.source,
-                            "missing convert",
-                            _param_label(info, adapter_tree is not None, n_args),
-                        )
-                    )
-                    continue
-                conversions.append(ConvEntry(n_args, conv_in, conv_out))
-                copyback = copier
-
+        conversions, copyback = fit
         if not conversions:
             continue
         children = _resolve_deps(s, info, {})
         if isinstance(children, NearMiss):
             s.near.append(children)
             continue
+        out_type = None
+        if function:
+            # an output conversion is the last entry, at position n_args
+            converted_out = conversions[-1].position == n_args
+            out_type = req.output_type if converted_out else target.types[-1]
         return InfoTree(
             info,
             RoutineTag.CONVERTED

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _fill(dst, src) -> None:
-    if isinstance(dst, bytearray):
-        dst[:] = src
-    elif isinstance(dst, np.ndarray):
-        np.copyto(dst, src)
-    else:
-        raise ValueError(f"cannot fill payload of type {type(dst).__name__}")
+from ..values import copy_into
 
 
 def computer_to_function(inner):
@@ -34,7 +27,7 @@ def function_to_computer(inner):
 def inplace_to_function(inner, create_fn, copy_fn):
     def adapted(x):
         fresh = create_fn(x)
-        _fill(fresh, copy_fn(x))
+        copy_into(fresh, copy_fn(x))
         inner(fresh)
         return fresh
 

@@ -107,6 +107,11 @@ class Value:
         return {"w": w, "h": h, "data": data}
 
 
+def _numbers(xs) -> bool:
+    """Are all items ints or floats, booleans excluded?"""
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs)
+
+
 def from_json_obj(type_: SemanticType, obj: Any) -> Value:
     """Build a Value of the given type from its JSON rendering."""
     base = type_.base
@@ -134,9 +139,7 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
             raise RegistrationError("ByteArray wants a list of ints in 0..255")
         return Value(type_, bytearray(obj))
     if base == "RealArray":
-        if not isinstance(obj, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-        ):
+        if not isinstance(obj, list) or not _numbers(obj):
             raise RegistrationError("RealArray wants a list of numbers")
         return Value(type_, np.array(obj, dtype=np.float64))
     if base in ("ImageU8", "ImageF64"):
@@ -156,6 +159,8 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
             for x in data
         ):
             raise RegistrationError("ImageU8 wants pixel ints in 0..255")
+        if base == "ImageF64" and not _numbers(data):
+            raise RegistrationError("ImageF64 wants pixel numbers")
         arr = np.array(data, dtype=dtype).reshape(h, w)
         return Value(type_, arr)
     raise RegistrationError(f"type {base!r} carries no payload")
@@ -193,9 +198,7 @@ def wrap(obj: Any) -> Value:
         raise RegistrationError(
             f"cannot infer a type for ndarray ndim={obj.ndim} dtype={obj.dtype}"
         )
-    if isinstance(obj, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
+    if isinstance(obj, list) and _numbers(obj):
         return Value(REAL_ARRAY, np.array(obj, dtype=np.float64))
     raise RegistrationError(f"cannot infer a semantic type for {type(obj).__name__}")
 
@@ -224,30 +227,41 @@ def write_back(container: Value, content: Any) -> None:
         _check_payload(base, content)
         container.payload = content
         return
-    if base == "ByteArray":
+    copy_into(container.payload, content)
+
+
+def copy_into(dst: Any, content: Any) -> None:
+    """Copy content into a bytearray or numpy payload, keeping the object.
+
+    Content of the wrong kind, length, shape or dtype raises
+    DimensionMismatchError and leaves the payload untouched. write_back,
+    conversion copy-back and adapters that fill a fresh payload all copy
+    through here.
+    """
+    if isinstance(dst, bytearray):
         if not isinstance(content, (bytes, bytearray)):
             raise DimensionMismatchError(
-                f"expected byte content for {base}, got {type(content).__name__}"
+                f"expected byte content for ByteArray, got {type(content).__name__}"
             )
-        if len(content) != len(container.payload):
+        if len(content) != len(dst):
             raise DimensionMismatchError(
                 f"content length {len(content)} does not fit container "
-                f"length {len(container.payload)}"
+                f"length {len(dst)}"
             )
-        container.payload[:] = content
+        dst[:] = content
         return
     if not isinstance(content, np.ndarray):
         raise DimensionMismatchError(
-            f"expected array content for {base}, got {type(content).__name__}"
+            f"expected array content, got {type(content).__name__}"
         )
-    if content.shape != container.payload.shape:
+    if content.shape != dst.shape:
         raise DimensionMismatchError(
             f"content shape {content.shape} does not fit container "
-            f"shape {container.payload.shape}"
+            f"shape {dst.shape}"
         )
-    if content.dtype != container.payload.dtype:
+    if content.dtype != dst.dtype:
         raise DimensionMismatchError(
             f"content dtype {content.dtype} does not fit container "
-            f"dtype {container.payload.dtype}"
+            f"dtype {dst.dtype}"
         )
-    np.copyto(container.payload, content)
+    np.copyto(dst, content)

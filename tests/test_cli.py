@@ -163,6 +163,22 @@ def test_run_inplace_kind(capsys):
     assert json.loads(out) == {"type": "ByteArray", "value": [6, 9]}
 
 
+@pytest.mark.parametrize("pixel", ['"x"', "true"])
+def test_run_bad_image_f64_pixel_exits_2(capsys, pixel):
+    code, out, err = run(
+        capsys,
+        "run",
+        "filter.gauss",
+        "--in",
+        f'ImageF64:{{"w":1,"h":1,"data":[{pixel}]}}',
+        "--in",
+        "Real:1.0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "ImageF64 wants pixel numbers" in err
+
+
 def test_run_no_match_exits_3_with_near_misses(capsys):
     code, out, err = run(
         capsys, "run", "math.add", "--in", "Integer:2", "--in", 'Text:"x"'

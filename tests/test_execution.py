@@ -96,6 +96,114 @@ def test_mutate_empty_array_precondition(env):
     assert "non-empty" in str(err.value)
 
 
+# -- conversion corners --------------------------------------------------------
+
+CONVERSION_OPS = """
+ops:
+  - name: test.bump
+    source: "test:bump/real"
+    parameters:
+      - {name: x, type: Real, io: mutable}
+  - name: test.spoil
+    source: "test:spoil/real"
+    parameters:
+      - {name: x, type: Real, io: mutable}
+  - name: test.add_into
+    source: "test:add_into/bytes"
+    parameters:
+      - {name: k, type: Integer, io: input}
+      - {name: data, type: ByteArray, io: mutable}
+  - name: test.grow
+    source: "test:grow/bytes"
+    parameters:
+      - {name: data, type: ByteArray, io: mutable}
+  - name: engine.copy
+    source: "test:copy/integer"
+    parameters:
+      - {name: src, type: Integer, io: input}
+      - {name: dst, type: Integer, io: container}
+"""
+
+
+def _add_into(k, data):
+    for i in range(len(data)):
+        data[i] = (data[i] + k) % 256
+    return data
+
+
+def _grow(data):
+    data.append(0)
+    return data
+
+
+@pytest.fixture()
+def conv_env(tmp_path):
+    path = tmp_path / "conversion-ops.yaml"
+    path.write_text(CONVERSION_OPS)
+    return default_environment(
+        include_legacy=False,
+        extra_paths=[path],
+        extra_bindings={
+            "test:bump/real": lambda x: x + 1.5,
+            "test:spoil/real": lambda x: "oops",
+            "test:add_into/bytes": _add_into,
+            "test:grow/bytes": _grow,
+            "test:copy/integer": lambda src: src,
+        },
+    )
+
+
+def test_scalar_mutable_conversion_runs(conv_env):
+    v = wrap(3)
+    out = conv_env.op("test.bump").input(v).mutate()
+    # 3 -> 3.0, + 1.5 = 4.5, rounded half away from zero -> 5
+    assert out is v and v.payload == 5
+    assert conv_env.history.lookup(v).signature == (
+        "test:bump/real|CONVERTED|[conv0:in=builtin:convert/int_to_real,"
+        "out=builtin:convert/real_to_int;copyback:test:copy/integer]|()"
+    )
+
+
+def test_inplace_scalar_result_is_checked(conv_env):
+    v = wrap(1.0)
+    with pytest.raises(ExecutionError) as err:
+        conv_env.op("test.spoil").input(v).mutate()
+    assert "produced invalid output" in str(err.value)
+    assert err.value.signature == "test:spoil/real|DIRECT|[]|()"
+    assert v.payload == 1.0
+
+
+def test_converted_container_keeps_its_payload_object(env):
+    img = image_f64(6, 5, [float(8 * i) for i in range(30)])
+    container = wrap(np.zeros((5, 6), dtype=np.uint8))
+    original = container.payload
+    out = env.op("filter.gauss").input(img, wrap(1.0)).container(container).compute()
+    assert out is container and container.payload is original
+    blurred = env.op("filter.gauss").input(img, wrap(1.0)).apply()
+    expected = env.op("engine.convert").input(blurred).output_type("ImageU8").apply()
+    assert np.array_equal(container.payload, expected.payload)
+
+
+def test_inplace_conversion_of_a_later_mutable_argument(conv_env):
+    data = wrap(np.array([1.0, 2.0, 250.0]))
+    original = data.payload
+    out = conv_env.op("test.add_into").input(wrap(10), data).mutate(index=1)
+    assert out is data and data.payload is original
+    assert list(data.payload) == [11.0, 12.0, 4.0]
+    assert conv_env.history.lookup(data).signature == (
+        "test:add_into/bytes|CONVERTED|[conv1:in=builtin:convert/reals_to_bytes,"
+        "out=builtin:convert/bytes_to_reals;copyback:builtin:copy/realarray]|()"
+    )
+
+
+def test_copy_back_of_the_wrong_shape_leaves_the_caller_unchanged(conv_env):
+    data = wrap(np.array([1.0, 2.0]))
+    with pytest.raises(DimensionMismatchError) as err:
+        conv_env.op("test.grow").input(data).mutate()
+    assert err.value.signature.startswith("test:grow/bytes|CONVERTED|")
+    assert list(data.payload) == [1.0, 2.0]
+
+
 def test_execution_error_carries_plan_signature(env):
     img = wrap(np.zeros((4, 4)))
     with pytest.raises(ExecutionError) as err:

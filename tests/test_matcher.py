@@ -144,6 +144,35 @@ def test_near_miss_missing_convert(env):
     assert "missing convert" in reasons or "type mismatch" in reasons
 
 
+@pytest.mark.parametrize(
+    "request_, line",
+    [
+        (
+            function_request("math.div", ["Real", "Real"], "Boolean"),
+            "builtin:math/div_reals :: missing convert @ param quotient",
+        ),
+        (
+            computer_request("filter.gauss", ["ImageF64", "Real"], "Boolean"),
+            "builtin:filter/gauss :: missing convert @ param output",
+        ),
+    ],
+    ids=["output", "container"],
+)
+def test_near_miss_missing_convert_names_output_and_container(env, request_, line):
+    with pytest.raises(NoMatchError) as err:
+        env.match(request_)
+    assert line in [m.render() for m in err.value.near_misses]
+
+
+def test_converted_container_golden_signature(env):
+    tree = env.match(computer_request("filter.gauss", ["ImageF64", "Real"], "ImageU8"))
+    assert tree.routine is RoutineTag.CONVERTED
+    assert tree.signature == (
+        "builtin:filter/gauss|CONVERTED|[conv2:in=builtin:convert/u8_to_f64,"
+        "out=builtin:convert/f64_to_u8;copyback:builtin:copy/imageu8]|()"
+    )
+
+
 def test_priority_dominance_between_equal_candidates():
     text = """
 ops:

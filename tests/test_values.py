@@ -105,6 +105,12 @@ def test_json_round_trip_real_array(xs):
     assert np.array_equal(back.payload, v.payload)
 
 
+@pytest.mark.parametrize("pixel", ["x", True, None])
+def test_image_f64_rejects_non_number_pixels(pixel):
+    with pytest.raises(RegistrationError):
+        from_json_obj(parse_type("ImageF64"), {"w": 1, "h": 1, "data": [pixel]})
+
+
 def test_write_back_preserves_container_object():
     container = wrap(np.zeros(3))
     original = container.payload
