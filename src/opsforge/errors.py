@@ -54,9 +54,9 @@ class NoMatchError(OpsError):
 class DependencyCycleError(OpsError):
     """Dependency resolution exceeded the depth cap. Names the request path."""
 
-    def __init__(self, path: tuple[str, ...]):
+    def __init__(self, path: tuple[str, ...], depth: int):
         super().__init__(
-            "dependency resolution exceeded depth 32, cycle path: "
+            f"dependency resolution exceeded depth {depth}, cycle path: "
             + " -> ".join(path)
         )
         self.path = path

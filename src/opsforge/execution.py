@@ -31,12 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ExecutionError,
-    OpsError,
-    RegistrationError,
-)
+from .errors import DimensionMismatchError, ExecutionError, OpsError
 from .matcher import InfoTree, OpRequest, _as_type, function_request, staged_key
 from .runtime import runs_op
 from .types import Io, Kind, SemanticType, describe_type
@@ -173,36 +168,35 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
             raise
         except Exception as exc:
             raise ExecutionError(f"{label} failed: {exc}", signature=sig) from exc
-        if inplace:
-            out = values[mi]
-            if result is not out.payload and out.type.base in _SCALAR_BASES:
-                try:
+        # a DimensionMismatchError is signed; any other result that breaks
+        # the kind's contract is an invalid output
+        try:
+            if inplace:
+                out = values[mi]
+                if result is not out.payload and out.type.base in _SCALAR_BASES:
                     write_back(out, result)
-                except RegistrationError as exc:
-                    raise ExecutionError(
-                        f"{label} produced invalid output: {exc}", signature=sig
-                    ) from exc
-        elif function:
-            try:
+            elif function:
                 out = Value(out_type, result)
-            except Exception as exc:
-                raise ExecutionError(
-                    f"{label} produced invalid output: {exc}", signature=sig
-                ) from exc
-        else:
-            try:
+            else:
                 write_back(container, result)
-            except DimensionMismatchError as exc:
-                if exc.signature is None:
-                    exc.signature = sig
-                raise
-            out = container
-        uid, at = out.uid, now()
-        by_uid[uid] = (sig, at)
-        log((uid, sig, at))
-        if size(entries) >= limit:
-            trim()
-        return out
+                out = container
+        except DimensionMismatchError as exc:
+            if exc.signature is None:
+                exc.signature = sig
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                f"{label} produced invalid output: {exc}", signature=sig
+            ) from exc
+        else:
+            # in the else clause the kind branches run on into the record
+            # with one jump fewer per call
+            uid, at = out.uid, now()
+            by_uid[uid] = (sig, at)
+            log((uid, sig, at))
+            if size(entries) >= limit:
+                trim()
+            return out
 
     return run
 
@@ -378,9 +372,9 @@ class OpBuilder:
             cache = env.cache
             extra = out._str if out is not None else None
             entry = cache.entries.get(
-                (self._name, "function", extra, inputs[0].type._str)
-                if len(inputs) == 1
-                else staged_key(self._name, "function", extra, inputs)
+                staged_key(self._name, "function", extra, inputs)
+                if len(inputs) != 1
+                else (self._name, "function", extra, inputs[0].type._str)
             )
             if entry is not None and entry.run is not None:
                 cache.hits += 1
@@ -401,9 +395,9 @@ class OpBuilder:
             cache = env.cache
             extra = container.type._str
             entry = cache.entries.get(
-                (self._name, "computer", extra, inputs[0].type._str)
-                if len(inputs) == 1
-                else staged_key(self._name, "computer", extra, inputs)
+                staged_key(self._name, "computer", extra, inputs)
+                if len(inputs) != 1
+                else (self._name, "computer", extra, inputs[0].type._str)
             )
             if entry is not None and entry.run is not None:
                 cache.hits += 1
@@ -421,9 +415,9 @@ class OpBuilder:
         if env.cache_enabled:
             cache = env.cache
             entry = cache.entries.get(
-                (self._name, "inplace", index, inputs[0].type._str)
-                if len(inputs) == 1
-                else staged_key(self._name, "inplace", index, inputs)
+                staged_key(self._name, "inplace", index, inputs)
+                if len(inputs) != 1
+                else (self._name, "inplace", index, inputs[0].type._str)
             )
             if entry is not None and entry.run is not None:
                 cache.hits += 1

@@ -27,7 +27,7 @@ from pathlib import Path
 import yaml
 
 from .errors import SchemaError
-from .registry import parse_descriptors
+from .registry import read_entry
 
 _ATTR_RE = re.compile(r"(\w+)='([^']*)'")
 _IMPL_RE = re.compile(r"@implNote\s+(\S+)")
@@ -207,9 +207,9 @@ def parse_block(
         {k: v for k, v in p.items() if k != "description" or v} for p in params
     ]
 
-    # Full schema validation by round-tripping through the parser.
+    # the one descriptor reader YAML files go through, as entry ops[0]
     try:
-        parse_descriptors(emit_yaml([entry]), origin=f"{rel}#L{start}")
+        read_entry(entry, f"{rel}#L{start}", "ops[0]")
     except SchemaError as e:
         diags.append(Diagnostic(rel, impl_line, str(e)))
         return None, diags

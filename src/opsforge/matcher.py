@@ -309,13 +309,11 @@ class MatchCache:
 def staged_key(name: str, kind_value: str, extra, values) -> tuple:
     """OpRequest.cache_key of a request staged as Values, built without a request.
 
-    The common arities are spelled out: on a cached builder call this key
-    is most of the lookup cost.
+    The builder terminals build a one-input key inline and call this for
+    other arities; two inputs are spelled out, since on a cached builder
+    call this key is most of the lookup cost.
     """
-    n = len(values)
-    if n == 1:
-        return (name, kind_value, extra, values[0].type._str)
-    if n == 2:
+    if len(values) == 2:
         return (name, kind_value, extra, values[0].type._str, values[1].type._str)
     return (name, kind_value, extra, *[v.type._str for v in values])
 
@@ -505,7 +503,7 @@ def _match_internal(
             return cached
     stack = stack + (f"{req.name}[{req.kind.value}]",)
     if len(stack) > MAX_DEPTH:
-        raise DependencyCycleError(stack)
+        raise DependencyCycleError(stack, MAX_DEPTH)
     s = _Search(env, stack)
     tree = (
         _match_direct(s, req)
@@ -539,18 +537,35 @@ def _dep_request(dep: DependencySpec, sig: tuple[SemanticType, ...]) -> OpReques
 
 def _resolve_deps(
     s: _Search, info: OpInfo, bindings: Mapping[str, SemanticType]
-):
-    """Resolve an op's dependencies. Returns children or a NearMiss."""
+) -> tuple[InfoTree, ...] | None:
+    """An op's resolved dependencies, or None with the first unmet one logged."""
     children: list[InfoTree] = []
     for dep in info.dependencies:
         sig = tuple(t.substitute(bindings) for t in dep.signature)
-        if any(not t.is_concrete() for t in sig):
-            return NearMiss(info.source, "unmet dependency", dep.field)
         try:
-            children.append(_match_internal(s.env, _dep_request(dep, sig), s.stack))
+            if all(t.is_concrete() for t in sig):
+                children.append(_match_internal(s.env, _dep_request(dep, sig), s.stack))
+                continue
         except NoMatchError:
-            return NearMiss(info.source, "unmet dependency", dep.field)
+            pass
+        s.near.append(NearMiss(info.source, "unmet dependency", dep.field))
+        return None
     return tuple(children)
+
+
+def _plan(
+    req: OpRequest, info: OpInfo, routine: RoutineTag, children, **parts
+) -> InfoTree:
+    """A plan of ``info`` with the kind, arity and mutable index ``req`` asks for."""
+    return InfoTree(
+        info,
+        routine,
+        children=children,
+        eff_kind=req.kind,
+        eff_arity=len(req.arg_types),
+        eff_mutable=req.mutable_index,
+        **parts,
+    )
 
 
 def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
@@ -594,18 +609,8 @@ def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
                 )
                 continue
         children = _resolve_deps(s, info, bindings)
-        if isinstance(children, NearMiss):
-            s.near.append(children)
-            continue
-        return InfoTree(
-            info,
-            RoutineTag.DIRECT,
-            children=children,
-            eff_kind=req.kind,
-            eff_arity=len(req.arg_types),
-            eff_mutable=req.mutable_index,
-            out_type=out_type,
-        )
+        if children is not None:
+            return _plan(req, info, RoutineTag.DIRECT, children, out_type=out_type)
     return None
 
 
@@ -625,8 +630,7 @@ def _adapter_tree(
 ) -> InfoTree | None:
     """The adapter as a DIRECT plan, or None (logged) if its dependencies fail."""
     children = _resolve_deps(s, ad, bindings)
-    if isinstance(children, NearMiss):
-        s.near.append(children)
+    if children is None:
         return None
     return InfoTree(
         ad,
@@ -651,17 +655,14 @@ def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
             if adapter_tree is None:
                 continue
             children = _resolve_deps(s, info, {})
-            if isinstance(children, NearMiss):
-                s.near.append(children)
+            if children is None:
                 break
-            return InfoTree(
+            return _plan(
+                req,
                 info,
                 RoutineTag.ADAPTED,
-                children=children,
+                children,
                 adapter=adapter_tree,
-                eff_kind=req.kind,
-                eff_arity=len(req.arg_types),
-                eff_mutable=req.mutable_index,
                 out_type=target.types[-1] if req.kind is Kind.FUNCTION else None,
             )
         if not fitted:
@@ -782,26 +783,23 @@ def _match_converted(
         if not conversions:
             continue
         children = _resolve_deps(s, info, {})
-        if isinstance(children, NearMiss):
-            s.near.append(children)
+        if children is None:
             continue
         out_type = None
         if function:
             # an output conversion is the last entry, at position n_args
             converted_out = conversions[-1].position == n_args
             out_type = req.output_type if converted_out else target.types[-1]
-        return InfoTree(
+        return _plan(
+            req,
             info,
             RoutineTag.CONVERTED
             if adapter_tree is None
             else RoutineTag.ADAPTED_AND_CONVERTED,
-            children=children,
+            children,
             adapter=adapter_tree,
             conversions=tuple(conversions),
             copyback=copyback,
-            eff_kind=req.kind,
-            eff_arity=n_args,
-            eff_mutable=req.mutable_index,
             out_type=out_type,
         )
     return None

@@ -103,6 +103,8 @@ class OpInfo:
                 raise RegistrationError(f"invalid op name {n!r}")
         if not self.source:
             raise RegistrationError("an op needs a source URI")
+        if self.priority != self.priority:
+            raise RegistrationError(f"{self.name}: priority must be a number, got nan")
         derived = infer_kind(self.params)
         if derived is not self.kind:
             raise RegistrationError(
@@ -221,12 +223,154 @@ def _fail(origin: str, path: str, message: str) -> SchemaError:
     return SchemaError(f"{origin}: {path}: {message}")
 
 
+# One reader per field rule. Each returns ``obj[key]`` of the mapping at
+# ``path``, checked, or raises a SchemaError naming the field; ``_mapping``
+# checks the mapping itself.
+
+
+def _mapping(origin: str, path: str, obj: Any, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise _fail(origin, path, f"{what} must be a mapping")
+    unknown = set(obj) - keys
+    if unknown:
+        raise _fail(origin, path, f"unknown keys {sorted(unknown)}")
+
+
+def _required(origin: str, path: str, obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str) or not value:
+        raise _fail(origin, f"{path}.{key}", "required string")
+    return value
+
+
+def _text(origin: str, path: str, obj: dict, key: str) -> str:
+    value = obj.get(key, "")
+    if not isinstance(value, str):
+        raise _fail(origin, f"{path}.{key}", "must be a string")
+    return value
+
+
+def _strings(origin: str, path: str, obj: dict, key: str, noun: str) -> list[str]:
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise _fail(origin, f"{path}.{key}", f"must be a list of {noun}")
+    return value
+
+
+def _kind(origin: str, path: str, obj: dict) -> Kind:
+    try:
+        return Kind(obj.get("kind"))
+    except ValueError:
+        raise _fail(
+            origin, f"{path}.kind", "must be one of function/computer/inplace"
+        ) from None
+
+
 def _parse_type_at(origin: str, path: str, text: Any) -> SemanticType:
     if not isinstance(text, str):
         raise _fail(origin, path, f"expected a type string, got {text!r}")
     try:
         return parse_type(text)
     except TypeSyntaxError as e:
+        raise _fail(origin, path, str(e)) from e
+
+
+def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
+    """One descriptor entry as an OpInfo, its fields checked in a fixed order.
+
+    YAML documents and indexed comment blocks are both read through here,
+    so a fault reads the same from either. Errors name ``origin`` and the
+    field's path under ``path`` (the entry's, e.g. ``ops[0]``).
+    """
+    _mapping(origin, path, entry, _ENTRY_KEYS, "entry")
+    name = _required(origin, path, entry, "name")
+    aliases = _strings(origin, path, entry, "aliases", "strings")
+    source = _required(origin, path, entry, "source")
+    priority = entry.get("priority", 0.0)
+    # NaN compares false both ways, so canonical order would follow load order
+    if (
+        isinstance(priority, bool)
+        or not isinstance(priority, (int, float))
+        or priority != priority
+    ):
+        raise _fail(origin, f"{path}.priority", "must be a number")
+    description = _text(origin, path, entry, "description")
+
+    raw_params = entry.get("parameters")
+    if not isinstance(raw_params, list):
+        raise _fail(origin, f"{path}.parameters", "required list")
+    optional_names = _strings(origin, path, entry, "optional", "names")
+    params: list[ParamSpec] = []
+    for j, rp in enumerate(raw_params):
+        ppath = f"{path}.parameters[{j}]"
+        _mapping(origin, ppath, rp, _PARAM_KEYS, "parameter")
+        pname = _required(origin, ppath, rp, "name")
+        io_text = rp.get("io")
+        try:
+            io = Io(io_text)
+        except ValueError:
+            raise _fail(
+                origin,
+                f"{ppath}.io",
+                f"must be one of input/container/mutable/output, got {io_text!r}",
+            ) from None
+        params.append(
+            ParamSpec(
+                pname,
+                _parse_type_at(origin, f"{ppath}.type", rp.get("type")),
+                io,
+                optional=pname in optional_names,
+                description=_text(origin, ppath, rp, "description"),
+            )
+        )
+    param_names = {p.name for p in params}
+    for oname in optional_names:
+        if oname not in param_names:
+            raise _fail(origin, f"{path}.optional", f"unknown parameter {oname!r}")
+
+    raw_deps = entry.get("dependencies", [])
+    if not isinstance(raw_deps, list):
+        raise _fail(origin, f"{path}.dependencies", "must be a list")
+    deps: list[DependencySpec] = []
+    for j, rd in enumerate(raw_deps):
+        dpath = f"{path}.dependencies[{j}]"
+        _mapping(origin, dpath, rd, _DEP_KEYS, "dependency")
+        dfield = _required(origin, dpath, rd, "field")
+        dname = _required(origin, dpath, rd, "name")
+        dkind = _kind(origin, dpath, rd)
+        raw_sig = rd.get("signature")
+        if not isinstance(raw_sig, list) or not raw_sig:
+            raise _fail(origin, f"{dpath}.signature", "required non-empty list")
+        sig = tuple(
+            _parse_type_at(origin, f"{dpath}.signature[{k}]", t)
+            for k, t in enumerate(raw_sig)
+        )
+        deps.append(DependencySpec(dfield, dname, dkind, sig))
+
+    try:
+        derived = infer_kind(params)
+    except RegistrationError as e:
+        raise _fail(origin, f"{path}.parameters", str(e)) from e
+    if entry.get("kind") is not None:
+        declared = _kind(origin, path, entry)
+        if declared is not derived:
+            raise _fail(
+                origin,
+                f"{path}.kind",
+                f"declared {declared.value} but io roles imply {derived.value}",
+            )
+
+    try:
+        return OpInfo(
+            names=(name, *aliases),
+            kind=derived,
+            params=tuple(params),
+            source=source,
+            priority=float(priority),
+            dependencies=tuple(deps),
+            description=description,
+        )
+    except RegistrationError as e:
         raise _fail(origin, path, str(e)) from e
 
 
@@ -253,148 +397,11 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     infos: list[OpInfo] = []
     seen: set[tuple[str, str, str]] = set()
     for i, entry in enumerate(entries):
-        path = f"ops[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(origin, path, "entry must be a mapping")
-        unknown = set(entry) - _ENTRY_KEYS
-        if unknown:
-            raise _fail(origin, path, f"unknown keys {sorted(unknown)}")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise _fail(origin, f"{path}.name", "required string")
-        aliases = entry.get("aliases", [])
-        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-            raise _fail(origin, f"{path}.aliases", "must be a list of strings")
-        source = entry.get("source")
-        if not isinstance(source, str) or not source:
-            raise _fail(origin, f"{path}.source", "required string")
-        priority = entry.get("priority", 0.0)
-        if isinstance(priority, bool) or not isinstance(priority, (int, float)):
-            raise _fail(origin, f"{path}.priority", "must be a number")
-        description = entry.get("description", "")
-        if not isinstance(description, str):
-            raise _fail(origin, f"{path}.description", "must be a string")
-
-        raw_params = entry.get("parameters")
-        if not isinstance(raw_params, list):
-            raise _fail(origin, f"{path}.parameters", "required list")
-        optional_names = entry.get("optional", [])
-        if not isinstance(optional_names, list) or not all(
-            isinstance(n, str) for n in optional_names
-        ):
-            raise _fail(origin, f"{path}.optional", "must be a list of names")
-        params: list[ParamSpec] = []
-        for j, rp in enumerate(raw_params):
-            ppath = f"{path}.parameters[{j}]"
-            if not isinstance(rp, dict):
-                raise _fail(origin, ppath, "parameter must be a mapping")
-            unknown = set(rp) - _PARAM_KEYS
-            if unknown:
-                raise _fail(origin, ppath, f"unknown keys {sorted(unknown)}")
-            pname = rp.get("name")
-            if not isinstance(pname, str) or not pname:
-                raise _fail(origin, f"{ppath}.name", "required string")
-            io_text = rp.get("io")
-            try:
-                io = Io(io_text)
-            except ValueError:
-                raise _fail(
-                    origin,
-                    f"{ppath}.io",
-                    f"must be one of input/container/mutable/output, got {io_text!r}",
-                ) from None
-            ptype = _parse_type_at(origin, f"{ppath}.type", rp.get("type"))
-            pdesc = rp.get("description", "")
-            if not isinstance(pdesc, str):
-                raise _fail(origin, f"{ppath}.description", "must be a string")
-            params.append(
-                ParamSpec(
-                    pname,
-                    ptype,
-                    io,
-                    optional=pname in optional_names,
-                    description=pdesc,
-                )
-            )
-        param_names = {p.name for p in params}
-        for oname in optional_names:
-            if oname not in param_names:
-                raise _fail(
-                    origin, f"{path}.optional", f"unknown parameter {oname!r}"
-                )
-
-        raw_deps = entry.get("dependencies", [])
-        if not isinstance(raw_deps, list):
-            raise _fail(origin, f"{path}.dependencies", "must be a list")
-        deps: list[DependencySpec] = []
-        for j, rd in enumerate(raw_deps):
-            dpath = f"{path}.dependencies[{j}]"
-            if not isinstance(rd, dict):
-                raise _fail(origin, dpath, "dependency must be a mapping")
-            unknown = set(rd) - _DEP_KEYS
-            if unknown:
-                raise _fail(origin, dpath, f"unknown keys {sorted(unknown)}")
-            dfield = rd.get("field")
-            dname = rd.get("name")
-            if not isinstance(dfield, str) or not dfield:
-                raise _fail(origin, f"{dpath}.field", "required string")
-            if not isinstance(dname, str) or not dname:
-                raise _fail(origin, f"{dpath}.name", "required string")
-            try:
-                dkind = Kind(rd.get("kind"))
-            except ValueError:
-                raise _fail(
-                    origin,
-                    f"{dpath}.kind",
-                    "must be one of function/computer/inplace",
-                ) from None
-            raw_sig = rd.get("signature")
-            if not isinstance(raw_sig, list) or not raw_sig:
-                raise _fail(origin, f"{dpath}.signature", "required non-empty list")
-            sig = tuple(
-                _parse_type_at(origin, f"{dpath}.signature[{k}]", t)
-                for k, t in enumerate(raw_sig)
-            )
-            deps.append(DependencySpec(dfield, dname, dkind, sig))
-
-        kind_text = entry.get("kind")
-        try:
-            derived = infer_kind(params)
-        except RegistrationError as e:
-            raise _fail(origin, f"{path}.parameters", str(e)) from e
-        if kind_text is not None:
-            try:
-                declared = Kind(kind_text)
-            except ValueError:
-                raise _fail(
-                    origin,
-                    f"{path}.kind",
-                    "must be one of function/computer/inplace",
-                ) from None
-            if declared is not derived:
-                raise _fail(
-                    origin,
-                    f"{path}.kind",
-                    f"declared {declared.value} but io roles imply {derived.value}",
-                )
-
-        try:
-            info = OpInfo(
-                names=(name, *aliases),
-                kind=derived,
-                params=tuple(params),
-                source=source,
-                priority=float(priority),
-                dependencies=tuple(deps),
-                description=description,
-            )
-        except RegistrationError as e:
-            raise _fail(origin, path, str(e)) from e
-
+        info = read_entry(entry, origin, f"ops[{i}]")
         key = (info.name, info.signature_string(), info.source)
         if key in seen:
             raise _fail(
-                origin, path, f"duplicate op (name, signature, source): {key}"
+                origin, f"ops[{i}]", f"duplicate op (name, signature, source): {key}"
             )
         seen.add(key)
         infos.append(info)

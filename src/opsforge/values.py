@@ -107,20 +107,42 @@ class Value:
         return {"w": w, "h": h, "data": data}
 
 
+def _int(x) -> bool:
+    """Is x an int, booleans excluded?"""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _numbers(xs) -> bool:
     """Are all items ints or floats, booleans excluded?"""
-    return all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs)
+    return all(isinstance(x, float) or _int(x) for x in xs)
+
+
+def _bytes(xs) -> bool:
+    """Are all items ints in 0..255?"""
+    return all(_int(x) and 0 <= x <= 255 for x in xs)
 
 
 def from_json_obj(type_: SemanticType, obj: Any) -> Value:
-    """Build a Value of the given type from its JSON rendering."""
+    """Build a Value of the given type from its JSON rendering.
+
+    Input that makes no payload of the type raises RegistrationError, also
+    where the payload cannot hold it: an int too large for a float, or an
+    image too large for an array.
+    """
+    try:
+        return _from_json(type_, obj)
+    except (OverflowError, ValueError) as e:
+        raise RegistrationError(f"{type_.base} cannot hold the input: {e}") from e
+
+
+def _from_json(type_: SemanticType, obj: Any) -> Value:
     base = type_.base
     if base == "Integer":
-        if isinstance(obj, bool) or not isinstance(obj, int):
+        if not _int(obj):
             raise RegistrationError(f"Integer wants an int, got {obj!r}")
         return Value(type_, obj)
     if base == "Real":
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        if not _numbers((obj,)):
             raise RegistrationError(f"Real wants a number, got {obj!r}")
         return Value(type_, float(obj))
     if base == "Boolean":
@@ -132,10 +154,7 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
             raise RegistrationError(f"Text wants a string, got {obj!r}")
         return Value(type_, obj)
     if base == "ByteArray":
-        if not isinstance(obj, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= 255
-            for x in obj
-        ):
+        if not isinstance(obj, list) or not _bytes(obj):
             raise RegistrationError("ByteArray wants a list of ints in 0..255")
         return Value(type_, bytearray(obj))
     if base == "RealArray":
@@ -145,8 +164,8 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
     if base in ("ImageU8", "ImageF64"):
         if (
             not isinstance(obj, dict)
-            or not isinstance(obj.get("w"), int)
-            or not isinstance(obj.get("h"), int)
+            or not _int(obj.get("w"))
+            or not _int(obj.get("h"))
             or not isinstance(obj.get("data"), list)
         ):
             raise RegistrationError('images want {"w": int, "h": int, "data": [...]}')
@@ -154,10 +173,7 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
         if w < 0 or h < 0 or len(data) != w * h:
             raise RegistrationError("image data length must equal w*h")
         dtype = np.uint8 if base == "ImageU8" else np.float64
-        if base == "ImageU8" and not all(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= 255
-            for x in data
-        ):
+        if base == "ImageU8" and not _bytes(data):
             raise RegistrationError("ImageU8 wants pixel ints in 0..255")
         if base == "ImageF64" and not _numbers(data):
             raise RegistrationError("ImageF64 wants pixel numbers")

@@ -80,6 +80,41 @@ def test_single_pair_quartiles_collapse_to_the_value():
     assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 
 
+def _canned_traced(layers, correct=True):
+    """perfbench --trace 1 stdout: the per-layer metrics in the last line."""
+    line = {"correct": correct, "attempted": 10, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "us"} for k, v in layers.items()}}
+    return f"workload imaging  seed 1  trace 1\n{json.dumps(line)}\n"
+
+
+def test_per_layer_record_pairs_each_traced_metric():
+    parent = bench_pairs.parse_result(_canned_traced(
+        {"matcher.request_us": 4.0, "stdlib.gauss_ms": 2.0, "matcher.cache_hits": 0}))
+    head = bench_pairs.parse_result(_canned_traced(
+        {"matcher.request_us": 3.0, "stdlib.gauss_ms": 2.5, "matcher.cache_hits": 7,
+         "runtime.frame_us": 0.1}, correct=False))
+    directions = {"matcher.request_us": "lower", "stdlib.gauss_ms": "lower",
+                  "matcher.cache_hits": "higher", "runtime.frame_us": "lower",
+                  "cli.run_ms": "lower"}
+    record = bench_pairs.per_layer_record(parent, head, directions, "head")
+    assert record["first"] == "head"
+    assert record["correct"] == {"parent": True, "head": False}
+    # a metric only one side or neither side reported is left out
+    assert set(record["metrics"]) == {"matcher.request_us", "stdlib.gauss_ms",
+                                      "matcher.cache_hits"}
+    assert record["metrics"]["matcher.request_us"] == {
+        "better": "lower", "parent": 4.0, "head": 3.0, "delta": pytest.approx(-0.25)}
+    assert record["metrics"]["stdlib.gauss_ms"]["delta"] == pytest.approx(0.25)
+    # a zero parent value has no relative delta
+    assert record["metrics"]["matcher.cache_hits"]["delta"] is None
+
+
+def test_per_layer_spec_is_benchmark_json():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench_pairs.per_layer_spec(ROOT) == {
+        m["name"]: m["better"] for m in spec["per_layer"]}
+
+
 def _criterion6_output(verdict, ordering, ratio, additive):
     """pytest -s -q output of criterion 6's test around its verdict line."""
     line = (
@@ -131,6 +166,11 @@ def test_committed_bench_files_follow_the_schema(path):
             assert {"median", "q1", "q3"} <= set(m["parent"]) & set(m["head"])
     for side in ("parent", "head"):
         assert report["criterion6"][side]["runs"] == report["settings"]["criterion6_runs"]
+    # the traced pair per workload; reports before BENCH_10.json have none
+    for record in report.get("per_layer", {}).values():
+        assert record["first"] in ("parent", "head")
+        for m in record["metrics"].values():
+            assert {"better", "parent", "head", "delta"} <= set(m)
 
 
 def _report(medians):

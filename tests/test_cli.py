@@ -179,6 +179,22 @@ def test_run_bad_image_f64_pixel_exits_2(capsys, pixel):
     assert "ImageF64 wants pixel numbers" in err
 
 
+@pytest.mark.parametrize(
+    "op, value, message",
+    [
+        ("math.add", f"Real:{10**400}", "Real cannot hold the input"),
+        ("filter.gauss", 'ImageF64:{"w":true,"h":1,"data":[1.0]}', "images want"),
+    ],
+    ids=["huge_real", "bool_w"],
+)
+def test_run_values_no_payload_can_hold_exit_2(capsys, op, value, message):
+    code, out, err = run(capsys, "run", op, "--in", value, "--in", "Real:1.0")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_no_match_exits_3_with_near_misses(capsys):
     code, out, err = run(
         capsys, "run", "math.add", "--in", "Integer:2", "--in", 'Text:"x"'

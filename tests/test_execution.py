@@ -108,6 +108,11 @@ ops:
     source: "test:spoil/real"
     parameters:
       - {name: x, type: Real, io: mutable}
+  - name: test.spoil_into
+    source: "test:spoil_into/real"
+    parameters:
+      - {name: x, type: Real, io: input}
+      - {name: out, type: Real, io: container}
   - name: test.add_into
     source: "test:add_into/bytes"
     parameters:
@@ -146,6 +151,7 @@ def conv_env(tmp_path):
         extra_bindings={
             "test:bump/real": lambda x: x + 1.5,
             "test:spoil/real": lambda x: "oops",
+            "test:spoil_into/real": lambda x: "oops",
             "test:add_into/bytes": _add_into,
             "test:grow/bytes": _grow,
             "test:copy/integer": lambda src: src,
@@ -171,6 +177,15 @@ def test_inplace_scalar_result_is_checked(conv_env):
     assert "produced invalid output" in str(err.value)
     assert err.value.signature == "test:spoil/real|DIRECT|[]|()"
     assert v.payload == 1.0
+
+
+def test_computer_scalar_result_is_checked(conv_env):
+    container = wrap(2.0)
+    with pytest.raises(ExecutionError) as err:
+        conv_env.op("test.spoil_into").input(wrap(1.0)).container(container).compute()
+    assert "produced invalid output" in str(err.value)
+    assert err.value.signature == "test:spoil_into/real|DIRECT|[]|()"
+    assert container.payload == 2.0
 
 
 def test_converted_container_keeps_its_payload_object(env):

@@ -109,6 +109,16 @@ def test_priority_must_be_numeric():
     assert "priority" in diags[0].message
 
 
+def test_nan_priority_rejected():
+    entry, diags = _parse_text(
+        "/// @implNote op names='a.b' priority='nan'\n/// @output Integer\n"
+    )
+    assert entry is None
+    assert diags[0].render() == (
+        "demo.java:1: demo.java#L1: ops[0].priority: must be a number"
+    )
+
+
 def test_two_outputs_rejected():
     entry, diags = _parse_text(
         "/// @implNote op names='a.b'\n"

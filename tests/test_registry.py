@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -86,6 +87,48 @@ def test_schema_errors_carry_entry_and_field(fragment, needle):
     msg = str(err.value)
     assert "ops[0]" in msg
     assert needle in msg
+
+
+ENTRY = """
+ops:
+  - name: t.op
+    source: "x:a"
+    parameters:
+      - {name: a, type: Integer, io: input}
+      - {name: out, type: Integer, io: output}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("name: t.op", "name: ''", "ops[0].name: required string"),
+        ("name: t.op", "name: t.op\n    aliases: [1]", "ops[0].aliases: must be a list of strings"),
+        ("name: t.op", "name: t.op\n    optional: a", "ops[0].optional: must be a list of names"),
+        ("name: t.op", "name: t.op\n    description: 3", "ops[0].description: must be a string"),
+        ("name: t.op", "name: t.op\n    priority: .nan", "ops[0].priority: must be a number"),
+        ("name: t.op", "name: t.op\n    kind: pure", "ops[0].kind: must be one of function/computer/inplace"),
+        ("name: t.op", "name: t.op\n    colour: red", "ops[0]: unknown keys ['colour']"),
+        ("- {name: a,", "- {name: 7,", "ops[0].parameters[0].name: required string"),
+        ("io: output}", "io: output, description: [x]}", "ops[0].parameters[1].description: must be a string"),
+        ("- {name: a, type: Integer, io: input}", "- [a]", "ops[0].parameters[0]: parameter must be a mapping"),
+        ("name: t.op", "name: t.op\n    dependencies: [{field: f, name: '', kind: function, signature: [Integer]}]",
+         "ops[0].dependencies[0].name: required string"),
+        ("name: t.op", "name: t.op\n    dependencies: [{field: f, name: g.h, kind: pure, signature: [Integer]}]",
+         "ops[0].dependencies[0].kind: must be one of function/computer/inplace"),
+        ("name: t.op", "name: t.op\n    dependencies: [f]", "ops[0].dependencies[0]: dependency must be a mapping"),
+    ],
+)
+def test_each_field_rule_reports_its_path(old, new, message):
+    with pytest.raises(SchemaError) as err:
+        parse_descriptors(ENTRY.replace(old, new, 1), origin="t.yaml")
+    assert str(err.value) == f"t.yaml: {message}"
+
+
+def test_nan_priority_rejected_by_op_info():
+    (info,) = parse_descriptors(ENTRY)
+    with pytest.raises(RegistrationError, match="priority"):
+        replace(info, priority=float("nan"))
 
 
 def test_duplicate_entries_rejected():

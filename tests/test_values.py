@@ -111,6 +111,26 @@ def test_image_f64_rejects_non_number_pixels(pixel):
         from_json_obj(parse_type("ImageF64"), {"w": 1, "h": 1, "data": [pixel]})
 
 
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "type_text, obj",
+    [
+        ("Real", HUGE),
+        ("RealArray", [1.0, HUGE]),
+        ("ImageF64", {"w": 2, "h": 1, "data": [HUGE, 1.0]}),
+        ("ImageF64", {"w": True, "h": 1, "data": [1.0]}),
+        ("ImageU8", {"w": 1, "h": True, "data": [1]}),
+        ("ImageF64", {"w": 0, "h": 10**30, "data": []}),
+    ],
+    ids=["real", "real_array_item", "image_pixel", "bool_w", "bool_h", "huge_h"],
+)
+def test_values_no_payload_can_hold_are_rejected(type_text, obj):
+    with pytest.raises(RegistrationError):
+        from_json_obj(parse_type(type_text), obj)
+
+
 def test_write_back_preserves_container_object():
     container = wrap(np.zeros(3))
     original = container.payload

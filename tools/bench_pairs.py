@@ -13,6 +13,12 @@ relative delta against the head median of the newest committed
 ``BENCH_<n>.json`` (other than the one being written), so a change reads
 against the trajectory as well as against its parent.
 
+For the per-layer split it then runs ``perfbench/run.py --trace 1`` once
+per side for each workload (seed 1), alternating which side runs first
+from one workload to the next, and records both sides' per-layer metrics
+(BENCHMARK.json's ``per_layer``) with the change's relative delta. One
+traced pair shows where a change moved time; it is not a distribution.
+
 The workloads and the run length are BENCHMARK.json's. The script also
 runs criterion 6's own test (``pytest tests/test_acceptance.py -k
 criterion_06``) K times per side, alternating, each in a fresh process, and
@@ -109,6 +115,18 @@ def workload_record(runs: list[tuple[dict, dict]], directions: dict) -> dict:
     }
 
 
+def per_layer_record(parent: dict, head: dict, directions: dict, first: str) -> dict:
+    """One workload's traced pair: per-layer values of both sides and the delta."""
+    metrics = {}
+    for name, better in directions.items():
+        if name in parent["metrics"] and name in head["metrics"]:
+            p, h = parent["metrics"][name]["value"], head["metrics"][name]["value"]
+            metrics[name] = {"better": better, "parent": p, "head": h,
+                             "delta": (h - p) / p if p else None}
+    return {"first": first, "correct": {"parent": parent["correct"], "head": head["correct"]},
+            "metrics": metrics}
+
+
 def criterion6_verdict(stdout: str) -> dict:
     """The verdict criterion 6's test printed, read from the test run's output."""
     for line in stdout.splitlines():
@@ -189,11 +207,11 @@ def _run(cmd: list[str], root: Path, env=None) -> str:
     return done.stdout
 
 
-def _run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run_perfbench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     # a run whose output checks fail exits non-zero but still prints its result
     return parse_result(_run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], root))
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)], root))
 
 
 def _run_criterion6(root: Path) -> dict:
@@ -219,15 +237,24 @@ def host_facts() -> dict:
     return facts
 
 
+def _spec(root: Path) -> dict:
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def benchmark_spec(root: Path) -> tuple[list[str], int, dict]:
     """BENCHMARK.json's workload names, run seconds and, per end-to-end
     metric, "higher" or "lower"."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = _spec(root)
     return (
         [w["name"] for w in spec["workloads"]],
         spec["run_seconds"],
         {m["name"]: m["better"] for m in spec["end_to_end"]},
     )
+
+
+def per_layer_spec(root: Path) -> dict:
+    """BENCHMARK.json's per-layer metrics, each "higher" or "lower"."""
+    return {m["name"]: m["better"] for m in _spec(root)["per_layer"]}
 
 
 def main(argv=None) -> int:
@@ -243,6 +270,7 @@ def main(argv=None) -> int:
 
     root = Path(_git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     workloads, seconds, better = benchmark_spec(root)
+    layers = per_layer_spec(root)
     report = {
         "parent": _git("rev-parse", args.parent, cwd=root),
         "head": _git("rev-parse", "HEAD", cwd=root),
@@ -253,6 +281,7 @@ def main(argv=None) -> int:
                      "criterion6": " ".join(["python3", *CRITERION6_TEST])},
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
+        "per_layer": {},
     }
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         parent_root = Path(tmp) / "parent"
@@ -262,12 +291,17 @@ def main(argv=None) -> int:
             runs = []
             for i, seed in enumerate(report["settings"]["seeds"]):
                 order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
-                got = {s: _run_perfbench(sides[s], workload, seed, seconds) for s in order}
+                got = {s: _run_perfbench(sides[s], workload, seed, seconds, 0) for s in order}
                 runs.append((got["parent"], got["head"]))
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{s} {got[s]['metrics']['throughput_ops_s']['value']:.1f} ops/s"
                     for s in order), file=sys.stderr)
             report["workloads"][workload] = workload_record(runs, better)
+        for i, workload in enumerate(workloads):
+            order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
+            got = {s: _run_perfbench(sides[s], workload, 1, seconds, 1) for s in order}
+            report["per_layer"][workload] = per_layer_record(
+                got["parent"], got["head"], layers, order[0])
         verdicts = {"parent": [], "head": []}
         for i in range(args.criterion6):
             for s in ("parent", "head") if i % 2 == 0 else ("head", "parent"):
@@ -287,6 +321,11 @@ def main(argv=None) -> int:
                 was = against[workload][name]
                 line += f" vs {prior[0]} head " + ("n/a" if was is None else f"{was:+.1%}")
             print(line)
+    for workload, record in report["per_layer"].items():
+        for name, m in record["metrics"].items():
+            delta = "n/a" if m["delta"] is None else f"{m['delta']:+.1%}"
+            print(f"{workload:<13} traced {name:<36} parent {m['parent']:>12.4g} "
+                  f"head {m['head']:>12.4g} delta {delta}")
     for s, record in report.get("criterion6", {}).items():
         print(f"criterion 6 {s}: {record['passed']}/{record['runs']} passed")
     return 0
