@@ -7,6 +7,7 @@ hand, then frozen.
 
 import pytest
 
+from opsforge import matcher
 from opsforge.errors import DependencyCycleError, NoMatchError, RegistrationError
 from opsforge.matcher import (
     OpRequest,
@@ -242,8 +243,7 @@ ops:
     assert "test:dep/orphan :: unmet dependency @ param helper" in lines
 
 
-def test_dependency_cycle_hits_depth_cap():
-    text = """
+CYCLE_OPS = """
 ops:
   - name: cyc.a
     source: "test:cyc/a"
@@ -260,11 +260,23 @@ ops:
     dependencies:
       - {field: helper, name: cyc.a, kind: function, signature: [Integer, Integer]}
 """
-    env = OpEnvironment(parse_descriptors(text), BINDINGS, cache_enabled=False)
+
+
+def test_dependency_cycle_hits_depth_cap():
+    env = OpEnvironment(parse_descriptors(CYCLE_OPS), BINDINGS, cache_enabled=False)
     with pytest.raises(DependencyCycleError) as err:
         env.match(function_request("cyc.a", ["Integer"], "Integer"))
     msg = str(err.value)
     assert "cyc.a" in msg and "cyc.b" in msg
+
+
+def test_dependency_cycle_error_names_the_depth_cap(monkeypatch):
+    monkeypatch.setattr(matcher, "MAX_DEPTH", 5)
+    env = OpEnvironment(parse_descriptors(CYCLE_OPS), BINDINGS, cache_enabled=False)
+    with pytest.raises(DependencyCycleError) as err:
+        env.match(function_request("cyc.a", ["Integer"], "Integer"))
+    assert str(err.value).startswith("dependency resolution exceeded depth 5, ")
+    assert len(err.value.path) == 6
 
 
 def test_cache_serves_identical_tree_and_counts_hits():
