@@ -29,6 +29,7 @@ from .types import (
     TypeHierarchy,
     parse_type,
 )
+from .values import is_number
 
 # Priority penalty applied per optional parameter removed by reduction.
 REDUCTION_PENALTY = 1e-6
@@ -288,11 +289,7 @@ def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
     source = _required(origin, path, entry, "source")
     priority = entry.get("priority", 0.0)
     # NaN compares false both ways, so canonical order would follow load order
-    if (
-        isinstance(priority, bool)
-        or not isinstance(priority, (int, float))
-        or priority != priority
-    ):
+    if not is_number(priority) or priority != priority:
         raise _fail(origin, f"{path}.priority", "must be a number")
     description = _text(origin, path, entry, "description")
 

@@ -9,7 +9,9 @@ callables, when declared, arrive as leading arguments.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -101,8 +103,11 @@ def u8_to_f64(image: np.ndarray) -> np.ndarray:
 
 
 def _round_clamp_u8(values: np.ndarray) -> np.ndarray:
-    # round-half-away-from-zero on [0, 255]: floor(x + 0.5) after clipping
-    return np.floor(np.clip(values, 0.0, 255.0) + 0.5).astype(np.uint8)
+    # round-half-away-from-zero on [0, 255]: floor(x + 0.5) after clipping,
+    # in place on the clipped copy
+    out = np.clip(values, 0.0, 255.0)
+    out += 0.5
+    return np.floor(out, out=out).astype(np.uint8)
 
 
 def f64_to_u8(image: np.ndarray) -> np.ndarray:
@@ -162,54 +167,98 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 # CHANGES.md).
 BAND_PIXELS = 1 << 16
 
+# Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
+# buffer is allocated for the one call that asks for it and not kept.
+SCRATCH_CAP = 1 << 19
 
-def _weighted_sum(kernel: np.ndarray, shifted: list, out: np.ndarray) -> np.ndarray:
-    """``out = sum(kernel[d] * shifted[d])``, accumulated in kernel order."""
-    np.multiply(shifted[0], kernel[0], out=out)
-    term = np.empty_like(out)
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """The first ``n`` float64s of the calling thread's scratch buffer.
+
+    The buffer grows to ``n`` when that is within SCRATCH_CAP and is kept
+    for the thread's next call; a larger ``n`` gets a fresh buffer that is
+    not kept. A later call on the same thread may reuse the same memory.
+    """
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is not None and len(buf) >= n:
+        return buf[:n]
+    buf = np.empty(n)
+    if n <= SCRATCH_CAP:
+        _SCRATCH.buf = buf
+    return buf
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(sigma: float) -> np.ndarray:
+    kernel = gaussian_kernel(sigma)
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _weighted_sum(kernel: np.ndarray, src: np.ndarray, step: int, n: int, out: np.ndarray) -> None:
+    """``out[x] = sum(kernel[d] * src[x + d * step])`` for x < n, in kernel order.
+
+    ``src`` and ``out`` are flat; each shift is one contiguous run of ``src``.
+    The products go through the head of this thread's scratch, so callers
+    carve their own scratch views after the first ``n`` float64s.
+    """
+    out = out[:n]
+    np.multiply(src[:n], kernel[0], out=out)
+    term = _scratch(n)
     for d in range(1, len(kernel)):
-        np.multiply(shifted[d], kernel[d], out=term)
+        np.multiply(src[d * step : d * step + n], kernel[d], out=term)
         out += term
-    return out
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with clamp-to-edge borders.
 
-    Each pass is 2r+1 shifted whole-array multiply-adds over an edge-padded
-    copy, summed in kernel order. The row pass is split into bands of rows
-    through the compute pool, one band per ``BAND_PIXELS`` pixels up to the
-    pool's budget; every row depends only on its own pixels, so any budget
-    gives bitwise identical output. The column pass runs on the calling
-    thread, which then reports per-row progress ending at exactly 1.0.
+    Each pass is 2r+1 shifted multiply-adds over a flat edge-padded copy,
+    summed in kernel order. The row pass runs over the padded rows end to
+    end, so the 2r sums per row that straddle two rows are computed and
+    dropped. It is split into bands of rows through the compute pool, one
+    band per ``BAND_PIXELS`` pixels up to the pool's budget; every row
+    depends only on its own pixels, so any budget gives bitwise identical
+    output. The column pass runs on the calling thread, which then reports
+    per-row progress ending at exactly 1.0. Every buffer but the result is
+    this thread's scratch (see ``_scratch``), and no other code runs while
+    it is in use.
     """
     if image.size == 0:
         raise PreconditionError("image must be non-empty")
-    kernel = gaussian_kernel(float(sigma))
-    k = len(kernel)
-    radius = k // 2
+    kernel = _kernel(float(sigma))
+    radius = len(kernel) // 2
     h, w = image.shape
-    padded = np.empty((h, w + 2 * radius), dtype=np.float64)
+    wide = w + 2 * radius
+    # [terms | padded | row sums | tall]: _weighted_sum's terms take the head
+    head = h * wide
+    scratch = _scratch(3 * head + (h + 2 * radius) * w)
+    padded = scratch[head : 2 * head].reshape(h, wide)
+    sums = scratch[2 * head : 3 * head]
+    tall = scratch[3 * head :].reshape(h + 2 * radius, w)
     padded[:, radius : radius + w] = image
     padded[:, :radius] = image[:, :1]
     padded[:, radius + w :] = image[:, -1:]
-    # the row pass writes into the middle of the column pass's padded input
-    tall = np.empty((h + 2 * radius, w), dtype=np.float64)
-    rows = tall[radius : radius + h]
+    flat = padded.reshape(-1)
 
     pool = current_pool()
     bands = max(1, min(pool.budget, h, h * w // BAND_PIXELS))
     edges = [h * i // bands for i in range(bands + 1)]
 
     def row_band(i: int) -> None:
-        lo, hi = edges[i], edges[i + 1]
-        shifted = [padded[lo:hi, d : d + w] for d in range(k)]
-        _weighted_sum(kernel, shifted, rows[lo:hi])
+        lo, hi = edges[i] * wide, edges[i + 1] * wide
+        _weighted_sum(kernel, flat[lo:hi], 1, hi - lo - 2 * radius, sums[lo:hi])
 
     pool.map_indexed(row_band, bands)
+    # the column pass's input: the row sums' first w per row, edge-padded
+    rows = tall[radius : radius + h]
+    rows[...] = sums.reshape(h, wide)[:, :w]
     tall[:radius] = rows[0]
     tall[radius + h :] = rows[-1]
-    out = _weighted_sum(kernel, [tall[d : d + h] for d in range(k)], np.empty((h, w)))
+    out = np.empty((h, w))
+    _weighted_sum(kernel, tall.reshape(-1), w, h * w, out.reshape(-1))
     report_steps(h, "columns")
     return out
 

@@ -112,9 +112,19 @@ def _int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# The least int float() overflows on; every int of smaller magnitude rounds
+# to a finite float.
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def is_number(x) -> bool:
+    """Is x a float, or an int (booleans excluded) that a float can hold?"""
+    return isinstance(x, float) or (_int(x) and -_FLOAT_LIMIT < x < _FLOAT_LIMIT)
+
+
 def _numbers(xs) -> bool:
-    """Are all items ints or floats, booleans excluded?"""
-    return all(isinstance(x, float) or _int(x) for x in xs)
+    """Are all items numbers a float can hold (see ``is_number``)?"""
+    return all(map(is_number, xs))
 
 
 def _bytes(xs) -> bool:
@@ -131,7 +141,7 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
     """
     try:
         return _from_json(type_, obj)
-    except (OverflowError, ValueError) as e:
+    except ValueError as e:
         raise RegistrationError(f"{type_.base} cannot hold the input: {e}") from e
 
 
@@ -142,8 +152,10 @@ def _from_json(type_: SemanticType, obj: Any) -> Value:
             raise RegistrationError(f"Integer wants an int, got {obj!r}")
         return Value(type_, obj)
     if base == "Real":
-        if not _numbers((obj,)):
-            raise RegistrationError(f"Real wants a number, got {obj!r}")
+        if not is_number(obj):
+            raise RegistrationError(
+                f"Real cannot hold the input: wants a number a float can hold, got {obj!r}"
+            )
         return Value(type_, float(obj))
     if base == "Boolean":
         if not isinstance(obj, bool):

@@ -1,10 +1,15 @@
 """Builder terminals, handles, history, progress, and the compute pool."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import opsforge
 from opsforge.errors import (
     DimensionMismatchError,
     ExecutionError,
@@ -450,6 +455,113 @@ def test_gauss_above_band_threshold_splits_rows_bitwise_equal():
         assert len(fractions) == side
         assert all(x < y for x, y in zip(fractions, fractions[1:]))
         assert fractions[-1] == 1.0
+
+
+def _on_new_thread(fn):
+    """Run ``fn`` on a fresh thread; return its result and the scratch it kept."""
+    box = {}
+
+    def run():
+        box["out"] = fn()
+        box["kept"] = len(getattr(bodies._SCRATCH, "buf", ()))
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    return box["out"], box["kept"]
+
+
+def test_gauss_scratch_reuse_across_shapes_and_sigmas_bitwise_equal():
+    # r > w at 32x32 with sigma 11; each shape follows a larger or smaller one
+    rng = np.random.default_rng(13)
+    cases = [((128, 128), 2.0), ((7, 300), 1.3), ((1, 1), 0.7), ((32, 32), 11.0),
+             ((128, 128), 3.0), ((300, 7), 0.5), ((32, 32), 1.0)]
+    images = {shape: rng.uniform(0.0, 255.0, shape) for shape, _ in cases}
+    for shape, sigma in cases + cases[::-1]:
+        out = bodies.gaussian_blur(images[shape], sigma)
+        assert out.tobytes() == _shifted_sum_blur(images[shape], sigma).tobytes(), (shape, sigma)
+
+
+def test_gauss_in_a_progress_listener_leaves_the_outer_result_intact():
+    env = default_environment(include_legacy=False)
+    rng = np.random.default_rng(14)
+    outer, inner = rng.random((40, 24)), rng.random((24, 40))
+    nested = []
+
+    def listener(report):
+        if not nested:
+            nested.append(None)
+            nested[0] = env.op("filter.gauss").input(wrap(inner), wrap(2.5)).apply().payload
+
+    env.add_progress_listener(listener)
+    out = env.op("filter.gauss").input(wrap(outer), wrap(1.5)).apply().payload
+    assert out.tobytes() == _shifted_sum_blur(outer, 1.5).tobytes()
+    assert nested[0].tobytes() == _shifted_sum_blur(inner, 2.5).tobytes()
+
+
+def test_gauss_on_eight_threads_at_once_bitwise_equal():
+    rng = np.random.default_rng(15)
+    jobs = [(rng.random((20 + 9 * i, 60 - 5 * i)), 0.8 + 0.4 * i) for i in range(8)]
+    expected = [_shifted_sum_blur(img, sigma).tobytes() for img, sigma in jobs]
+    start = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def run(i):
+        img, sigma = jobs[i]
+        start.wait()
+        got[i] = [bodies.gaussian_blur(img, sigma).tobytes() for _ in range(20)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i, outs in enumerate(got):
+        assert outs == [expected[i]] * 20, i
+
+
+def test_gauss_above_the_scratch_cap_keeps_at_most_the_cap():
+    img = np.random.default_rng(16).random((300, 640))
+    wide = 640 + 2 * math.ceil(3 * 2.0)
+    assert 3 * 300 * wide > bodies.SCRATCH_CAP
+
+    def small_then_large_then_small():
+        small = np.ones((128, 128))
+        bodies.gaussian_blur(small, 2.0)
+        out = bodies.gaussian_blur(img, 2.0)
+        assert bodies.gaussian_blur(small, 2.0).tobytes() == _shifted_sum_blur(small, 2.0).tobytes()
+        return out
+
+    out, kept = _on_new_thread(small_then_large_then_small)
+    assert out.tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
+    assert 0 < kept <= bodies.SCRATCH_CAP
+
+
+# A fresh process, since how often freed pages go back to the kernel depends
+# on what the process allocated and freed before.
+_FAULTS_AT_128 = """
+import resource
+import numpy as np
+from opsforge.stdlib import bodies
+img = np.random.default_rng(17).uniform(0.0, 255.0, (128, 128))
+for _ in range(3):
+    bodies.gaussian_blur(img, 2.0)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for _ in range(20):
+    bodies.gaussian_blur(img, 2.0)
+print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+"""
+
+
+def test_gauss_at_128_makes_no_page_faults_once_warm():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("no per-thread rusage on this platform")
+    src = os.path.dirname(os.path.dirname(opsforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_AT_128], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 20
 
 
 def test_repeat_runs_bitwise_equal(env):

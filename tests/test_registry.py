@@ -125,6 +125,13 @@ def test_each_field_rule_reports_its_path(old, new, message):
     assert str(err.value) == f"t.yaml: {message}"
 
 
+def test_priority_too_large_for_a_float_is_a_schema_error():
+    text = ENTRY.replace("name: t.op", f"name: t.op\n    priority: {10**400}", 1)
+    with pytest.raises(SchemaError) as err:
+        parse_descriptors(text, origin="t.yaml")
+    assert str(err.value) == "t.yaml: ops[0].priority: must be a number"
+
+
 def test_nan_priority_rejected_by_op_info():
     (info,) = parse_descriptors(ENTRY)
     with pytest.raises(RegistrationError, match="priority"):

@@ -267,6 +267,25 @@ def test_f64_to_u8_rounds_half_away_from_zero(env):
     assert list(out.payload[0]) == [1, 2, 255, 0]
 
 
+def test_u8_round_clamp_matches_the_whole_array_expression():
+    rng = np.random.default_rng(21)
+    values = np.concatenate([
+        rng.uniform(-50.0, 300.0, 4096),
+        -rng.random(64) * 1e6,
+        255.0 + rng.random(64) * 1e6,
+        np.arange(-3, 259) + 0.5,
+        np.nextafter(np.arange(-3, 259) + 0.5, -np.inf),
+        [0.0, -0.0, 255.0, np.inf, -np.inf],
+    ])
+    before = values.copy()
+    expected = np.floor(np.clip(values, 0.0, 255.0) + 0.5).astype(np.uint8)
+    for shape in (values.shape, (1, values.size)):
+        got = bodies.f64_to_u8(values.reshape(shape))
+        assert got.dtype == np.uint8 and got.reshape(-1).tobytes() == expected.tobytes()
+    assert bodies.reals_to_bytes(values) == bytearray(expected.tobytes())
+    assert values.tobytes() == before.tobytes()
+
+
 def test_int_to_real(env):
     out = env.op("engine.convert").input(5).apply()
     assert out.payload == 5.0

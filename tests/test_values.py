@@ -11,6 +11,7 @@ from opsforge.values import (
     from_json_obj,
     image_f64,
     image_u8,
+    is_number,
     wrap,
     write_back,
 )
@@ -56,6 +57,27 @@ def test_wrap_number_list_becomes_real_array():
     v = wrap([1, 2.5])
     assert v.type.base == "RealArray"
     assert v.payload.dtype == np.float64
+
+
+@pytest.mark.parametrize("item", [10**400, -(10**400), 2**1024 - 2**970])
+def test_wrap_rejects_a_list_item_no_float_can_hold(item):
+    with pytest.raises(RegistrationError):
+        wrap([1.0, item])
+
+
+def _float_holds(x):
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("edge", [2**1024 - 2**970, -(2**1024 - 2**970)])
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+def test_is_number_agrees_with_float_at_the_range_edge(edge, offset):
+    x = edge + offset
+    assert is_number(x) == _float_holds(x)
 
 
 def test_payload_must_agree_with_type():
