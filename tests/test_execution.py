@@ -457,20 +457,6 @@ def test_gauss_above_band_threshold_splits_rows_bitwise_equal():
         assert fractions[-1] == 1.0
 
 
-def _on_new_thread(fn):
-    """Run ``fn`` on a fresh thread; return its result and the scratch it kept."""
-    box = {}
-
-    def run():
-        box["out"] = fn()
-        box["kept"] = len(getattr(bodies._SCRATCH, "buf", ()))
-
-    t = threading.Thread(target=run)
-    t.start()
-    t.join()
-    return box["out"], box["kept"]
-
-
 def test_gauss_scratch_reuse_across_shapes_and_sigmas_bitwise_equal():
     # r > w at 32x32 with sigma 11; each shape follows a larger or smaller one
     rng = np.random.default_rng(13)
@@ -489,6 +475,8 @@ def test_gauss_in_a_progress_listener_leaves_the_outer_result_intact():
     nested = []
 
     def listener(report):
+        # one nested blur, at the outer one's first report; the nested
+        # blur's own reports come back here and must not start another
         if not nested:
             nested.append(None)
             nested[0] = env.op("filter.gauss").input(wrap(inner), wrap(2.5)).apply().payload
@@ -525,16 +513,22 @@ def test_gauss_above_the_scratch_cap_keeps_at_most_the_cap():
     wide = 640 + 2 * math.ceil(3 * 2.0)
     assert 3 * 300 * wide > bodies.SCRATCH_CAP
 
-    def small_then_large_then_small():
-        small = np.ones((128, 128))
-        bodies.gaussian_blur(small, 2.0)
-        out = bodies.gaussian_blur(img, 2.0)
-        assert bodies.gaussian_blur(small, 2.0).tobytes() == _shifted_sum_blur(small, 2.0).tobytes()
-        return out
+    small = np.ones((128, 128))
+    got = {}
 
-    out, kept = _on_new_thread(small_then_large_then_small)
-    assert out.tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
-    assert 0 < kept <= bodies.SCRATCH_CAP
+    def run():
+        # a fresh thread, so the scratch it keeps is this test's alone
+        bodies.gaussian_blur(small, 2.0)
+        got["large"] = bodies.gaussian_blur(img, 2.0)
+        got["small"] = bodies.gaussian_blur(small, 2.0)
+        got["kept"] = len(bodies._SCRATCH.buf)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert got["large"].tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
+    assert got["small"].tobytes() == _shifted_sum_blur(small, 2.0).tobytes()
+    assert 0 < got["kept"] <= bodies.SCRATCH_CAP
 
 
 # A fresh process, since how often freed pages go back to the kernel depends
