@@ -154,8 +154,8 @@ def describe_image(_value) -> str:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian of radius ceil(3*sigma)."""
-    if not sigma > 0:
-        raise PreconditionError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise PreconditionError(f"sigma must be positive and finite, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
@@ -166,6 +166,13 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 # starts a thread, which a smaller band does not earn back (timings in
 # CHANGES.md).
 BAND_PIXELS = 1 << 16
+
+# Product terms of one batched blur pass: a pass of n sums over k taps with
+# k * n up to this runs as one broadcast multiply and one reduction instead
+# of k multiply-adds. Larger blocks leave L2 and lose to the per-tap loop
+# (timings in CHANGES.md). A band split needs h * w >= 2 * BAND_PIXELS, so
+# a batched pass never runs on a pool thread.
+TAPS_BLOCK = 1 << 16
 
 # Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
 # buffer is allocated for the one call that asks for it and not kept.
@@ -197,47 +204,72 @@ def _kernel(sigma: float) -> np.ndarray:
     return kernel
 
 
+def _terms(k: int, n: int) -> int:
+    """Float64s of terms ``_weighted_sum`` takes for ``n`` sums over ``k`` taps.
+
+    ``k * n`` when the pass is batched, else ``n``. A single sum (``n = 1``)
+    is never batched: numpy would reduce its one contiguous row pairwise,
+    out of kernel order.
+    """
+    return k * n if 2 <= n and k * n <= TAPS_BLOCK else n
+
+
 def _weighted_sum(kernel: np.ndarray, src: np.ndarray, step: int, n: int, out: np.ndarray) -> None:
     """``out[x] = sum(kernel[d] * src[x + d * step])`` for x < n, in kernel order.
 
-    ``src`` and ``out`` are flat; each shift is one contiguous run of ``src``.
-    The products go through the head of this thread's scratch, so callers
-    carve their own scratch views after the first ``n`` float64s.
+    ``src`` and ``out`` are flat and ``src`` is contiguous; each shift is one
+    contiguous run of ``src``. The products go through the head of this
+    thread's scratch (``_terms(len(kernel), n)`` float64s), so callers carve
+    their own scratch views after it. A batched pass multiplies a ``(k, n)``
+    strided view of ``src`` by the kernel column into the terms block and
+    adds its rows with ``np.add.reduce`` along axis 0, which numpy does row
+    by row, in kernel order. Otherwise each tap is one multiply and one add.
     """
     out = out[:n]
+    k = len(kernel)
+    terms = _scratch(_terms(k, n))
+    if len(terms) > n:  # batched: k * n terms
+        taps = np.ndarray((k, n), buffer=src, strides=(step * 8, 8))
+        terms = terms.reshape(k, n)
+        np.multiply(taps, kernel[:, None], out=terms)
+        np.add.reduce(terms, axis=0, out=out)
+        return
     np.multiply(src[:n], kernel[0], out=out)
-    term = _scratch(n)
-    for d in range(1, len(kernel)):
-        np.multiply(src[d * step : d * step + n], kernel[d], out=term)
-        out += term
+    for d in range(1, k):
+        np.multiply(src[d * step : d * step + n], kernel[d], out=terms)
+        out += terms
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with clamp-to-edge borders.
 
     Each pass is 2r+1 shifted multiply-adds over a flat edge-padded copy,
-    summed in kernel order. The row pass runs over the padded rows end to
-    end, so the 2r sums per row that straddle two rows are computed and
-    dropped. It is split into bands of rows through the compute pool, one
+    summed in kernel order (see ``_weighted_sum``); a pass whose
+    ``(2r+1) * n`` terms fit ``TAPS_BLOCK`` runs them as one block, so a
+    small image costs a few numpy calls per pass instead of 4r+1. The row
+    pass runs over the padded rows end to end, so the 2r sums per row that
+    straddle two rows are computed and dropped. It is split into bands of rows through the compute pool, one
     band per ``BAND_PIXELS`` pixels up to the pool's budget; every row
     depends only on its own pixels, so any budget gives bitwise identical
     output. The column pass runs on the calling thread, which then reports
     per-row progress ending at exactly 1.0. Every buffer but the result is
-    this thread's scratch (see ``_scratch``), and no other code runs while
-    it is in use.
+    this thread's scratch (see ``_scratch``), with the larger pass's terms
+    at its head, and no other code runs while it is in use.
     """
     if image.size == 0:
         raise PreconditionError("image must be non-empty")
     kernel = _kernel(float(sigma))
-    radius = len(kernel) // 2
+    k = len(kernel)
+    radius = k // 2
     h, w = image.shape
     wide = w + 2 * radius
-    # [terms | padded | row sums | tall]: _weighted_sum's terms take the head
-    head = h * wide
-    scratch = _scratch(3 * head + (h + 2 * radius) * w)
-    padded = scratch[head : 2 * head].reshape(h, wide)
-    sums = scratch[2 * head : 3 * head]
-    tall = scratch[3 * head :].reshape(h + 2 * radius, w)
+    # [terms | padded | row sums | tall]: _weighted_sum's terms take the head,
+    # sized for the larger of the two passes; a band's terms are no larger
+    head = max(h * wide, _terms(k, h * wide - 2 * radius), _terms(k, h * w))
+    scratch = _scratch(head + 2 * h * wide + (h + 2 * radius) * w)
+    padded = scratch[head : head + h * wide].reshape(h, wide)
+    sums = scratch[head + h * wide : head + 2 * h * wide]
+    tall = scratch[head + 2 * h * wide :].reshape(h + 2 * radius, w)
     padded[:, radius : radius + w] = image
     padded[:, :radius] = image[:, :1]
     padded[:, radius + w :] = image[:, -1:]

@@ -531,6 +531,90 @@ def test_gauss_above_the_scratch_cap_keeps_at_most_the_cap():
     assert 0 < got["kept"] <= bodies.SCRATCH_CAP
 
 
+def _batched(shape, sigma):
+    # (row pass, column pass): whether each runs as one block of k*n terms
+    k = len(bodies.gaussian_kernel(sigma))
+    r = k // 2
+    h, w = shape
+    return tuple(bodies._terms(k, n) > n for n in (h * (w + 2 * r) - 2 * r, h * w))
+
+
+@pytest.mark.parametrize("sigma", [0.8, 1.6, 3.2, 11.0])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 40), (40, 1), (8, 8)])
+def test_gauss_batched_passes_bitwise_equal(shape, sigma):
+    # k >= 9 from sigma 1.3 up, where numpy's pairwise order would show; a
+    # pairwise sum of one pixel's taps differs in the last bit for about
+    # half of all pixel values, so each case blurs several images
+    if shape == (1, 1):
+        assert _batched(shape, sigma) == (False, False)
+    elif shape == (8, 8):
+        assert _batched(shape, sigma) == (True, True)
+    rng = np.random.default_rng(18)
+    for _ in range(8):
+        img = rng.uniform(0.0, 255.0, shape)
+        out = bodies.gaussian_blur(img, sigma)
+        assert out.tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+
+
+def test_gauss_just_under_and_over_the_taps_block_bitwise_equal():
+    # the largest square whose row pass is batched, and the next one up,
+    # whose row pass runs per tap while its column pass is still batched
+    side = max(s for s in range(2, 200) if _batched((s, s), 2.0)[0])
+    assert _batched((side, side), 2.0) == (True, True)
+    assert _batched((side + 1, side + 1), 2.0) == (False, True)
+    rng = np.random.default_rng(19)
+    for s in (side, side + 1, side):
+        img = rng.uniform(0.0, 255.0, (s, s))
+        assert bodies.gaussian_blur(img, 2.0).tobytes() == _shifted_sum_blur(img, 2.0).tobytes(), s
+
+
+def test_gauss_batched_then_per_tap_keeps_at_most_the_cap():
+    assert _batched((64, 64), 2.0) == (True, True)
+    assert _batched((128, 128), 2.0) == (False, False)
+    rng = np.random.default_rng(20)
+    small, large = rng.random((64, 64)), rng.random((128, 128))
+    got = {}
+
+    def run():
+        # a fresh thread, so the scratch it keeps is this test's alone
+        got["small"] = bodies.gaussian_blur(small, 2.0)
+        got["large"] = bodies.gaussian_blur(large, 2.0)
+        got["kept"] = len(bodies._SCRATCH.buf)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert got["small"].tobytes() == _shifted_sum_blur(small, 2.0).tobytes()
+    assert got["large"].tobytes() == _shifted_sum_blur(large, 2.0).tobytes()
+    assert 0 < got["kept"] <= bodies.SCRATCH_CAP
+
+
+def test_gauss_batched_blur_once_warm_allocates_only_its_result():
+    # a terms block that overlapped the padded copy or the row sums would
+    # still give the right output, since numpy copies an overlapping operand
+    # first; that copy is what this catches
+    tracemalloc = pytest.importorskip("tracemalloc")
+    assert _batched((64, 64), 2.0) == (True, True)
+    img = np.random.default_rng(21).random((64, 64))
+    got = {}
+
+    def run():
+        bodies.gaussian_blur(img, 2.0)
+        tracemalloc.start()
+        try:
+            got["out"] = bodies.gaussian_blur(img, 2.0)
+            got["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert got["out"].tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
+    # the row pass's terms alone are 13 * 4852 float64s (~490 KiB)
+    assert got["peak"] - got["out"].nbytes < 64 * 1024
+
+
 # A fresh process, since how often freed pages go back to the kernel depends
 # on what the process allocated and freed before.
 _FAULTS_AT_128 = """

@@ -71,6 +71,12 @@ def test_kernel_rejects_nonpositive_sigma(sigma):
         bodies.gaussian_kernel(sigma)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_kernel_rejects_nonfinite_sigma(sigma):
+    with pytest.raises(PreconditionError, match="finite"):
+        bodies.gaussian_kernel(sigma)
+
+
 # -- gauss --------------------------------------------------------------------
 
 
@@ -126,6 +132,13 @@ def test_gauss_rejects_nonpositive_sigma(env):
     with pytest.raises(PreconditionError) as err:
         env.op("filter.gauss").input(_rand_image(21, 4, 4), wrap(0.0)).apply()
     assert "positive" in str(err.value)
+
+
+@pytest.mark.parametrize("name, sigmas", [("filter.gauss", (math.inf,)),
+                                          ("filter.dog", (1.0, math.inf))])
+def test_blur_rejects_infinite_sigma(env, name, sigmas):
+    with pytest.raises(PreconditionError, match="finite"):
+        env.op(name).input(_rand_image(24, 4, 4), *map(wrap, sigmas)).apply()
 
 
 # -- dog ----------------------------------------------------------------------
