@@ -169,9 +169,9 @@ BAND_PIXELS = 1 << 16
 
 # Product terms of one batched blur pass: a pass of n sums over k taps with
 # k * n up to this runs as one broadcast multiply and one reduction instead
-# of k multiply-adds. Larger blocks leave L2 and lose to the per-tap loop
-# (timings in CHANGES.md). A band split needs h * w >= 2 * BAND_PIXELS, so
-# a batched pass never runs on a pool thread.
+# of k multiply-adds. Larger blocks, such as 128² passes, lose to the
+# per-tap loop (timings in CHANGES.md). A band split needs
+# h * w >= 2 * BAND_PIXELS, so a batched pass never runs on a pool thread.
 TAPS_BLOCK = 1 << 16
 
 # Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
@@ -248,13 +248,14 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     ``(2r+1) * n`` terms fit ``TAPS_BLOCK`` runs them as one block, so a
     small image costs a few numpy calls per pass instead of 4r+1. The row
     pass runs over the padded rows end to end, so the 2r sums per row that
-    straddle two rows are computed and dropped. It is split into bands of rows through the compute pool, one
-    band per ``BAND_PIXELS`` pixels up to the pool's budget; every row
-    depends only on its own pixels, so any budget gives bitwise identical
-    output. The column pass runs on the calling thread, which then reports
-    per-row progress ending at exactly 1.0. Every buffer but the result is
-    this thread's scratch (see ``_scratch``), with the larger pass's terms
-    at its head, and no other code runs while it is in use.
+    straddle two rows are computed and dropped. It is split into bands of
+    rows through the compute pool, one band per ``BAND_PIXELS`` pixels up
+    to the pool's budget; every row depends only on its own pixels, so any
+    budget gives bitwise identical output. The column pass runs on the
+    calling thread, which then reports per-row progress ending at exactly
+    1.0. Every buffer but the result is this thread's scratch (see
+    ``_scratch``), with the larger pass's terms at its head, and no other
+    code runs while it is in use.
     """
     if image.size == 0:
         raise PreconditionError("image must be non-empty")

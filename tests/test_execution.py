@@ -611,8 +611,8 @@ def test_gauss_batched_blur_once_warm_allocates_only_its_result():
     t.start()
     t.join()
     assert got["out"].tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
-    # the row pass's terms alone are 13 * 4852 float64s (~490 KiB)
-    assert got["peak"] - got["out"].nbytes < 64 * 1024
+    # less than half the row pass's 13 * 4852 float64s of terms
+    assert got["peak"] - got["out"].nbytes < 13 * 4852 * 8 // 2
 
 
 # A fresh process, since how often freed pages go back to the kernel depends
