@@ -333,7 +333,7 @@ class OpBuilder:
     def input(self, *objs) -> "OpBuilder":
         for obj in objs:
             if not isinstance(obj, Value):
-                objs = tuple(o if isinstance(o, Value) else wrap(o) for o in objs)
+                objs = tuple(map(wrap, objs))
                 break
         self._inputs += objs
         return self
@@ -496,7 +496,7 @@ class _Handle:
         return self._tree.signature
 
     def _values(self, objs) -> tuple[Value, ...]:
-        vals = tuple(o if isinstance(o, Value) else wrap(o) for o in objs)
+        vals = tuple(map(wrap, objs))
         if len(vals) != self._tree.eff_arity:
             raise ExecutionError(
                 f"{self._tree.info.name} takes {self._tree.eff_arity} "

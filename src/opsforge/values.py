@@ -39,6 +39,14 @@ IMAGE_F64 = SemanticType("ImageF64")
 
 _SCALAR_BASES = {"Integer", "Real", "Boolean", "Text"}
 
+# The payload types that fit a base by their exact type alone, and the type
+# each wraps as: one table for both directions. wrap builds a Value of such
+# a payload with no check, and Value and write_back skip _check_payload for
+# a payload of the exact type its base wants. Subclasses (IntEnum, np.float64)
+# and numpy scalars take the isinstance paths.
+_EXACT = {bool: BOOLEAN, int: INTEGER, float: REAL, str: TEXT, bytearray: BYTE_ARRAY}
+_EXACT_PAYLOAD = {t.base: cls for cls, t in _EXACT.items()}
+
 _uid_counter = itertools.count(1)
 
 
@@ -85,7 +93,8 @@ class Value:
     __slots__ = ("uid", "type", "payload")
 
     def __init__(self, type_: SemanticType, payload: Any):
-        _check_payload(type_.base, payload)
+        if type(payload) is not _EXACT_PAYLOAD.get(type_.base):
+            _check_payload(type_.base, payload)
         self.uid = next(_uid_counter)
         self.type = type_
         self.payload = payload
@@ -105,6 +114,9 @@ class Value:
         h, w = self.payload.shape
         data = [x.item() for x in self.payload.reshape(-1)]
         return {"w": w, "h": h, "data": data}
+
+
+_new_value = Value.__new__
 
 
 def _int(x) -> bool:
@@ -198,24 +210,20 @@ def wrap(obj: Any) -> Value:
     """Wrap a plain Python/numpy object in a Value, inferring the type tag.
 
     Lists of numbers become RealArray; use explicit constructors for the
-    other array kinds when inference would be ambiguous.
+    other array kinds when inference would be ambiguous. numpy bool,
+    integer and floating scalars become Boolean, Integer and Real with a
+    plain Python payload.
     """
+    type_ = _EXACT.get(type(obj))
+    if type_ is not None:
+        # the lookup just read the payload's type: build without a check
+        value = _new_value(Value)
+        value.uid = next(_uid_counter)
+        value.type = type_
+        value.payload = obj
+        return value
     if isinstance(obj, Value):
         return obj
-    if isinstance(obj, bool):
-        return Value(BOOLEAN, obj)
-    if isinstance(obj, int):
-        return Value(INTEGER, obj)
-    if isinstance(obj, float):
-        return Value(REAL, float(obj))
-    if isinstance(obj, str):
-        return Value(TEXT, obj)
-    if isinstance(obj, bytearray):
-        # no copy: mutable payloads keep their identity so callers observe
-        # in-place edits through their own reference
-        return Value(BYTE_ARRAY, obj)
-    if isinstance(obj, bytes):
-        return Value(BYTE_ARRAY, bytearray(obj))
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64:
             return Value(REAL_ARRAY, obj)
@@ -226,6 +234,23 @@ def wrap(obj: Any) -> Value:
         raise RegistrationError(
             f"cannot infer a type for ndarray ndim={obj.ndim} dtype={obj.dtype}"
         )
+    # subclasses of the exact types, numpy scalars, bytes and lists
+    if isinstance(obj, np.bool_):
+        return Value(BOOLEAN, bool(obj))
+    if isinstance(obj, int):
+        return Value(INTEGER, obj)
+    if isinstance(obj, np.integer):
+        return Value(INTEGER, int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return Value(REAL, float(obj))
+    if isinstance(obj, str):
+        return Value(TEXT, obj)
+    if isinstance(obj, bytearray):
+        # no copy: mutable payloads keep their identity so callers observe
+        # in-place edits through their own reference
+        return Value(BYTE_ARRAY, obj)
+    if isinstance(obj, bytes):
+        return Value(BYTE_ARRAY, bytearray(obj))
     if isinstance(obj, list) and _numbers(obj):
         return Value(REAL_ARRAY, np.array(obj, dtype=np.float64))
     raise RegistrationError(f"cannot infer a semantic type for {type(obj).__name__}")
@@ -252,7 +277,8 @@ def write_back(container: Value, content: Any) -> None:
     """
     base = container.type.base
     if base in _SCALAR_BASES:
-        _check_payload(base, content)
+        if type(content) is not _EXACT_PAYLOAD[base]:
+            _check_payload(base, content)
         container.payload = content
         return
     copy_into(container.payload, content)

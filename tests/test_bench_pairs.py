@@ -1,8 +1,13 @@
-"""tools/bench_pairs.py on canned perfbench output; perfbench itself never runs."""
+"""tools/bench_pairs.py on canned perfbench output; perfbench itself never runs.
+
+The bytecode counts the script records run here on this checkout, as the
+guardrail on the cached call's length.
+"""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +176,11 @@ def test_committed_bench_files_follow_the_schema(path):
         assert record["first"] in ("parent", "head")
         for m in record["metrics"].values():
             assert {"better", "parent", "head", "delta"} <= set(m)
+    # bytecode counts per side; reports before BENCH_13.json have none
+    for side, counts in report.get("opcodes", {}).items():
+        assert side in ("parent", "head")
+        assert set(counts) == {"increment_mutate", "add_apply"}
+        assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
 def _report(medians):
@@ -235,3 +245,24 @@ def test_export_runs_without_extraction_filters(tmp_path, monkeypatch):
     dest = tmp_path / "tree"
     bench_pairs._export(repo, "HEAD", dest)
     assert (dest / "tools" / "run.py").read_text() == "print(1)\n"
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the bounds are CPython 3.11 bytecode counts",
+)
+def test_cached_calls_stay_within_their_bytecode_counts():
+    counts = bench_pairs.dispatch_opcodes()
+    # ROADMAP's guardrail for the cached mutate(); the raw-int apply() is
+    # pinned at its count since wrap's exact-type table (436 before it)
+    assert counts["increment_mutate"] <= 179
+    assert counts["add_apply"] <= 310
+
+
+def test_count_opcodes_leaves_out_the_callers_frame():
+    def add_one(x):
+        return x + 1
+
+    assert bench_pairs.count_opcodes(lambda: None) == 0
+    assert bench_pairs.count_opcodes(lambda: len(())) == 0
+    assert bench_pairs.count_opcodes(lambda: add_one(1)) > 0

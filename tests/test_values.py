@@ -1,13 +1,28 @@
 """Runtime value model: wrapping, payload checks, JSON round-trips."""
 
+import enum
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opsforge.errors import DimensionMismatchError, RegistrationError
-from opsforge.types import parse_type
+from opsforge.stdlib import default_environment
+from opsforge.types import SemanticType, parse_type
 from opsforge.values import (
+    BOOLEAN,
+    BYTE_ARRAY,
+    IMAGE_F64,
+    IMAGE_U8,
+    INTEGER,
+    REAL,
+    REAL_ARRAY,
+    TEXT,
     Value,
+    _check_payload,
+    _numbers,
     from_json_obj,
     image_f64,
     image_u8,
@@ -174,3 +189,193 @@ def test_write_back_scalar_replaces_payload():
     assert container.payload == 9
     with pytest.raises(RegistrationError):
         write_back(container, "not an int")
+
+
+@pytest.mark.parametrize(
+    "obj, base, payload",
+    [
+        (np.int64(6), "Integer", 6),
+        (np.uint8(255), "Integer", 255),
+        (np.int8(-3), "Integer", -3),
+        (np.uint64(2**64 - 1), "Integer", 2**64 - 1),
+        (np.bool_(True), "Boolean", True),
+        (np.bool_(False), "Boolean", False),
+        (np.float32(0.5), "Real", 0.5),
+        (np.float16(-2.0), "Real", -2.0),
+        (np.float64(1.25), "Real", 1.25),
+    ],
+    ids=repr,
+)
+def test_wrap_numpy_scalars_as_plain_python_payloads(obj, base, payload):
+    v = wrap(obj)
+    assert v.type.base == base
+    assert type(v.payload) is type(payload) and v.payload == payload
+
+
+def test_a_numpy_integer_sum_is_an_op_input():
+    env = default_environment(include_legacy=False)
+    total = np.arange(4).sum()
+    assert env.op("math.add").input(total, 1).apply().payload == 7
+    assert env.op("math.add").input_types("Integer", "Integer").function()(total, 1).payload == 7
+
+
+# ---------------------------------------------------------------------------
+# wrap against the isinstance chain it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_wrap(obj):
+    """wrap as it was before its exact-type table: the isinstance chain."""
+    if isinstance(obj, Value):
+        return obj
+    if isinstance(obj, bool):
+        return Value(BOOLEAN, obj)
+    if isinstance(obj, int):
+        return Value(INTEGER, obj)
+    if isinstance(obj, float):
+        return Value(REAL, float(obj))
+    if isinstance(obj, str):
+        return Value(TEXT, obj)
+    if isinstance(obj, bytearray):
+        return Value(BYTE_ARRAY, obj)
+    if isinstance(obj, bytes):
+        return Value(BYTE_ARRAY, bytearray(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            return Value(REAL_ARRAY, obj)
+        if obj.ndim == 2 and obj.dtype == np.uint8:
+            return Value(IMAGE_U8, obj)
+        if obj.ndim == 2 and obj.dtype == np.float64:
+            return Value(IMAGE_F64, obj)
+        raise RegistrationError(
+            f"cannot infer a type for ndarray ndim={obj.ndim} dtype={obj.dtype}"
+        )
+    if isinstance(obj, list) and _numbers(obj):
+        return Value(REAL_ARRAY, np.array(obj, dtype=np.float64))
+    raise RegistrationError(f"cannot infer a semantic type for {type(obj).__name__}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+_ints = st.integers() | st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1])
+_floats = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+_arrays = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.uint8, np.float32, np.int64, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+# numpy integer, bool and float32 scalars are left out: the isinstance chain
+# rejected them, wrap now gives them plain payloads (tested above)
+_objects = st.one_of(
+    _ints,
+    st.booleans(),
+    _floats,
+    _floats.map(np.float64),
+    st.sampled_from(list(_Level)),
+    _ints.map(_Int),
+    _floats.map(_Float),
+    st.text(max_size=4),
+    st.text(max_size=4).map(_Text),
+    st.binary(max_size=4),
+    st.binary(max_size=4).map(bytearray),
+    _arrays,
+    st.lists(st.one_of(_ints, _floats, st.booleans(), st.text(max_size=1)), max_size=4),
+    st.one_of(_ints, _floats, st.booleans(), st.text(max_size=2)).map(wrap),
+    st.sampled_from([None, (1, 2), {1: 2}, 1j, b"".join, np.complex128(1)]),
+)
+
+
+def _same_payload(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raised", (type(exc), str(exc))
+
+
+_EDGE_OBJECTS = [
+    np.zeros((2, 2), dtype=np.int64),
+    np.zeros((2, 2), dtype=np.float32),
+    np.zeros((1, 2, 2)),
+    np.array(1.5),
+    np.zeros(3, dtype=np.uint8),
+    wrap(1),
+    _Level.HIGH,
+    np.float64("nan"),
+    -0.0,
+    [True, 1.0],
+]
+
+
+@settings(max_examples=300)
+@given(_objects)
+def test_wrap_agrees_with_the_isinstance_chain(obj):
+    _assert_wraps_as_the_reference(obj)
+
+
+@pytest.mark.parametrize("obj", _EDGE_OBJECTS, ids=repr)
+def test_wrap_agrees_with_the_isinstance_chain_on_each_branch(obj):
+    _assert_wraps_as_the_reference(obj)
+
+
+def _assert_wraps_as_the_reference(obj):
+    got, want = _outcome(wrap, obj), _outcome(_reference_wrap, obj)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return
+    new, old = got[1], want[1]
+    assert new.type == old.type
+    assert _same_payload(new.payload, old.payload)
+    if isinstance(obj, Value):
+        assert new is obj
+    elif isinstance(obj, (bytearray, np.ndarray, enum.Enum)):
+        assert new.payload is obj
+
+
+_BASES = ("Integer", "Real", "Boolean", "Text", "ByteArray", "RealArray", "ImageU8",
+          "ImageF64")
+_SCALAR_ZERO = {"Integer": 0, "Real": 0.0, "Boolean": False, "Text": ""}
+
+
+@given(st.sampled_from(_BASES + ("Opaque",)), _objects)
+def test_value_and_write_back_accept_exactly_what_check_payload_accepts(base, payload):
+    type_ = SemanticType(base)
+    want = _outcome(_check_payload, base, payload)
+    got = _outcome(Value, type_, payload)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] == want[1]
+    else:
+        assert got[1].payload is payload and got[1].type is type_
+    if base in _SCALAR_ZERO:
+        container = Value(type_, _SCALAR_ZERO[base])
+        got = _outcome(write_back, container, payload)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] == want[1]
+        else:
+            assert container.payload is payload

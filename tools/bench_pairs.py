@@ -26,11 +26,18 @@ records the verdict line it prints: pass or fail, the cached/uncached ratio
 and the additivity. These are pass counts for the record, not a gate. Paired, order-alternated runs follow Kalibera & Jones,
 "Rigorous Benchmarking in Reasonable Time" (ISMM 2013). Standard library
 only; run it from a checkout of the change.
+
+Last, it counts, once per side in a fresh process, the bytecodes two cached
+builder calls execute (``dispatch_opcodes``): a ``benchmark.increment``
+``mutate()`` on a ByteArray Value and a ``math.add`` ``apply()`` on two raw
+ints. Counts repeat exactly on one interpreter version, so they show a
+change to the cached path where timings drown in host noise.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -150,6 +157,69 @@ def criterion6_record(verdicts: list[dict]) -> dict:
         "ratios": [v["ratio"] for v in verdicts],
         "verdicts": verdicts,
     }
+
+
+def count_opcodes(call) -> int:
+    """Bytecodes one ``call()`` executes below its own frame (``sys.settrace``
+    opcode events), with the garbage collector held off so that no finalizer
+    runs inside the count."""
+    count = 0
+    top = call.__code__
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode" and frame.f_code is not top:
+            count += 1
+        return trace
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        if was_enabled:
+            gc.enable()
+    return count
+
+
+def dispatch_opcodes() -> dict:
+    """Bytecodes of two cached builder calls on a fresh stdlib environment,
+    each counted after three warm-up calls: ``increment_mutate`` (a
+    ByteArray Value, no Value built) and ``add_apply`` (two raw ints wrapped,
+    an Integer result)."""
+    from opsforge.stdlib import default_environment
+    from opsforge.values import wrap
+
+    env = default_environment(include_legacy=False)
+    data = wrap(bytearray(16))
+    calls = {
+        "increment_mutate": lambda: env.op("benchmark.increment").input(data).mutate(),
+        "add_apply": lambda: env.op("math.add").input(2, 3).apply(),
+    }
+    counts = {}
+    for name, call in calls.items():
+        for _ in range(3):
+            call()
+        counts[name] = count_opcodes(call)
+    return counts
+
+
+# imports this file from its own directory, so a side's src/ (PYTHONPATH)
+# supplies opsforge
+OPCODES_SCRIPT = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import bench_pairs; "
+    "print(json.dumps(bench_pairs.dispatch_opcodes()))"
+)
+
+
+def _run_opcodes(root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    tools = str(Path(__file__).resolve().parent)
+    return json.loads(_run([sys.executable, "-c", OPCODES_SCRIPT, tools], root, env)
+                      .splitlines()[-1])
 
 
 BENCH_NAME = re.compile(r"BENCH_(\d+)\.json")
@@ -307,6 +377,7 @@ def main(argv=None) -> int:
             for s in ("parent", "head") if i % 2 == 0 else ("head", "parent"):
                 verdicts[s].append(_run_criterion6(sides[s]))
         report["criterion6"] = {s: criterion6_record(v) for s, v in verdicts.items()}
+        report["opcodes"] = {s: _run_opcodes(sides[s]) for s in ("parent", "head")}
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     prior = last_committed_bench(root, skip=Path(args.out).name)
@@ -328,6 +399,8 @@ def main(argv=None) -> int:
                   f"head {m['head']:>12.4g} delta {delta}")
     for s, record in report.get("criterion6", {}).items():
         print(f"criterion 6 {s}: {record['passed']}/{record['runs']} passed")
+    for s, counts in report["opcodes"].items():
+        print(f"opcodes {s}: " + ", ".join(f"{k} {n}" for k, n in counts.items()))
     return 0
 
 
