@@ -272,6 +272,10 @@ class _Text(str):
     pass
 
 
+class _Array(np.ndarray):
+    pass
+
+
 _ints = st.integers() | st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1])
 _floats = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
 _arrays = hnp.arrays(
@@ -293,6 +297,7 @@ _objects = st.one_of(
     st.binary(max_size=4),
     st.binary(max_size=4).map(bytearray),
     _arrays,
+    _arrays.map(lambda a: a.view(_Array)),
     st.lists(st.one_of(_ints, _floats, st.booleans(), st.text(max_size=1)), max_size=4),
     st.one_of(_ints, _floats, st.booleans(), st.text(max_size=2)).map(wrap),
     st.sampled_from([None, (1, 2), {1: 2}, 1j, b"".join, np.complex128(1)]),
@@ -322,6 +327,7 @@ _EDGE_OBJECTS = [
     np.zeros((1, 2, 2)),
     np.array(1.5),
     np.zeros(3, dtype=np.uint8),
+    np.zeros((2, 2), dtype=np.uint8).view(_Array),
     wrap(1),
     _Level.HIGH,
     np.float64("nan"),
