@@ -153,12 +153,20 @@ def describe_image(_value) -> str:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian of radius ceil(3*sigma)."""
+    """Normalized 1-D Gaussian of radius ceil(3*sigma).
+
+    Below sigma ~0.02 the two taps at ±1 are exp(-1 / 2σ²) = 0.0, so the
+    kernel is [0, 1, 0]; it is returned as such, since 2σ² itself
+    underflows to 0 (or 1 / 2σ² overflows) for the smallest sigmas.
+    """
     if not 0 < sigma < math.inf:
         raise PreconditionError(f"sigma must be positive and finite, got {sigma}")
+    two_var = 2.0 * sigma * sigma
+    if two_var < 1e-3:  # exp(-1000) is 0.0
+        return np.array([0.0, 1.0, 0.0])
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    kernel = np.exp(-(xs * xs) / two_var)
     return kernel / kernel.sum()
 
 
@@ -173,6 +181,16 @@ BAND_PIXELS = 1 << 16
 # per-tap loop (timings in CHANGES.md). A band split needs
 # h * w >= 2 * BAND_PIXELS, so a batched pass never runs on a pool thread.
 TAPS_BLOCK = 1 << 16
+
+# Product terms of a whole tiny blur: an image of h * w >= 2 pixels whose
+# k * h * w is under this gathers each pass's taps into one (k, h, w) block
+# (see ``_tiny_blur``). That runs 8x8 blurs ~1.7x and 7x7 at sigma 11 ~2.4x
+# faster than the batched passes, is within ~10% of them from 32² at
+# sigma 1 (7,168 terms) to 48², and is 4-5x slower at 64², where its
+# blocks (24 bytes a term) outgrow the core's cache (timings in
+# CHANGES.md). The bound keeps 32² on the batched passes and each cached
+# ``_tiny_taps`` entry under 96 KiB.
+TINY_TERMS = 1 << 12
 
 # Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
 # buffer is allocated for the one call that asks for it and not kept.
@@ -202,6 +220,76 @@ def _kernel(sigma: float) -> np.ndarray:
     kernel = gaussian_kernel(sigma)
     kernel.flags.writeable = False
     return kernel
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_indexes(k: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source pixels of an (h, w) image's row and column pass taps.
+
+    Two (k, h, w) index blocks: tap d of pixel (y, x) reads
+    ``y*w + clip(x+d-r, 0, w-1)`` in the row pass and
+    ``clip(y+d-r, 0, h-1)*w + x`` in the column pass, which is the
+    clamp-to-edge border without a padded copy. They stay writeable,
+    since ``take`` copies a read-only index array on every call. With
+    ``_tiny_taps`` holding up to 32 more, the two caches keep at most
+    ~5 MiB.
+    """
+    r = k // 2
+    d = np.arange(-r, r + 1)[:, None, None]
+    ys = np.arange(h)[:, None]
+    xs = np.arange(w)
+    rows = ys * w + np.clip(xs + d, 0, w - 1)
+    cols = np.clip(ys + d, 0, h - 1) * w + xs
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=32)
+def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_gather_indexes`` and a read-only (k, h, w) block of kernel weights.
+
+    The weights are the kernel column repeated over every pixel, so each
+    pass multiplies two dense blocks: a stride-0 kernel column would send
+    numpy's multiply through its buffered path, which takes ~3x longer at
+    these sizes and allocates a second block.
+    """
+    kernel = _kernel(sigma)
+    k = len(kernel)
+    weights = np.repeat(kernel, h * w).reshape(k, h, w)
+    weights.flags.writeable = False
+    return (*_gather_indexes(k, h, w), weights)
+
+
+def _gathered_sum(src: np.ndarray, index: np.ndarray, weights: np.ndarray,
+                  taps: np.ndarray, out: np.ndarray) -> None:
+    """``out = sum(weights * src.flat[index], axis=0)``, in kernel order.
+
+    ``taps`` is a (k, h, w) float64 block and ``out`` is (h, w). The
+    reduction runs along the outermost axis of a C-contiguous block of at
+    least two pixels, which numpy adds row by row; a layout with the taps
+    innermost would be summed pairwise, out of kernel order. ``mode="clip"``
+    (every index is in range) keeps ``take`` from buffering its output.
+    """
+    src.take(index, out=taps, mode="clip")
+    np.multiply(taps, weights, out=taps)
+    np.add.reduce(taps, axis=0, out=out)
+
+
+def _tiny_blur(image: np.ndarray, sigma: float, h: int, w: int) -> np.ndarray:
+    """``gaussian_blur`` of an image with h * w >= 2 and k * h * w < TINY_TERMS.
+
+    Both passes gather their taps into one fresh (k, h, w) block; the row
+    sums go into the result, which the column pass then reads. So the call
+    allocates its result and that block, and touches no scratch.
+    """
+    if image.dtype != np.float64:
+        image = image.astype(np.float64)
+    rows, cols, weights = _tiny_taps(sigma, h, w)
+    taps = np.empty(weights.shape)
+    out = np.empty((h, w))
+    current_pool().map_indexed(lambda _: _gathered_sum(image, rows, weights, taps, out), 1)
+    _gathered_sum(out, cols, weights, taps, out)
+    report_steps(h, "columns")
+    return out
 
 
 def _terms(k: int, n: int) -> int:
@@ -243,26 +331,44 @@ def _weighted_sum(kernel: np.ndarray, src: np.ndarray, step: int, n: int, out: n
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with clamp-to-edge borders.
 
-    Each pass is 2r+1 shifted multiply-adds over a flat edge-padded copy,
-    summed in kernel order (see ``_weighted_sum``); a pass whose
-    ``(2r+1) * n`` terms fit ``TAPS_BLOCK`` runs them as one block, so a
-    small image costs a few numpy calls per pass instead of 4r+1. The row
-    pass runs over the padded rows end to end, so the 2r sums per row that
-    straddle two rows are computed and dropped. It is split into bands of
-    rows through the compute pool, one band per ``BAND_PIXELS`` pixels up
-    to the pool's budget; every row depends only on its own pixels, so any
-    budget gives bitwise identical output. The column pass runs on the
-    calling thread, which then reports per-row progress ending at exactly
-    1.0. Every buffer but the result is this thread's scratch (see
-    ``_scratch``), with the larger pass's terms at its head, and no other
-    code runs while it is in use.
+    Every pixel of each pass is the sum of its 2r+1 = k taps times the
+    kernel, added in kernel order, so all three paths below give bitwise
+    identical output; they differ only in what a call spends outside that
+    arithmetic.
+
+    - Tiny images (h * w >= 2, k * h * w < ``TINY_TERMS``, such as 8x8)
+      gather each pass's taps straight into one (k, h, w) block through
+      cached index blocks and scale it by a cached block of weights
+      (``_tiny_blur``): three numpy calls per pass, with no padded copy and
+      no scratch. From ~32² on it gains nothing over the batched passes,
+      and at 64² it loses 4x, so larger images take the paths below; so
+      does a single pixel, whose one sum numpy would add pairwise.
+    - Otherwise each pass is k shifted multiply-adds over a flat edge-padded
+      copy (see ``_weighted_sum``). A pass whose k * n terms fit
+      ``TAPS_BLOCK`` runs them as one batched block, so a small image costs
+      a few numpy calls per pass instead of 2k - 1; larger passes, where the
+      block no longer pays, run per tap.
+
+    The row pass runs through the compute pool. On the padded paths it runs
+    over the padded rows end to end, so the 2r sums per row that straddle
+    two rows are computed and dropped, and it is split into bands of rows,
+    one band per ``BAND_PIXELS`` pixels up to the pool's budget; every row
+    depends only on its own pixels, so any budget gives bitwise identical
+    output. The column pass runs on the calling thread, which then reports
+    per-row progress ending at exactly 1.0. On the padded paths every
+    buffer but the result is this thread's scratch (see ``_scratch``), with
+    the larger pass's terms at its head, and no other code runs while it is
+    in use.
     """
     if image.size == 0:
         raise PreconditionError("image must be non-empty")
-    kernel = _kernel(float(sigma))
+    sigma = float(sigma)
+    kernel = _kernel(sigma)
     k = len(kernel)
-    radius = k // 2
     h, w = image.shape
+    if 2 <= h * w and k * h * w < TINY_TERMS:
+        return _tiny_blur(image, sigma, h, w)
+    radius = k // 2
     wide = w + 2 * radius
     # [terms | padded | row sums | tall]: _weighted_sum's terms take the head,
     # sized for the larger of the two passes; a band's terms are no larger

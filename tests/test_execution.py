@@ -615,6 +615,162 @@ def test_gauss_batched_blur_once_warm_allocates_only_its_result():
     assert got["peak"] - got["out"].nbytes < 13 * 4852 * 8 // 2
 
 
+def _tiny(shape, sigma):
+    # whether gaussian_blur gathers both passes' taps (bodies._tiny_blur)
+    k = len(bodies.gaussian_kernel(sigma))
+    h, w = shape
+    return 2 <= h * w and k * h * w < bodies.TINY_TERMS
+
+
+# the last square (k = 7 at sigma 1) and line (k = 13 at sigma 2) on the
+# tiny path; one pixel more takes the padded path
+_SQUARE = math.isqrt((bodies.TINY_TERMS - 1) // 7)
+_LINE = (bodies.TINY_TERMS - 1) // 13
+
+
+@pytest.mark.parametrize("shape, sigma, tiny", [
+    ((1, 2), 0.8, True), ((2, 1), 0.8, True), ((1, 2), 3.2, True), ((2, 1), 3.2, True),
+    ((8, 8), 0.8, True), ((8, 8), 1.2, True), ((8, 8), 1.6, True), ((8, 8), 2.4, True),
+    ((8, 8), 3.2, True), ((1, 40), 2.0, True), ((40, 1), 2.0, True), ((40, 1), 3.2, True),
+    ((7, 7), 11.0, True), ((3, 5), 0.2, True), ((1, 1), 11.0, False),
+    ((_SQUARE, _SQUARE), 1.0, True), ((_SQUARE + 1, _SQUARE + 1), 1.0, False),
+    ((_LINE, 1), 2.0, True), ((_LINE + 1, 1), 2.0, False),
+    ((1, _LINE), 2.0, True), ((1, _LINE + 1), 2.0, False),
+])
+def test_gauss_tiny_path_bitwise_equal(shape, sigma, tiny):
+    # r > w at 7x7 with sigma 11; k >= 9 from sigma 1.3 up, where a pairwise
+    # sum of a pixel's taps would show (an (h, k, w) block did at 40x1);
+    # each case blurs several images, as in the batched test above
+    assert _tiny(shape, sigma) == tiny
+    rng = np.random.default_rng(22)
+    for _ in range(8):
+        img = rng.uniform(0.0, 255.0, shape)
+        assert bodies.gaussian_blur(img, sigma).tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+def test_tiny_gauss_of_a_non_float64_image_blurs_its_float64_values(dtype):
+    # as the padded paths do by copying the image into float64 scratch
+    img = np.random.default_rng(28).integers(0, 256, (8, 8)).astype(dtype)
+    assert _tiny(img.shape, 1.6)
+    expected = _shifted_sum_blur(img.astype(np.float64), 1.6)
+    assert bodies.gaussian_blur(img, 1.6).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1.6, 3.2])
+@pytest.mark.parametrize("side", [24, 32])
+def test_gauss_batched_passes_past_the_tiny_path_bitwise_equal(side, sigma):
+    # 8x8 now takes the tiny path; these squares still batch both passes
+    assert not _tiny((side, side), sigma)
+    assert _batched((side, side), sigma) == (True, True)
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        img = rng.uniform(0.0, 255.0, (side, side))
+        assert bodies.gaussian_blur(img, sigma).tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (40, 1), (1, 40)])
+def test_tiny_gauss_reports_one_step_per_row_ending_at_one(shape):
+    assert _tiny(shape, 1.2)
+    env = default_environment(include_legacy=False)
+    reports = []
+    env.add_progress_listener(lambda report: reports.append((report.op_label, report.fraction)))
+    env.op("filter.gauss").input(wrap(np.ones(shape)), wrap(1.2)).apply()
+    h = shape[0]
+    assert reports == [("filter.gauss", i / h) for i in range(1, h + 1)]
+    assert reports[-1][1] == 1.0
+
+
+@pytest.mark.parametrize("side", [8, 64])
+def test_one_band_gauss_maps_its_row_pass_through_the_pool_once(side):
+    # every path runs its row pass through the environment's pool, so a
+    # traced run of any blur times a pool map
+    assert _tiny((side, side), 1.0) == (side == 8)
+    pool = ComputePool(2)
+    counts = []
+    map_indexed = pool.map_indexed
+
+    def counting(fn, count):
+        counts.append(count)
+        return map_indexed(fn, count)
+
+    pool.map_indexed = counting
+    env = default_environment(include_legacy=False, pool=pool)
+    img = np.random.default_rng(24).random((side, side))
+    out = env.op("filter.gauss").input(wrap(img), wrap(1.0)).apply()
+    assert counts == [1]
+    assert out.payload.tobytes() == _shifted_sum_blur(img, 1.0).tobytes()
+
+
+def test_tiny_and_padded_blurs_interleaved_on_one_thread_bitwise_equal():
+    # a tiny blur touches no scratch; each padded blur here follows a tiny
+    # one, and each tiny one follows a padded one
+    rng = np.random.default_rng(25)
+    cases = [((8, 8), 3.2), ((128, 128), 2.0), ((7, 7), 11.0), ((32, 32), 1.0),
+             ((40, 1), 2.0), ((300, 7), 0.5), ((1, 40), 1.6), ((64, 64), 3.2)]
+    assert [_tiny(shape, sigma) for shape, sigma in cases] == [True, False] * 4
+    images = {shape: rng.uniform(0.0, 255.0, shape) for shape, _ in cases}
+    for shape, sigma in cases + cases[::-1]:
+        out = bodies.gaussian_blur(images[shape], sigma)
+        assert out.tobytes() == _shifted_sum_blur(images[shape], sigma).tobytes(), (shape, sigma)
+
+
+def test_tiny_and_padded_gauss_on_eight_threads_at_once_bitwise_equal():
+    # each thread alternates a tiny blur and a padded one
+    rng = np.random.default_rng(26)
+    tiny = [((8, 8), 0.8), ((7, 7), 11.0), ((40, 1), 2.0), ((1, 40), 3.2),
+            ((16, 16), 2.0), ((8, 8), 1.6), ((3, 5), 1.2), ((24, 24), 1.0)]
+    padded = [((20 + 9 * i, 60 - 5 * i), 0.8 + 0.4 * i) for i in range(8)]
+    assert all(_tiny(*case) for case in tiny) and not any(_tiny(*case) for case in padded)
+    jobs = [[(rng.random(shape), sigma) for shape, sigma in pair] for pair in zip(tiny, padded)]
+    expected = [[_shifted_sum_blur(img, sigma).tobytes() for img, sigma in pair] * 10 for pair in jobs]
+    start = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def run(i):
+        start.wait()
+        got[i] = [bodies.gaussian_blur(img, sigma).tobytes() for _ in range(10) for img, sigma in jobs[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i, outs in enumerate(got):
+        assert outs == expected[i], i
+
+
+@pytest.mark.parametrize("shape, sigma", [((16, 16), 2.0), ((_LINE, 1), 2.0)])
+def test_tiny_gauss_once_warm_allocates_its_result_and_one_block(shape, sigma):
+    # a second block (a buffered broadcast multiply, a copied index block)
+    # would show, and so would a padded copy, which at _LINE x 1 is as large
+    # as the block; 4 KiB is for array headers and numpy's iterators
+    # (~2.7 KiB on numpy 2.4)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    assert _tiny(shape, sigma)
+    img = np.random.default_rng(27).random(shape)
+    got = {}
+
+    def run():
+        # a fresh thread, so any scratch it holds is this call's
+        bodies.gaussian_blur(img, sigma)
+        tracemalloc.start()
+        try:
+            got["out"] = bodies.gaussian_blur(img, sigma)
+            got["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got["scratch"] = getattr(bodies._SCRATCH, "buf", None)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert got["out"].tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+    block = len(bodies.gaussian_kernel(sigma)) * img.size * 8
+    assert got["peak"] - got["out"].nbytes - block < 4096
+    assert got["scratch"] is None
+
+
 # A fresh process, since how often freed pages go back to the kernel depends
 # on what the process allocated and freed before.
 _FAULTS_AT_128 = """

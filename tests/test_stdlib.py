@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,40 @@ def test_kernel_rejects_nonfinite_sigma(sigma):
         bodies.gaussian_kernel(sigma)
 
 
+# 2σ² underflows to 0 at the first two and 1 / 2σ² overflows at the third
+_VANISHING_SIGMAS = [1e-200, 5e-324, 1e-160]
+
+
+@pytest.mark.parametrize("sigma", _VANISHING_SIGMAS)
+def test_kernel_of_a_vanishing_sigma_is_the_identity(sigma):
+    # what sigma = 1e-3 gives, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = bodies.gaussian_kernel(sigma)
+    assert kernel.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
+    assert kernel.tobytes() == bodies.gaussian_kernel(1e-3).tobytes()
+
+
+def _check_kernel_against_the_reference(sigma):
+    with np.errstate(all="ignore"):
+        expected = _reference_kernel(sigma)
+    if not np.isfinite(expected).all():
+        expected = np.array([0.0, 1.0, 0.0])
+    assert bodies.gaussian_kernel(sigma).tobytes() == expected.tobytes(), sigma
+
+
+def test_kernel_is_the_reference_formula_wherever_that_is_finite():
+    # a sweep across the identity cut-off (2σ² = 1e-3 near sigma 0.0224)
+    for sigma in np.geomspace(1e-300, 60.0, 3000).tolist() + [0.02236, 0.022361, 1 / 3]:
+        _check_kernel_against_the_reference(sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=60.0))
+def test_kernel_is_the_reference_formula_for_any_sigma(sigma):
+    _check_kernel_against_the_reference(sigma)
+
+
 # -- gauss --------------------------------------------------------------------
 
 
@@ -141,6 +176,17 @@ def test_blur_rejects_infinite_sigma(env, name, sigmas):
         env.op(name).input(_rand_image(24, 4, 4), *map(wrap, sigmas)).apply()
 
 
+@pytest.mark.parametrize("sigma", _VANISHING_SIGMAS)
+@pytest.mark.parametrize("shape", [(8, 8), (1, 1), (40, 64)])
+def test_gauss_with_a_vanishing_sigma_returns_the_image(env, sigma, shape):
+    # 8x8 takes the tiny path, 1x1 the per-tap passes, 40x64 the batched ones
+    img = np.random.default_rng(25).uniform(0.0, 255.0, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = env.op("filter.gauss").input(wrap(img), wrap(sigma)).apply()
+    assert out.payload.tobytes() == img.tobytes()
+
+
 # -- dog ----------------------------------------------------------------------
 
 
@@ -160,6 +206,16 @@ def test_dog_rejects_nonpositive_sigma(env):
     img = _rand_image(23, 4, 4)
     with pytest.raises(PreconditionError):
         env.op("filter.dog").input(img, wrap(-1.0), wrap(2.0)).apply()
+
+
+@pytest.mark.parametrize("sigma", _VANISHING_SIGMAS)
+def test_dog_with_a_vanishing_sigma_is_the_image_minus_the_wide_blur(env, sigma):
+    img = np.random.default_rng(26).uniform(0.0, 255.0, (8, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = env.op("filter.dog").input(wrap(img), wrap(sigma), wrap(2.0)).apply()
+    wide = env.op("filter.gauss").input(wrap(img), wrap(2.0)).apply().payload
+    assert out.payload.tobytes() == (img - wide).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
