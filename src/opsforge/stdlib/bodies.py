@@ -184,12 +184,12 @@ TAPS_BLOCK = 1 << 16
 
 # Product terms of a whole tiny blur: an image of h * w >= 2 pixels whose
 # k * h * w is under this gathers each pass's taps into one (k, h, w) block
-# (see ``_tiny_blur``). That runs 8x8 blurs ~1.7x and 7x7 at sigma 11 ~2.4x
-# faster than the batched passes, is within ~10% of them from 32² at
-# sigma 1 (7,168 terms) to 48², and is 4-5x slower at 64², where its
-# blocks (24 bytes a term) outgrow the core's cache (timings in
-# CHANGES.md). The bound keeps 32² on the batched passes and each cached
-# ``_tiny_taps`` entry under 96 KiB.
+# (see ``_tiny_blur``). That runs 8x8 blurs ~1.8x and 7x7 at sigma 11
+# 2.4-3x faster than the batched passes, but the gain shrinks with size:
+# 10-27% at 32² and sigma 1 (7,168 terms), 3-10% at 48², and 64² runs
+# 1.4-5x slower, as the blocks (24 bytes a term) outgrow the core's cache
+# (timings in CHANGES.md). The bound keeps every image from 32² up on the
+# padded paths and each cached ``_tiny_taps`` entry under 96 KiB.
 TINY_TERMS = 1 << 12
 
 # Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
@@ -249,8 +249,8 @@ def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np
 
     The weights are the kernel column repeated over every pixel, so each
     pass multiplies two dense blocks: a stride-0 kernel column would send
-    numpy's multiply through its buffered path, which takes ~3x longer at
-    these sizes and allocates a second block.
+    numpy's multiply through its buffered path, which takes 2-7x longer at
+    these sizes and allocates up to a second block.
     """
     kernel = _kernel(sigma)
     k = len(kernel)
@@ -340,9 +340,9 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
       gather each pass's taps straight into one (k, h, w) block through
       cached index blocks and scale it by a cached block of weights
       (``_tiny_blur``): three numpy calls per pass, with no padded copy and
-      no scratch. From ~32² on it gains nothing over the batched passes,
-      and at 64² it loses 4x, so larger images take the paths below; so
-      does a single pixel, whose one sum numpy would add pairwise.
+      no scratch. Its gain shrinks with size and turns into a loss by 64²,
+      so images from 32² up take the paths below; so does a single pixel,
+      whose one sum numpy would add pairwise.
     - Otherwise each pass is k shifted multiply-adds over a flat edge-padded
       copy (see ``_weighted_sum``). A pass whose k * n terms fit
       ``TAPS_BLOCK`` runs them as one batched block, so a small image costs
