@@ -24,13 +24,7 @@ from .errors import (
     TypeSyntaxError,
 )
 from .indexer import emit_yaml, index_directory
-from .registry import build_environment
-from .stdlib import (
-    BINDINGS,
-    default_describe_table,
-    default_hierarchy,
-    resolve_descriptor_paths,
-)
+from .stdlib import default_environment, resolve_descriptor_paths
 from .types import parse_type
 from .values import from_json_obj
 
@@ -135,12 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _environment(args):
-    paths = resolve_descriptor_paths(args.descriptors, os.environ)
-    return build_environment(
-        paths,
-        BINDINGS,
-        hierarchy=default_hierarchy(),
-        describe_table=default_describe_table(),
+    # resolve_descriptor_paths lists the builtins first; default_environment
+    # loads them itself and takes only the extras
+    return default_environment(
+        include_legacy=False,
+        extra_paths=resolve_descriptor_paths(args.descriptors, os.environ)[1:],
         cache_enabled=not args.no_cache,
     )
 

@@ -18,13 +18,14 @@ Kind contracts enforced here:
 
 Every completed invocation is recorded in the environment's history as
 (value uid -> plan signature); the history keeps the newest records up to
-its cap.
+its cap and evicts the oldest in small batches, in one trim step.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -230,35 +231,34 @@ class OpHistory:
     Keeps the newest ``cap`` records (default HISTORY_CAP) and evicts
     oldest first: ``len`` and ``snapshot`` cover only the kept records, and
     ``lookup`` returns None once a value's newest record is evicted. The log
-    is one flat list of (uid, signature, time) triples, oldest first, and
+    is one flat deque of (uid, signature, time) triples, oldest first, and
     the index maps each uid to its latest (signature, time).
 
-    Recording is lock-free: dict assignment and list.extend with a tuple
+    Recording is lock-free: dict assignment and deque.extend with a tuple
     are each atomic under CPython, so readers always see whole records. The
     index is written before the log, so a record can never be evicted
     before its index entry exists. The flat log holds no object the cyclic
     garbage collector tracks, and recording a value again replaces its
     index tuple, so a hot loop on one value triggers no collections.
 
-    Eviction is amortised. Records past the cap leave the index when a
-    lookup next runs, and the log itself is cut back to ``cap`` records by
-    the recording call that brings it to ``cap + cap // 8``. An index entry
-    leaves only with the record that wrote it, so a value recorded again
-    keeps its newest record. Trims take a lock that recording never takes,
-    and each costs O(records evicted) in Python plus one move of the kept
-    part of the log.
+    ``trim`` is the one eviction step. The recording call that brings the
+    log ``max(1, cap // 1024)`` records past the cap trims it, and so does
+    a lookup that finds any record past the cap, so a lookup never sees an
+    index entry whose record is gone. An index entry leaves only with the
+    record that wrote it, so a value recorded again keeps its newest
+    record. Trims take a lock that recording never takes; popping from the
+    front of a deque moves nothing, so each costs O(records evicted).
     """
 
     def __init__(self, cap: int = HISTORY_CAP):
         if cap < 1:
             raise ValueError(f"history cap must be at least 1, got {cap}")
         self.cap = cap
-        self._log: list = []
+        self._log: deque = deque()
         self._by_uid: dict[int, tuple[str, float]] = {}
         self._span = 3 * cap  # log items the kept records take
         # a recording call trims once the log holds this many items
-        self._limit = 3 * (cap + max(1, cap // 8))
-        self._head = 0  # log items at the front already gone from the index
+        self._limit = 3 * (cap + max(1, cap // 1024))
         self._lock = threading.Lock()
 
     def record(self, value: Value, signature: str) -> None:
@@ -268,43 +268,42 @@ class OpHistory:
         if len(self._log) >= self._limit:
             self.trim()
 
-    def _evict(self) -> None:
-        """Drop the index entries of records past the cap; the caller holds _lock.
+    def trim(self) -> None:
+        """Evict every record past the cap, oldest first: index entry, then log.
 
         An entry goes only with the record that wrote it, told apart by its
         time object, which that record alone holds. Each entry is popped
         first and put back if a newer record wrote it: one dict operation
-        for a value recorded once. A lookup never sees an entry between the
-        two, as it waits on the lock while records are pending eviction.
+        for a value recorded once. A record's log items go only after its
+        entry is settled, so a lookup that starts while an entry is out
+        finds the log past the cap and waits on the lock.
         """
-        log, head = self._log, self._head
-        stop = len(log) - self._span
-        if stop <= head:
-            return
-        gone = log[head:stop]
-        pop, put_back = self._by_uid.pop, self._by_uid.setdefault
-        for uid, at in zip(gone[0::3], gone[2::3]):
-            rec = pop(uid, None)
-            if rec is not None and rec[1] is not at:
-                put_back(uid, rec)
-        self._head = stop
-
-    def trim(self) -> None:
-        """Evict every record past the cap, from the index and the log."""
         with self._lock:
-            self._evict()
-            del self._log[: self._head]
-            self._head = 0
+            log = self._log
+            popleft = log.popleft
+            pop, put_back = self._by_uid.pop, self._by_uid.setdefault
+            for _ in range((len(log) - self._span) // 3):
+                uid, at = log[0], log[2]
+                rec = pop(uid, None)
+                if rec is not None and rec[1] is not at:
+                    put_back(uid, rec)
+                popleft()
+                popleft()
+                popleft()
 
     def lookup(self, value: Value) -> HistoryRecord | None:
-        if len(self._log) - self._head > self._span:
-            with self._lock:
-                self._evict()
+        if len(self._log) > self._span:
+            self.trim()
         rec = self._by_uid.get(value.uid)
+        if rec is None:
+            # a trim that began after the check above may hold the entry
+            # out of the index for a moment; it is back once the lock is free
+            with self._lock:
+                rec = self._by_uid.get(value.uid)
         return HistoryRecord(value.uid, *rec) if rec is not None else None
 
     def snapshot(self) -> tuple[HistoryRecord, ...]:
-        log = self._log[-self._span :]
+        log = list(self._log)[-self._span :]
         return tuple(map(HistoryRecord, log[0::3], log[1::3], log[2::3]))
 
     def __len__(self) -> int:
