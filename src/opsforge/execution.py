@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DimensionMismatchError, ExecutionError, OpsError
 from .matcher import InfoTree, OpRequest, _as_type, function_request, staged_key
 from .runtime import runs_op
 from .types import Io, Kind, SemanticType, describe_type
-from .values import _SCALAR_BASES, Value, copy_into, wrap, write_back
+from .values import _IN_PLACE, Value, copy_into, wrap, write_back
 
 if TYPE_CHECKING:
     from .registry import OpEnvironment, OpInfo
@@ -107,7 +105,7 @@ def _conversion_wrap(env: OpEnvironment, tree: InfoTree, fn):
             content = out_fn(content)
         if copy_fn is not None:
             content = copy_fn(content)
-        if mi is not None and isinstance(args[mi], (bytearray, np.ndarray)):
+        if mi is not None and isinstance(args[mi], _IN_PLACE):
             copy_into(args[mi], content)
             return args[mi]
         return content
@@ -174,7 +172,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         try:
             if inplace:
                 out = values[mi]
-                if result is not out.payload and out.type.base in _SCALAR_BASES:
+                if result is not out.payload and not isinstance(out.payload, _IN_PLACE):
                     write_back(out, result)
             elif function:
                 out = Value(out_type, result)

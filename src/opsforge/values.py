@@ -1,16 +1,9 @@
 """Runtime values: a semantic type tag paired with a payload.
 
-Payload kinds are fixed per base type name:
-
-    Integer    int (64-bit signed semantics, wrap on overflow is documented
-               by the arithmetic ops, not enforced here)
-    Real       float
-    Boolean    bool
-    Text       str
-    ByteArray  bytearray
-    RealArray  1-D numpy float64 array
-    ImageU8    2-D numpy uint8 array, shape (height, width), row-major
-    ImageF64   2-D numpy float64 array, shape (height, width), row-major
+Each base type's payload is fixed by one table, ``_EXACT``: a scalar or
+byte payload by its Python class, a numpy payload by its (ndim, dtype);
+images are (height, width), row-major. Integer arithmetic's 64-bit wrap is
+documented by the arithmetic ops, not enforced here.
 
 The type tag and payload identity of a Value never change after
 construction; payload CONTENTS are the mutable compute surface that
@@ -37,50 +30,41 @@ REAL_ARRAY = SemanticType("RealArray")
 IMAGE_U8 = SemanticType("ImageU8")
 IMAGE_F64 = SemanticType("ImageF64")
 
-_SCALAR_BASES = {"Integer", "Real", "Boolean", "Text"}
-
-# The payload types that fit a base by their exact type alone, and the type
-# each wraps as: one table for both directions. wrap builds a Value of such
-# a payload with no check, and Value and write_back skip _check_payload for
-# a payload of the exact type its base wants. Subclasses (IntEnum, np.float64)
-# and numpy scalars take the isinstance paths.
-_EXACT = {bool: BOOLEAN, int: INTEGER, float: REAL, str: TEXT, bytearray: BYTE_ARRAY}
-_EXACT_PAYLOAD = {t.base: cls for cls, t in _EXACT.items()}
+# Each base type's payload rule, the one copy, read both ways: a scalar or
+# byte payload by its exact class, a numpy payload by its (ndim, dtype). wrap
+# builds a Value of a listed payload with no check, and Value and write_back
+# skip _check_payload for a payload of the exact class its base wants.
+# Subclasses (IntEnum, np.float64) and numpy scalars take the isinstance
+# paths.
+_EXACT = {
+    bool: BOOLEAN,
+    int: INTEGER,
+    float: REAL,
+    str: TEXT,
+    bytearray: BYTE_ARRAY,
+    (1, np.dtype(np.float64)): REAL_ARRAY,
+    (2, np.dtype(np.uint8)): IMAGE_U8,
+    (2, np.dtype(np.float64)): IMAGE_F64,
+}
+_EXACT_PAYLOAD = {t.base: rule for rule, t in _EXACT.items()}
+# The payloads that change in place, ByteArray's and every numpy entry's;
+# the scalar classes are immutable, so a scalar payload is replaced.
+_IN_PLACE = (bytearray, np.ndarray)
 
 _uid_counter = itertools.count(1)
 
 
 def _check_payload(base: str, payload: Any) -> None:
-    if base == "Integer":
-        ok = isinstance(payload, int) and not isinstance(payload, bool)
-    elif base == "Real":
-        ok = isinstance(payload, float)
-    elif base == "Boolean":
-        ok = isinstance(payload, bool)
-    elif base == "Text":
-        ok = isinstance(payload, str)
-    elif base == "ByteArray":
-        ok = isinstance(payload, bytearray)
-    elif base == "RealArray":
-        ok = (
-            isinstance(payload, np.ndarray)
-            and payload.ndim == 1
-            and payload.dtype == np.float64
-        )
-    elif base == "ImageU8":
-        ok = (
-            isinstance(payload, np.ndarray)
-            and payload.ndim == 2
-            and payload.dtype == np.uint8
-        )
-    elif base == "ImageF64":
-        ok = (
-            isinstance(payload, np.ndarray)
-            and payload.ndim == 2
-            and payload.dtype == np.float64
-        )
-    else:
+    rule = _EXACT_PAYLOAD.get(base)
+    if rule is None:
         raise RegistrationError(f"type {base!r} carries no payload")
+    if type(rule) is tuple:
+        ok = isinstance(payload, np.ndarray) and (payload.ndim, payload.dtype) == rule
+    else:
+        # a payload of a listed class fits its own base only: a bool is an
+        # int, but not an Integer
+        cls = type(payload)
+        ok = isinstance(payload, rule) and (cls is rule or cls not in _EXACT)
     if not ok:
         raise RegistrationError(
             f"payload {type(payload).__name__} does not fit type {base}"
@@ -104,16 +88,15 @@ class Value:
 
     def to_json_obj(self) -> Any:
         """JSON-friendly rendering of the payload."""
-        base = self.type.base
-        if base in _SCALAR_BASES:
-            return self.payload
-        if base == "ByteArray":
-            return list(self.payload)
-        if base == "RealArray":
-            return [float(x) for x in self.payload]
-        h, w = self.payload.shape
-        data = [x.item() for x in self.payload.reshape(-1)]
-        return {"w": w, "h": h, "data": data}
+        payload = self.payload
+        if not isinstance(payload, _IN_PLACE):
+            return payload
+        if isinstance(payload, bytearray):
+            return list(payload)
+        if payload.ndim == 1:
+            return payload.tolist()
+        h, w = payload.shape
+        return {"w": w, "h": h, "data": payload.reshape(-1).tolist()}
 
 
 _new_value = Value.__new__
@@ -157,6 +140,13 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
         raise RegistrationError(f"{type_.base} cannot hold the input: {e}") from e
 
 
+# The JSON elements an array dtype holds, and how an error names them.
+_ELEMENTS = {
+    np.dtype(np.uint8): (_bytes, "ints in 0..255"),
+    np.dtype(np.float64): (_numbers, "numbers"),
+}
+
+
 def _from_json(type_: SemanticType, obj: Any) -> Value:
     base = type_.base
     if base == "Integer":
@@ -181,29 +171,28 @@ def _from_json(type_: SemanticType, obj: Any) -> Value:
         if not isinstance(obj, list) or not _bytes(obj):
             raise RegistrationError("ByteArray wants a list of ints in 0..255")
         return Value(type_, bytearray(obj))
-    if base == "RealArray":
-        if not isinstance(obj, list) or not _numbers(obj):
-            raise RegistrationError("RealArray wants a list of numbers")
-        return Value(type_, np.array(obj, dtype=np.float64))
-    if base in ("ImageU8", "ImageF64"):
-        if (
-            not isinstance(obj, dict)
-            or not _int(obj.get("w"))
-            or not _int(obj.get("h"))
-            or not isinstance(obj.get("data"), list)
-        ):
-            raise RegistrationError('images want {"w": int, "h": int, "data": [...]}')
-        w, h, data = obj["w"], obj["h"], obj["data"]
-        if w < 0 or h < 0 or len(data) != w * h:
-            raise RegistrationError("image data length must equal w*h")
-        dtype = np.uint8 if base == "ImageU8" else np.float64
-        if base == "ImageU8" and not _bytes(data):
-            raise RegistrationError("ImageU8 wants pixel ints in 0..255")
-        if base == "ImageF64" and not _numbers(data):
-            raise RegistrationError("ImageF64 wants pixel numbers")
-        arr = np.array(data, dtype=dtype).reshape(h, w)
-        return Value(type_, arr)
-    raise RegistrationError(f"type {base!r} carries no payload")
+    rule = _EXACT_PAYLOAD.get(base)
+    if type(rule) is not tuple:
+        raise RegistrationError(f"type {base!r} carries no payload")
+    ndim, dtype = rule
+    fits, elements = _ELEMENTS[dtype]
+    if ndim == 1:
+        if not isinstance(obj, list) or not fits(obj):
+            raise RegistrationError(f"{base} wants a list of {elements}")
+        return Value(type_, np.array(obj, dtype=dtype))
+    if (
+        not isinstance(obj, dict)
+        or not _int(obj.get("w"))
+        or not _int(obj.get("h"))
+        or not isinstance(obj.get("data"), list)
+    ):
+        raise RegistrationError('images want {"w": int, "h": int, "data": [...]}')
+    w, h, data = obj["w"], obj["h"], obj["data"]
+    if w < 0 or h < 0 or len(data) != w * h:
+        raise RegistrationError("image data length must equal w*h")
+    if not fits(data):
+        raise RegistrationError(f"{base} wants pixel {elements}")
+    return Value(type_, np.array(data, dtype=dtype).reshape(h, w))
 
 
 def wrap(obj: Any) -> Value:
@@ -212,58 +201,66 @@ def wrap(obj: Any) -> Value:
     Lists of numbers become RealArray; use explicit constructors for the
     other array kinds when inference would be ambiguous. numpy bool,
     integer and floating scalars become Boolean, Integer and Real with a
-    plain Python payload.
+    plain Python payload, and so does a 0-d array of one of those dtypes.
     """
     type_ = _EXACT.get(type(obj))
-    if type_ is not None:
-        # the lookup just read the payload's type: build without a check
-        value = _new_value(Value)
-        value.uid = next(_uid_counter)
-        value.type = type_
-        value.payload = obj
-        return value
-    if isinstance(obj, Value):
-        return obj
+    if type_ is None:
+        if isinstance(obj, Value):
+            return obj
+        type_, obj = _infer(obj)
+    # the type was read off the payload: build without a check
+    value = _new_value(Value)
+    value.uid = next(_uid_counter)
+    value.type = type_
+    value.payload = obj
+    return value
+
+
+def _infer(obj: Any) -> tuple[SemanticType, Any]:
+    """wrap's type and payload for an object whose exact class is not listed:
+    arrays, subclasses of the listed classes, numpy scalars, bytes and lists.
+    Arrays and bytearrays are not copied, so callers observe in-place edits
+    through their own reference.
+    """
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64:
-            return Value(REAL_ARRAY, obj)
-        if obj.ndim == 2 and obj.dtype == np.uint8:
-            return Value(IMAGE_U8, obj)
-        if obj.ndim == 2 and obj.dtype == np.float64:
-            return Value(IMAGE_F64, obj)
+        type_ = _EXACT.get((obj.ndim, obj.dtype))
+        if type_ is not None:
+            return type_, obj
+        if obj.ndim == 0 and obj.dtype.kind in "biuf":
+            return _infer(obj[()])  # the numpy scalar it holds
         raise RegistrationError(
             f"cannot infer a type for ndarray ndim={obj.ndim} dtype={obj.dtype}"
         )
-    # subclasses of the exact types, numpy scalars, bytes and lists
     if isinstance(obj, np.bool_):
-        return Value(BOOLEAN, bool(obj))
+        return BOOLEAN, bool(obj)
     if isinstance(obj, int):
-        return Value(INTEGER, obj)
+        return INTEGER, obj
     if isinstance(obj, np.integer):
-        return Value(INTEGER, int(obj))
+        return INTEGER, int(obj)
     if isinstance(obj, (float, np.floating)):
-        return Value(REAL, float(obj))
+        return REAL, float(obj)
     if isinstance(obj, str):
-        return Value(TEXT, obj)
+        return TEXT, obj
     if isinstance(obj, bytearray):
-        # no copy: mutable payloads keep their identity so callers observe
-        # in-place edits through their own reference
-        return Value(BYTE_ARRAY, obj)
+        return BYTE_ARRAY, obj
     if isinstance(obj, bytes):
-        return Value(BYTE_ARRAY, bytearray(obj))
+        return BYTE_ARRAY, bytearray(obj)
     if isinstance(obj, list) and _numbers(obj):
-        return Value(REAL_ARRAY, np.array(obj, dtype=np.float64))
+        return REAL_ARRAY, _array(REAL_ARRAY, obj)
     raise RegistrationError(f"cannot infer a semantic type for {type(obj).__name__}")
 
 
+def _array(type_: SemanticType, data) -> np.ndarray:
+    """A flat array of the dtype array type ``type_`` holds."""
+    return np.array(data, dtype=_EXACT_PAYLOAD[type_.base][1])
+
+
 def image_u8(width: int, height: int, data) -> Value:
-    arr = np.array(list(data), dtype=np.uint8).reshape(height, width)
-    return Value(IMAGE_U8, arr)
+    return Value(IMAGE_U8, _array(IMAGE_U8, list(data)).reshape(height, width))
 
 
 def image_f64(width: int, height: int, data) -> Value:
-    arr = np.array(list(data), dtype=np.float64).reshape(height, width)
-    return Value(IMAGE_F64, arr)
+    return Value(IMAGE_F64, _array(IMAGE_F64, list(data)).reshape(height, width))
 
 
 def write_back(container: Value, content: Any) -> None:
@@ -275,13 +272,13 @@ def write_back(container: Value, content: Any) -> None:
     replaced. This is the single write path for computer-style execution,
     which is what makes op-body failures unable to corrupt containers.
     """
-    base = container.type.base
-    if base in _SCALAR_BASES:
-        if type(content) is not _EXACT_PAYLOAD[base]:
-            _check_payload(base, content)
-        container.payload = content
+    if isinstance(container.payload, _IN_PLACE):
+        copy_into(container.payload, content)
         return
-    copy_into(container.payload, content)
+    base = container.type.base
+    if type(content) is not _EXACT_PAYLOAD[base]:
+        _check_payload(base, content)
+    container.payload = content
 
 
 def copy_into(dst: Any, content: Any) -> None:

@@ -179,7 +179,9 @@ def test_committed_bench_files_follow_the_schema(path):
     # bytecode counts per side; reports before BENCH_13.json have none
     for side, counts in report.get("opcodes", {}).items():
         assert side in ("parent", "head")
-        assert set(counts) == {"increment_mutate", "add_apply"}
+        # the third count, sub_handle, since BENCH_16.json
+        assert {"increment_mutate", "add_apply"} <= set(counts)
+        assert set(counts) <= {"increment_mutate", "add_apply", "sub_handle"}
         assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
@@ -254,9 +256,11 @@ def test_export_runs_without_extraction_filters(tmp_path, monkeypatch):
 def test_cached_calls_stay_within_their_bytecode_counts():
     counts = bench_pairs.dispatch_opcodes()
     # ROADMAP's guardrail for the cached mutate(); the raw-int apply() is
-    # pinned at its count since wrap's exact-type table (436 before it)
+    # pinned at its count since wrap's exact-type table (436 before it), and
+    # the array handle since the table took array payloads (575 before)
     assert counts["increment_mutate"] <= 179
     assert counts["add_apply"] <= 310
+    assert counts["sub_handle"] <= 397
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

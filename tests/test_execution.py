@@ -127,6 +127,10 @@ ops:
     source: "test:grow/bytes"
     parameters:
       - {name: data, type: ByteArray, io: mutable}
+  - name: test.zero
+    source: "test:zero/bytes"
+    parameters:
+      - {name: data, type: ByteArray, io: mutable}
   - name: engine.copy
     source: "test:copy/integer"
     parameters:
@@ -146,6 +150,10 @@ def _grow(data):
     return data
 
 
+def _zero(data):
+    data[:] = bytes(len(data))
+
+
 @pytest.fixture()
 def conv_env(tmp_path):
     path = tmp_path / "conversion-ops.yaml"
@@ -159,6 +167,7 @@ def conv_env(tmp_path):
             "test:spoil_into/real": lambda x: "oops",
             "test:add_into/bytes": _add_into,
             "test:grow/bytes": _grow,
+            "test:zero/bytes": _zero,
             "test:copy/integer": lambda src: src,
         },
     )
@@ -173,6 +182,15 @@ def test_scalar_mutable_conversion_runs(conv_env):
         "test:bump/real|CONVERTED|[conv0:in=builtin:convert/int_to_real,"
         "out=builtin:convert/real_to_int;copyback:test:copy/integer]|()"
     )
+
+
+def test_an_inplace_byte_payload_keeps_its_edits_whatever_the_body_returns(conv_env):
+    # a byte or array mutable changes in place: only a scalar takes the result
+    data = wrap(bytearray(b"\x01\x02"))
+    original = data.payload
+    out = conv_env.op("test.zero").input(data).mutate()
+    assert out is data and data.payload is original
+    assert data.payload == bytearray(2)
 
 
 def test_inplace_scalar_result_is_checked(conv_env):

@@ -46,6 +46,24 @@ def test_bool_is_not_integer():
         Value(parse_type("Integer"), True)
 
 
+@pytest.mark.parametrize(
+    "base, payload",
+    [
+        ("RealArray", np.zeros((1, 3))),
+        ("RealArray", np.zeros(3, dtype=np.float32)),
+        ("ImageU8", np.zeros(4, dtype=np.uint8)),
+        ("ImageU8", np.zeros((2, 2))),
+        ("ImageF64", np.zeros((1, 2, 2))),
+        ("ImageF64", np.zeros((2, 2), dtype=np.uint8)),
+    ],
+    ids=repr,
+)
+def test_an_array_payload_needs_its_types_ndim_and_dtype(base, payload):
+    with pytest.raises(RegistrationError) as err:
+        Value(parse_type(base), payload)
+    assert str(err.value) == f"payload ndarray does not fit type {base}"
+
+
 def test_wrap_keeps_bytearray_identity():
     data = bytearray(b"\x00\x05")
     v = wrap(data)
@@ -160,8 +178,10 @@ HUGE = 10**400  # a JSON integer no float can hold
         ("ImageF64", {"w": True, "h": 1, "data": [1.0]}),
         ("ImageU8", {"w": 1, "h": True, "data": [1]}),
         ("ImageF64", {"w": 0, "h": 10**30, "data": []}),
+        ("ImageU8", {"w": 1, "h": 1, "data": [1.5]}),
     ],
-    ids=["real", "real_array_item", "image_pixel", "bool_w", "bool_h", "huge_h"],
+    ids=["real", "real_array_item", "image_pixel", "bool_w", "bool_h", "huge_h",
+         "u8_fraction"],
 )
 def test_values_no_payload_can_hold_are_rejected(type_text, obj):
     with pytest.raises(RegistrationError):
@@ -212,6 +232,32 @@ def test_wrap_numpy_scalars_as_plain_python_payloads(obj, base, payload):
     assert type(v.payload) is type(payload) and v.payload == payload
 
 
+@pytest.mark.parametrize(
+    "obj, base, payload",
+    [
+        (np.array(1.5), "Real", 1.5),
+        (np.array(0.5, dtype=np.float32), "Real", 0.5),
+        (np.array(-3, dtype=np.int8), "Integer", -3),
+        (np.array(2**64 - 1, dtype=np.uint64), "Integer", 2**64 - 1),
+        (np.array(True), "Boolean", True),
+    ],
+    ids=repr,
+)
+def test_wrap_a_zero_dim_array_as_the_scalar_it_holds(obj, base, payload):
+    v = wrap(obj)
+    assert v.type.base == base
+    assert type(v.payload) is type(payload) and v.payload == payload
+
+
+@pytest.mark.parametrize(
+    "obj", [np.array("x"), np.array(1j), np.array(None, dtype=object)], ids=repr
+)
+def test_wrap_rejects_a_zero_dim_array_of_another_dtype(obj):
+    with pytest.raises(RegistrationError) as info:
+        wrap(obj)
+    assert str(info.value) == f"cannot infer a type for ndarray ndim=0 dtype={obj.dtype}"
+
+
 def test_a_numpy_integer_sum_is_an_op_input():
     env = default_environment(include_legacy=False)
     total = np.arange(4).sum()
@@ -225,7 +271,8 @@ def test_a_numpy_integer_sum_is_an_op_input():
 
 
 def _reference_wrap(obj):
-    """wrap as it was before its exact-type table: the isinstance chain."""
+    """wrap as it was before its exact-type table: the isinstance chain, and
+    since then a 0-d bool, integer or floating array as the item it holds."""
     if isinstance(obj, Value):
         return obj
     if isinstance(obj, bool):
@@ -241,6 +288,8 @@ def _reference_wrap(obj):
     if isinstance(obj, bytes):
         return Value(BYTE_ARRAY, bytearray(obj))
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0 and obj.dtype.kind in "biuf":
+            return _reference_wrap(obj.item())
         if obj.ndim == 1 and obj.dtype == np.float64:
             return Value(REAL_ARRAY, obj)
         if obj.ndim == 2 and obj.dtype == np.uint8:
@@ -358,7 +407,7 @@ def _assert_wraps_as_the_reference(obj):
     assert _same_payload(new.payload, old.payload)
     if isinstance(obj, Value):
         assert new is obj
-    elif isinstance(obj, (bytearray, np.ndarray, enum.Enum)):
+    elif isinstance(obj, (bytearray, enum.Enum)) or getattr(obj, "ndim", 0):
         assert new.payload is obj
 
 

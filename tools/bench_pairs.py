@@ -27,11 +27,12 @@ and the additivity. These are pass counts for the record, not a gate. Paired, or
 "Rigorous Benchmarking in Reasonable Time" (ISMM 2013). Standard library
 only; run it from a checkout of the change.
 
-Last, it counts, once per side in a fresh process, the bytecodes two cached
-builder calls execute (``dispatch_opcodes``): a ``benchmark.increment``
-``mutate()`` on a ByteArray Value and a ``math.add`` ``apply()`` on two raw
-ints. Counts repeat exactly on one interpreter version, so they show a
-change to the cached path where timings drown in host noise.
+Last, it counts, once per side in a fresh process, the bytecodes three cached
+calls execute (``dispatch_opcodes``): a ``benchmark.increment`` ``mutate()``
+on a ByteArray Value, a ``math.add`` ``apply()`` on two raw ints, and a
+lifted ``math.sub`` ImageF64 handle on two raw arrays. Counts repeat exactly
+on one interpreter version, so they show a change to the cached path where
+timings drown in host noise.
 """
 
 from __future__ import annotations
@@ -186,18 +187,26 @@ def count_opcodes(call) -> int:
 
 
 def dispatch_opcodes() -> dict:
-    """Bytecodes of two cached builder calls on a fresh stdlib environment,
-    each counted after three warm-up calls: ``increment_mutate`` (a
-    ByteArray Value, no Value built) and ``add_apply`` (two raw ints wrapped,
-    an Integer result)."""
+    """Bytecodes of three cached calls on a fresh stdlib environment, each
+    counted after three warm-up calls: ``increment_mutate`` (a ByteArray
+    Value, no Value built), ``add_apply`` (two raw ints wrapped, an Integer
+    result) and ``sub_handle`` (an ADAPTED ``math.sub`` ImageF64 handle
+    through the elementwise lift, two raw 32x32 float64 arrays wrapped, an
+    ImageF64 result)."""
+    import numpy as np
+
     from opsforge.stdlib import default_environment
     from opsforge.values import wrap
 
     env = default_environment(include_legacy=False)
     data = wrap(bytearray(16))
+    sub = (env.op("math.sub").input_types("ImageF64", "ImageF64")
+           .output_type("ImageF64").function())
+    a, b = np.ones((32, 32)), np.zeros((32, 32))
     calls = {
         "increment_mutate": lambda: env.op("benchmark.increment").input(data).mutate(),
         "add_apply": lambda: env.op("math.add").input(2, 3).apply(),
+        "sub_handle": lambda: sub(a, b),
     }
     counts = {}
     for name, call in calls.items():
