@@ -223,18 +223,7 @@ def test_write_back_scalar_replaces_payload():
         (np.float32(0.5), "Real", 0.5),
         (np.float16(-2.0), "Real", -2.0),
         (np.float64(1.25), "Real", 1.25),
-    ],
-    ids=repr,
-)
-def test_wrap_numpy_scalars_as_plain_python_payloads(obj, base, payload):
-    v = wrap(obj)
-    assert v.type.base == base
-    assert type(v.payload) is type(payload) and v.payload == payload
-
-
-@pytest.mark.parametrize(
-    "obj, base, payload",
-    [
+        # a 0-d array wraps as the scalar it holds
         (np.array(1.5), "Real", 1.5),
         (np.array(0.5, dtype=np.float32), "Real", 0.5),
         (np.array(-3, dtype=np.int8), "Integer", -3),
@@ -243,7 +232,7 @@ def test_wrap_numpy_scalars_as_plain_python_payloads(obj, base, payload):
     ],
     ids=repr,
 )
-def test_wrap_a_zero_dim_array_as_the_scalar_it_holds(obj, base, payload):
+def test_wrap_numpy_scalars_as_plain_python_payloads(obj, base, payload):
     v = wrap(obj)
     assert v.type.base == base
     assert type(v.payload) is type(payload) and v.payload == payload
