@@ -16,14 +16,14 @@ Kind contracts enforced here:
   after the body finished (a failing body leaves the container unchanged),
 - inplaces mutate exactly the declared argument and return it.
 
-Every completed invocation is recorded in the environment's history as
-(value uid -> plan signature); the history keeps the newest records up to
-its cap and evicts the oldest in small batches, in one trim step.
+Every completed invocation records its plan signature on the Value it
+produced or filled, where the environment's history looks it up, and
+appends (value uid, signature, time) to the history's log, which holds the
+newest records up to its cap.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -137,19 +137,14 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         container,
         call=_compile(env, tree),
         op_frame=(info.name, env, env.pool),
-        label=info.name,
         sig=tree.signature,
         arity=tree.eff_arity,
         inplace=tree.eff_kind is Kind.INPLACE,
         function=tree.eff_kind is Kind.FUNCTION,
         out_type=tree.out_type,
         mi=tree.eff_mutable,
-        by_uid=history._by_uid,  # OpHistory.record, inlined below
+        token=history._token,  # OpHistory.record, inlined below
         log=history._log.extend,
-        entries=history._log,
-        size=len,
-        limit=history._limit,
-        trim=history.trim,
         now=time.time,
     ):
         try:
@@ -166,7 +161,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
                 exc.signature = sig
             raise
         except Exception as exc:
-            raise ExecutionError(f"{label} failed: {exc}", signature=sig) from exc
+            raise ExecutionError(f"{op_frame[0]} failed: {exc}", signature=sig) from exc
         # a DimensionMismatchError is signed; any other result that breaks
         # the kind's contract is an invalid output
         try:
@@ -185,16 +180,14 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
             raise
         except Exception as exc:
             raise ExecutionError(
-                f"{label} produced invalid output: {exc}", signature=sig
+                f"{op_frame[0]} produced invalid output: {exc}", signature=sig
             ) from exc
         else:
             # in the else clause the kind branches run on into the record
             # with one jump fewer per call
-            uid, at = out.uid, now()
-            by_uid[uid] = (sig, at)
-            log((uid, sig, at))
-            if size(entries) >= limit:
-                trim()
+            at = now()
+            out._record = (token, sig, at)
+            log((out.uid, sig, at))
             return out
 
     return run
@@ -224,88 +217,51 @@ HISTORY_CAP = 65_536
 
 
 class OpHistory:
-    """Maps produced values (by uid) to the plan signature that made them.
+    """Which plan produced a value: its signature and the time it ran.
 
-    Keeps the newest ``cap`` records (default HISTORY_CAP) and evicts
-    oldest first: ``len`` and ``snapshot`` cover only the kept records, and
-    ``lookup`` returns None once a value's newest record is evicted. The log
-    is one flat deque of (uid, signature, time) triples, oldest first, and
-    the index maps each uid to its latest (signature, time).
+    A record lives on the Value it describes, in the Value's ``_record``
+    slot as (token, signature, time), so ``lookup(v)`` returns v's newest
+    record made by this history for as long as v exists; no index outlives
+    the values. The token tells this history's records from another's: if
+    another environment's history recorded v after this one, v's contents
+    are that environment's output, and ``lookup(v)`` here returns None. The
+    token is a bare object, not the history itself, so a long-lived value
+    keeps no discarded environment's log alive.
 
-    Recording is lock-free: dict assignment and deque.extend with a tuple
-    are each atomic under CPython, so readers always see whole records. The
-    index is written before the log, so a record can never be evicted
-    before its index entry exists. The flat log holds no object the cyclic
-    garbage collector tracks, and recording a value again replaces its
-    index tuple, so a hot loop on one value triggers no collections.
-
-    ``trim`` is the one eviction step. The recording call that brings the
-    log ``max(1, cap // 1024)`` records past the cap trims it, and so does
-    a lookup that finds any record past the cap, so a lookup never sees an
-    index entry whose record is gone. An index entry leaves only with the
-    record that wrote it, so a value recorded again keeps its newest
-    record. Trims take a lock that recording never takes; popping from the
-    front of a deque moves nothing, so each costs O(records evicted).
+    ``len`` and ``snapshot`` cover exactly the newest ``cap`` records
+    (default HISTORY_CAP), oldest first. They read one flat log of (uid,
+    signature, time) triples, a deque of at most ``3 * cap`` items, so it
+    drops its oldest record by itself. Recording is lock-free: an attribute
+    store and deque.extend with a tuple are each atomic under CPython, so
+    readers always see whole records. The log holds no object the cyclic
+    garbage collector tracks, so a hot loop on one value triggers no
+    collections.
     """
 
     def __init__(self, cap: int = HISTORY_CAP):
         if cap < 1:
             raise ValueError(f"history cap must be at least 1, got {cap}")
         self.cap = cap
-        self._log: deque = deque()
-        self._by_uid: dict[int, tuple[str, float]] = {}
-        self._span = 3 * cap  # log items the kept records take
-        # a recording call trims once the log holds this many items
-        self._limit = 3 * (cap + max(1, cap // 1024))
-        self._lock = threading.Lock()
+        self._log: deque = deque(maxlen=3 * cap)
+        self._token = object()
 
     def record(self, value: Value, signature: str) -> None:
-        uid, at = value.uid, time.time()
-        self._by_uid[uid] = (signature, at)
-        self._log.extend((uid, signature, at))
-        if len(self._log) >= self._limit:
-            self.trim()
-
-    def trim(self) -> None:
-        """Evict every record past the cap, oldest first: index entry, then log.
-
-        An entry goes only with the record that wrote it, told apart by its
-        time object, which that record alone holds. Each entry is popped
-        first and put back if a newer record wrote it: one dict operation
-        for a value recorded once. A record's log items go only after its
-        entry is settled, so a lookup that starts while an entry is out
-        finds the log past the cap and waits on the lock.
-        """
-        with self._lock:
-            log = self._log
-            popleft = log.popleft
-            pop, put_back = self._by_uid.pop, self._by_uid.setdefault
-            for _ in range((len(log) - self._span) // 3):
-                uid, at = log[0], log[2]
-                rec = pop(uid, None)
-                if rec is not None and rec[1] is not at:
-                    put_back(uid, rec)
-                popleft()
-                popleft()
-                popleft()
+        at = time.time()
+        value._record = (self._token, signature, at)
+        self._log.extend((value.uid, signature, at))
 
     def lookup(self, value: Value) -> HistoryRecord | None:
-        if len(self._log) > self._span:
-            self.trim()
-        rec = self._by_uid.get(value.uid)
-        if rec is None:
-            # a trim that began after the check above may hold the entry
-            # out of the index for a moment; it is back once the lock is free
-            with self._lock:
-                rec = self._by_uid.get(value.uid)
-        return HistoryRecord(value.uid, *rec) if rec is not None else None
+        rec = getattr(value, "_record", None)
+        if rec is None or rec[0] is not self._token:
+            return None
+        return HistoryRecord(value.uid, rec[1], rec[2])
 
     def snapshot(self) -> tuple[HistoryRecord, ...]:
-        log = list(self._log)[-self._span :]
+        log = list(self._log)
         return tuple(map(HistoryRecord, log[0::3], log[1::3], log[2::3]))
 
     def __len__(self) -> int:
-        return min(len(self._log) // 3, self.cap)
+        return len(self._log) // 3
 
 
 class OpBuilder:

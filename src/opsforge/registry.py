@@ -12,6 +12,7 @@ import hashlib
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -500,12 +501,6 @@ class OpEnvironment:
         )
         self.cache_enabled = cache_enabled
 
-        sha = hashlib.sha256()
-        for info in self._infos:
-            sha.update(_content_line(info).encode())
-            sha.update(b"\n")
-        self.content_hash = sha.hexdigest()
-
         self.cache = MatchCache()
         self.history = OpHistory()
         self.pool = pool if pool is not None else ComputePool(1)
@@ -516,6 +511,15 @@ class OpEnvironment:
     @property
     def infos(self) -> tuple[OpInfo, ...]:
         return self._infos
+
+    @cached_property
+    def content_hash(self) -> str:
+        """sha256 of the op entries in canonical order, made on first read."""
+        sha = hashlib.sha256()
+        for info in self._infos:
+            sha.update(_content_line(info).encode())
+            sha.update(b"\n")
+        return sha.hexdigest()
 
     def binding(self, source: str) -> Callable:
         return self._bindings[source]

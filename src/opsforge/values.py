@@ -72,9 +72,13 @@ def _check_payload(base: str, payload: Any) -> None:
 
 
 class Value:
-    """A typed runtime value with a process-unique identity."""
+    """A typed runtime value with a process-unique identity.
 
-    __slots__ = ("uid", "type", "payload")
+    ``_record`` is unset until a history records the value; OpHistory
+    alone reads and writes it.
+    """
+
+    __slots__ = ("uid", "type", "payload", "_record")
 
     def __init__(self, type_: SemanticType, payload: Any):
         if type(payload) is not _EXACT_PAYLOAD.get(type_.base):
@@ -175,8 +179,8 @@ def _from_json(type_: SemanticType, obj: Any) -> Value:
     if type(rule) is not tuple:
         raise RegistrationError(f"type {base!r} carries no payload")
     ndim, dtype = rule
-    fits, elements = _ELEMENTS[dtype]
     if ndim == 1:
+        fits, elements = _ELEMENTS[dtype]
         if not isinstance(obj, list) or not fits(obj):
             raise RegistrationError(f"{base} wants a list of {elements}")
         return Value(type_, np.array(obj, dtype=dtype))
@@ -190,9 +194,7 @@ def _from_json(type_: SemanticType, obj: Any) -> Value:
     w, h, data = obj["w"], obj["h"], obj["data"]
     if w < 0 or h < 0 or len(data) != w * h:
         raise RegistrationError("image data length must equal w*h")
-    if not fits(data):
-        raise RegistrationError(f"{base} wants pixel {elements}")
-    return Value(type_, np.array(data, dtype=dtype).reshape(h, w))
+    return _image(type_, w, h, data)
 
 
 def wrap(obj: Any) -> Value:
@@ -255,12 +257,24 @@ def _array(type_: SemanticType, data) -> np.ndarray:
     return np.array(data, dtype=_EXACT_PAYLOAD[type_.base][1])
 
 
+def _image(type_: SemanticType, width: int, height: int, data) -> Value:
+    """An image of ``type_`` from row-major pixels, which must be the numbers
+    from_json_obj takes for it; a numpy scalar counts as the Python number
+    it equals. A data length other than width * height raises ValueError.
+    """
+    pixels = [x.item() if isinstance(x, np.generic) else x for x in data]
+    fits, elements = _ELEMENTS[_EXACT_PAYLOAD[type_.base][1]]
+    if not fits(pixels):
+        raise RegistrationError(f"{type_.base} wants pixel {elements}")
+    return Value(type_, _array(type_, pixels).reshape(height, width))
+
+
 def image_u8(width: int, height: int, data) -> Value:
-    return Value(IMAGE_U8, _array(IMAGE_U8, list(data)).reshape(height, width))
+    return _image(IMAGE_U8, width, height, data)
 
 
 def image_f64(width: int, height: int, data) -> Value:
-    return Value(IMAGE_F64, _array(IMAGE_F64, list(data)).reshape(height, width))
+    return _image(IMAGE_F64, width, height, data)
 
 
 def write_back(container: Value, content: Any) -> None:

@@ -1,8 +1,9 @@
 """State that grows per call has a bound: the history log and the plan cache.
 
-The history keeps its newest ``cap`` records and the plan cache its newest
-``cap`` entries. These tests check both against plain models: for the
-history, an unbounded list of records cut to its last ``cap``; for the
+The history's log keeps its newest ``cap`` records and the plan cache its
+newest ``cap`` entries. These tests check both against plain models: for
+the history, an unbounded list of records, whose last ``cap`` are the log
+and whose newest record of a value is what a lookup of it returns; for the
 cache, insertion-ordered keys that drop the oldest once past ``cap``. The
 history is checked through both ways records are written, ``record`` and
 the runner's inlined copy of it.
@@ -82,20 +83,21 @@ def test_history_matches_a_list_cut_to_its_last_cap_records(cap, steps):
         else:
             values = pool + made
             value = values[step[1] % len(values)]
-            kept = [sig for uid, sig in model[-cap:] if uid == value.uid]
+            made_for = [sig for uid, sig in model if uid == value.uid]
             got = history.lookup(value)
-            assert (got.signature if got else None) == (kept[-1] if kept else None)
+            assert (got.signature if got else None) == (made_for[-1] if made_for else None)
             if got is not None:
                 assert got.uid == value.uid
         assert len(history) == len(model[-cap:])
         snapshot = history.snapshot()
         assert [(r.uid, r.signature) for r in snapshot] == model[-cap:]
         assert all(isinstance(r.at, float) for r in snapshot)
-    # the index holds exactly the kept uids, each at its newest kept record
-    kept = {uid: sig for uid, sig in model[-cap:]}
+    # every value looks up its newest record, whether or not the log still
+    # holds it
+    newest = {uid: sig for uid, sig in model}
     for value in pool + made:
         got = history.lookup(value)
-        assert (got.signature if got else None) == kept.get(value.uid)
+        assert (got.signature if got else None) == newest.get(value.uid)
 
 
 def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
@@ -106,11 +108,12 @@ def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
     history.record(a, "second")
     for _ in range(2):
         history.record(b, "y")
-    # a's first record is evicted, its second is kept
+    # a's first record has left the log, its second is kept
     assert history.lookup(a).signature == "second"
     history.record(b, "z")
-    assert history.lookup(a) is None
+    # both have left the log; a still looks up its newest record
     assert [r.signature for r in history.snapshot()] == ["y", "y", "z"]
+    assert history.lookup(a).signature == "second"
 
 
 def test_records_with_equal_clock_readings_stay_apart(monkeypatch):
@@ -125,18 +128,17 @@ def test_records_with_equal_clock_readings_stay_apart(monkeypatch):
     assert len(history) == 1
 
 
-def test_trims_keep_the_log_within_an_eighth_past_the_cap():
+def test_the_log_never_holds_more_than_cap_records():
     history = OpHistory(64)
     values = [wrap(i) for i in range(1000)]
     longest = 0
     for value in values:
         history.record(value, "s")
-        # the log is flat: three items per record
-        longest = max(longest, len(history._log) // 3, len(history._by_uid))
-    assert longest <= 64 + 64 // 8
-    assert len(history) == 64
-    assert history.lookup(values[-65]) is None
-    assert history.lookup(values[-64]).signature == "s"
+        # the log is flat: three items per record, whole records only
+        assert len(history._log) % 3 == 0
+        longest = max(longest, len(history._log) // 3)
+    assert longest == len(history) == 64
+    assert [r.uid for r in history.snapshot()] == [v.uid for v in values[-64:]]
 
 
 # -- the plan cache against insertion-ordered keys cut to cap ---------------

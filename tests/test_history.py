@@ -1,0 +1,160 @@
+"""History records live on the values they describe.
+
+``OpHistory.lookup(v)`` reads the record stored on v, so it returns v's
+newest record made by that history for as long as v exists, also once the
+log has dropped the record. A record made by another environment's
+history since hides this one's: v's contents are then that environment's
+output. The log, which ``len`` and ``snapshot`` read, keeps only the
+newest ``cap`` records.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+
+import pytest
+
+from opsforge.execution import OpHistory
+from opsforge.matcher import MatchCache
+from opsforge.stdlib import default_environment
+from opsforge.values import wrap
+
+INCREMENT = "builtin:benchmark/increment_u8|DIRECT|[]|()"
+
+
+def _environment(history):
+    """A stdlib environment recording into ``history`` from its first call."""
+    env = default_environment(include_legacy=False)
+    env.history, env.cache = history, MatchCache()
+    return env
+
+
+def _recorded_by(how, history):
+    """A function that makes one fresh value and records it, one of two ways."""
+    if how == "record":
+
+        def fresh(i):
+            value = wrap(i)
+            history.record(value, "s")
+            return value
+
+        return fresh
+    # the runner's inlined record
+    env = _environment(history)
+    return lambda i: env.op("math.add").input(i, 1).apply()
+
+
+@pytest.mark.parametrize("how", ["record", "apply"])
+def test_a_value_looks_up_its_record_after_the_log_drops_it(how):
+    cap = 16
+    history = OpHistory(cap)
+    fresh = _recorded_by(how, history)
+    first = fresh(0)
+    record = history.lookup(first)
+    assert record is not None and record.uid == first.uid
+    values = [fresh(i) for i in range(1, 3 * cap)]
+    assert len(history) == cap
+    assert first.uid not in {r.uid for r in history.snapshot()}
+    assert history.lookup(first) == record
+    assert history.lookup(values[0]).uid == values[0].uid
+
+
+def test_a_record_made_by_another_environment_since_hides_this_ones():
+    one, other = _environment(OpHistory()), _environment(OpHistory())
+    data = wrap(bytearray(2))
+    one.op("benchmark.increment").input(data).mutate()
+    assert one.history.lookup(data).signature == INCREMENT
+    assert other.history.lookup(data) is None
+    # the other environment's output now: this one no longer names its plan
+    other.op("benchmark.increment").input(data).mutate()
+    assert one.history.lookup(data) is None
+    assert other.history.lookup(data).signature == INCREMENT
+    # each environment's log keeps its own records
+    assert [r.uid for r in one.history.snapshot()] == [data.uid]
+    assert [r.uid for r in other.history.snapshot()] == [data.uid]
+    one.history.record(data, "again")
+    assert one.history.lookup(data).signature == "again"
+    assert other.history.lookup(data) is None
+
+
+def test_a_recorded_value_keeps_no_history_alive():
+    history = OpHistory()
+    value = wrap(1)
+    history.record(value, "s")
+    gone = weakref.ref(history)
+    del history
+    gc.collect()
+    assert gone() is None
+    assert OpHistory().lookup(value) is None
+
+
+def test_concurrent_recorders_and_lookups_see_each_values_newest_record():
+    # Each recording thread re-records its own values with a counting
+    # signature, many times past the cap. Lookup threads read every value
+    # throughout: once a value is recorded it always looks up, and the count
+    # it reads never goes back. Afterwards each value looks up its last
+    # record, and the log holds the newest cap whole records.
+    cap, writers_n, readers_n, rounds, per_value = 8, 3, 2, 2_000, 3
+    history = OpHistory(cap)
+    owned = [[wrap(bytearray(1)) for _ in range(per_value)] for _ in range(writers_n)]
+    for k, values in enumerate(owned):
+        for value in values:
+            history.record(value, f"{k}:0")
+    every = [value for values in owned for value in values]
+    errors = []
+    start = threading.Barrier(writers_n + readers_n)
+    done = threading.Event()
+
+    def record(k):
+        try:
+            start.wait(timeout=60)
+            for i in range(1, rounds + 1):
+                for value in owned[k]:
+                    history.record(value, f"{k}:{i}")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    def look():
+        try:
+            start.wait(timeout=60)
+            seen = {}
+            while not done.is_set():
+                for value in every:
+                    got = history.lookup(value)
+                    if got is None or got.uid != value.uid:
+                        errors.append(f"lookup of {value.uid} read {got}")
+                        return
+                    count = int(got.signature.split(":")[1])
+                    if count < seen.get(value.uid, 0):
+                        errors.append(f"{value.uid} went back to {got.signature}")
+                        return
+                    seen[value.uid] = count
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=record, args=(k,)) for k in range(writers_n)]
+        readers = [threading.Thread(target=look) for _ in range(readers_n)]
+        for th in writers + readers:
+            th.start()
+        for th in writers:
+            th.join(timeout=120)
+        done.set()
+        for th in readers:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in writers + readers)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    for k, values in enumerate(owned):
+        for value in values:
+            assert history.lookup(value).signature == f"{k}:{rounds}"
+    snapshot = history.snapshot()
+    assert len(history) == len(snapshot) == cap
+    assert all(
+        (type(r.uid), type(r.signature), type(r.at)) == (int, str, float) for r in snapshot
+    )
+    assert {r.uid for r in snapshot} <= {v.uid for v in every}

@@ -129,6 +129,36 @@ def test_image_constructors_shape():
         image_f64(3, 2, range(5))
 
 
+@pytest.mark.parametrize(
+    "make, pixels",
+    [
+        (image_u8, [1.7, 2]),
+        (image_u8, [1, 300]),
+        (image_u8, [-1, 2]),
+        (image_u8, [True, 2]),
+        (image_u8, [np.float64(1.0), 2]),
+        (image_f64, ["1", 2]),
+        (image_f64, [2**1024, 2]),
+        (image_f64, [np.bool_(True), 2]),
+    ],
+)
+def test_image_constructors_reject_the_pixels_json_input_rejects(make, pixels):
+    type_ = IMAGE_U8 if make is image_u8 else IMAGE_F64
+    with pytest.raises(RegistrationError) as from_json:
+        from_json_obj(type_, {"w": 2, "h": 1, "data": list(pixels)})
+    with pytest.raises(RegistrationError) as made:
+        make(2, 1, pixels)
+    assert str(made.value) == str(from_json.value)
+
+
+def test_image_constructors_take_numpy_scalars_as_the_numbers_they_equal():
+    ints = np.array([0, 7, 255, 3], dtype=np.int64)
+    assert image_u8(2, 2, ints).payload.tolist() == [[0, 7], [255, 3]]
+    assert image_u8(2, 2, ints.astype(np.uint8)).payload.dtype == np.uint8
+    mixed = [np.float32(0.5), np.int16(-3), np.float64(2.25), 4]
+    assert image_f64(2, 2, mixed).payload.tolist() == [[0.5, -3.0], [2.25, 4.0]]
+
+
 def test_uids_are_unique():
     a, b = wrap(1), wrap(1)
     assert a.uid != b.uid
