@@ -7,8 +7,10 @@ individual parameters. A plan is compiled once, when its runner is made; a
 cached plan keeps its runner, and so its compiled callable, in its cache
 entry. The op's frame sits at the plan boundary: the runner holds it for a
 top-level plan, and compile_tree adds it for dependency children, adapter
-dependencies and standalone use. Execution then moves between Values and
-payloads in one place, so op bodies never see framework objects.
+dependencies and standalone use. Op bodies never see framework objects:
+payloads travel from the caller to the body, and a Value is built only
+where the caller sees it, as the function result, the filled container or
+the mutable argument handed back.
 
 Kind contracts enforced here:
 - functions allocate a fresh Value and never touch their arguments,
@@ -26,15 +28,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionMismatchError, ExecutionError, OpsError
 from .matcher import InfoTree, OpRequest, _as_type, function_request, staged_key
 from .runtime import runs_op
 from .types import Io, Kind, SemanticType, describe_type
-from .values import _IN_PLACE, Value, copy_into, wrap, write_back
+from .values import _EXACT, _IN_PLACE, Value, copy_into, payload_of, wrap, write_back
 
 if TYPE_CHECKING:
     from .registry import OpEnvironment, OpInfo
@@ -114,16 +115,19 @@ def _conversion_wrap(env: OpEnvironment, tree: InfoTree, fn):
 
 
 def _make_runner(env: OpEnvironment, tree: InfoTree):
-    """The one run path of a plan: ``run(values, container) -> Value``.
+    """The one run path of a plan: ``run(args, out) -> Value``.
 
-    The runner holds the op's frame in its ``op_frame`` local, where the
-    runtime finds it when a body reports progress or asks for the pool. It
-    calls the plan on the argument payloads, turns body failures into
+    ``args`` are the argument payloads. ``out`` is the container Value for
+    a computer, the mutable argument's Value for an inplace and None for a
+    function. A one-argument inplace call may pass None for ``args``: its
+    argument is then ``out.payload``, and no tuple is built for it. The runner holds the op's frame in its ``op_frame`` local,
+    where the runtime finds it when a body reports progress or asks for
+    the pool. It calls the plan on ``args``, turns body failures into
     ExecutionErrors that carry the plan signature, enforces the effective
     kind's contract (assign a scalar inplace result, wrap a function
-    result, write a computer result back), and records history. The plan
-    is compiled here, once per runner, so a cached plan never compiles
-    again; a leaf plan's call is its bare body.
+    result, write a computer result back), and records history on the
+    Value it returns. The plan is compiled here, once per runner, so a
+    cached plan never compiles again; a leaf plan's call is its bare body.
     """
     info = tree.info
     history = env.history
@@ -133,29 +137,20 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
     # call) and defaults read as plain locals on every cached call.
     @runs_op
     def run(
-        values,
-        container,
+        args,
+        out,
         call=_compile(env, tree),
         op_frame=(info.name, env, env.pool),
         sig=tree.signature,
-        arity=tree.eff_arity,
         inplace=tree.eff_kind is Kind.INPLACE,
         function=tree.eff_kind is Kind.FUNCTION,
         out_type=tree.out_type,
-        mi=tree.eff_mutable,
         token=history._token,  # OpHistory.record, inlined below
         log=history._log.extend,
         now=time.time,
     ):
         try:
-            # the common arities spelled out: *-unpacking costs more than
-            # most op bodies
-            if arity == 1:
-                result = call(values[0].payload)
-            elif arity == 2:
-                result = call(values[0].payload, values[1].payload)
-            else:
-                result = call(*[v.payload for v in values])
+            result = call(*args) if args is not None else call(out.payload)
         except OpsError as exc:
             if isinstance(exc, ExecutionError) and exc.signature is None:
                 exc.signature = sig
@@ -166,14 +161,12 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         # the kind's contract is an invalid output
         try:
             if inplace:
-                out = values[mi]
                 if result is not out.payload and not isinstance(out.payload, _IN_PLACE):
                     write_back(out, result)
             elif function:
                 out = Value(out_type, result)
             else:
-                write_back(container, result)
-                out = container
+                write_back(out, result)
         except DimensionMismatchError as exc:
             if exc.signature is None:
                 exc.signature = sig
@@ -206,8 +199,9 @@ def _resolve(env: OpEnvironment, req: OpRequest):
     return entry.tree, entry.run
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
+class HistoryRecord(NamedTuple):
+    """One history record: a value's uid, the plan signature, the time."""
+
     uid: int
     signature: str
     at: float
@@ -264,6 +258,42 @@ class OpHistory:
         return len(self._log) // 3
 
 
+# Staged by input() as they are: Values, and raw payloads of a class _EXACT
+# lists. input() wraps anything else.
+_AS_IS = frozenset([Value, *(c for c in _EXACT if type(c) is type)])
+
+
+def _stage(obj):
+    return obj if type(obj) in _AS_IS else wrap(obj)
+
+
+def _types_of(staged) -> tuple[SemanticType, ...]:
+    return tuple([_EXACT.get(type(x)) or x.type for x in staged])
+
+
+def _args_of(staged) -> tuple:
+    """The payloads the runner takes for staged inputs; a raw one as it is."""
+    return tuple([x if type(x) in _EXACT else x.payload for x in staged])
+
+
+def _key_args(name: str, kind_value: str, extra, staged) -> tuple[tuple, tuple]:
+    """``(staged_key(...), _args_of(staged))``, with one input and two raw
+    payloads spelled out: on a cached call they are most of the work."""
+    n = len(staged)
+    if n == 2:
+        a, b = staged
+        ta, tb = _EXACT.get(type(a)), _EXACT.get(type(b))
+        if ta is not None and tb is not None:
+            return (name, kind_value, extra, ta._str, tb._str), staged
+    elif n == 1:
+        x = staged[0]
+        t = _EXACT.get(type(x))
+        if t is None:
+            return (name, kind_value, extra, x.type._str), (x.payload,)
+        return (name, kind_value, extra, t._str), staged
+    return staged_key(name, kind_value, extra, staged), _args_of(staged)
+
+
 class OpBuilder:
     """Fluent request construction: stage inputs, pick a terminal.
 
@@ -271,22 +301,27 @@ class OpBuilder:
     compute, mutate) match and run once. Handle terminals (function,
     computer, inplace) match once and return a callable that never matches
     again.
+
+    ``input`` keeps a Value, or a raw payload whose exact class
+    ``values._EXACT`` lists, as it is, and wraps anything else, so a bad
+    object fails at that call. The value terminals hand the runner
+    payloads; ``mutate`` on a raw payload wraps that one payload, and
+    returns that Value.
     """
 
-    __slots__ = (
-        "_env",
-        "_name",
-        "_inputs",
-        "_types",
-        "_output",
-        "_container",
-        "_container_t",
-    )
+    # The fields only some terminals read are class-level defaults that
+    # staging sets on the instance (its __dict__), so new_builder fills
+    # three slots.
+    __slots__ = ("_env", "_name", "_inputs", "__dict__")
+    _types: tuple[SemanticType, ...] = ()
+    _output: SemanticType | None = None
+    _container: Value | None = None
+    _container_t: SemanticType | None = None
 
     def input(self, *objs) -> "OpBuilder":
         for obj in objs:
-            if not isinstance(obj, Value):
-                objs = tuple(map(wrap, objs))
+            if type(obj) not in _AS_IS:
+                objs = tuple(map(_stage, objs))
                 break
         self._inputs += objs
         return self
@@ -310,35 +345,25 @@ class OpBuilder:
         return self
 
     def _staged_types(self) -> tuple[SemanticType, ...]:
-        if self._types:
-            return self._types
-        return tuple(v.type for v in self._inputs)
+        return self._types or _types_of(self._inputs)
 
     # The value terminals below share one shape. With the cache on they
-    # look the staged request up under staged_key (inlined for one input)
-    # and run a cached runner directly, counting the hit; otherwise they
-    # build, validate and match an OpRequest through _resolve.
+    # look the staged request up under its key and run a cached runner
+    # directly, counting the hit; otherwise they build, validate and match
+    # an OpRequest through _resolve.
 
     def apply(self) -> Value:
         env, inputs, out = self._env, self._inputs, self._output
         if env.cache_enabled:
             cache = env.cache
             extra = out._str if out is not None else None
-            entry = cache.entries.get(
-                staged_key(self._name, "function", extra, inputs)
-                if len(inputs) != 1
-                else (self._name, "function", extra, inputs[0].type._str)
-            )
+            key, args = _key_args(self._name, "function", extra, inputs)
+            entry = cache.entries.get(key)
             if entry is not None and entry.run is not None:
                 cache.hits += 1
-                return entry.run(inputs, None)
-        req = OpRequest(
-            self._name,
-            Kind.FUNCTION,
-            tuple(v.type for v in inputs),
-            output_type=out,
-        )
-        return _resolve(env, req)[1](inputs, None)
+                return entry.run(args, None)
+        req = OpRequest(self._name, Kind.FUNCTION, _types_of(inputs), output_type=out)
+        return _resolve(env, req)[1](_args_of(inputs), None)
 
     def compute(self) -> Value:
         env, inputs, container = self._env, self._inputs, self._container
@@ -346,42 +371,41 @@ class OpBuilder:
             raise ExecutionError("compute() needs container(...) staged first")
         if env.cache_enabled:
             cache = env.cache
-            extra = container.type._str
-            entry = cache.entries.get(
-                staged_key(self._name, "computer", extra, inputs)
-                if len(inputs) != 1
-                else (self._name, "computer", extra, inputs[0].type._str)
-            )
+            key, args = _key_args(self._name, "computer", container.type._str, inputs)
+            entry = cache.entries.get(key)
             if entry is not None and entry.run is not None:
                 cache.hits += 1
-                return entry.run(inputs, container)
+                return entry.run(args, container)
         req = OpRequest(
-            self._name,
-            Kind.COMPUTER,
-            tuple(v.type for v in inputs),
-            container_type=container.type,
+            self._name, Kind.COMPUTER, _types_of(inputs), container_type=container.type
         )
-        return _resolve(env, req)[1](inputs, container)
+        return _resolve(env, req)[1](_args_of(inputs), container)
 
     def mutate(self, index: int = 0) -> Value:
+        # One staged Value, the mutable argument itself, is spelled out: it
+        # is handed back, and its payload reaches the runner with no tuple.
         env, inputs = self._env, self._inputs
+        x = inputs[0] if len(inputs) == 1 else None
+        one = x.__class__ is Value
         if env.cache_enabled:
             cache = env.cache
-            entry = cache.entries.get(
-                staged_key(self._name, "inplace", index, inputs)
-                if len(inputs) != 1
-                else (self._name, "inplace", index, inputs[0].type._str)
-            )
-            if entry is not None and entry.run is not None:
-                cache.hits += 1
-                return entry.run(inputs, None)
-        req = OpRequest(
-            self._name,
-            Kind.INPLACE,
-            tuple(v.type for v in inputs),
-            mutable_index=index,
-        )
-        return _resolve(env, req)[1](inputs, None)
+            if one:
+                entry = cache.entries.get((self._name, "inplace", index, x.type._str))
+                if entry is not None and entry.run is not None:
+                    cache.hits += 1
+                    return entry.run(None, x)
+            else:
+                key, args = _key_args(self._name, "inplace", index, inputs)
+                entry = cache.entries.get(key)
+                if entry is not None and entry.run is not None:
+                    cache.hits += 1
+                    # wrap hands a staged Value back as it is
+                    return entry.run(args, wrap(inputs[index]))
+        if one:
+            req = OpRequest(self._name, Kind.INPLACE, (x.type,), mutable_index=index)
+            return _resolve(env, req)[1](None, x)
+        req = OpRequest(self._name, Kind.INPLACE, _types_of(inputs), mutable_index=index)
+        return _resolve(env, req)[1](_args_of(inputs), wrap(inputs[index]))
 
     def function(self) -> "FunctionHandle":
         req = OpRequest(
@@ -426,15 +450,16 @@ def new_builder(env: OpEnvironment, name: str) -> OpBuilder:
     b._env = env
     b._name = name
     b._inputs = ()
-    b._types = ()
-    b._output = None
-    b._container = None
-    b._container_t = None
     return b
 
 
 class _Handle:
-    """Matched once; invocations call the plan's runner without matching."""
+    """Matched once; invocations call the plan's runner without matching.
+
+    A call hands the runner payloads: a raw payload of a class
+    ``values._EXACT`` lists as it is, a Value's payload, and anything else
+    as ``values.payload_of`` infers it, with no Value built.
+    """
 
     def __init__(self, tree: InfoTree, run):
         self._tree = tree
@@ -448,34 +473,35 @@ class _Handle:
     def signature(self) -> str:
         return self._tree.signature
 
-    def _values(self, objs) -> tuple[Value, ...]:
-        vals = tuple(map(wrap, objs))
-        if len(vals) != self._tree.eff_arity:
+    def _args(self, objs) -> tuple:
+        args = tuple(map(payload_of, objs))
+        if len(args) != self._tree.eff_arity:
             raise ExecutionError(
                 f"{self._tree.info.name} takes {self._tree.eff_arity} "
-                f"arguments, got {len(vals)}"
+                f"arguments, got {len(args)}"
             )
-        return vals
+        return args
 
 
 class FunctionHandle(_Handle):
     def __call__(self, *objs) -> Value:
-        return self._run(self._values(objs), None)
+        return self._run(self._args(objs), None)
 
 
 class ComputerHandle(_Handle):
     def __call__(self, *objs, container: Value) -> Value:
         if not isinstance(container, Value):
             raise ExecutionError("container must be a Value")
-        return self._run(self._values(objs), container)
+        return self._run(self._args(objs), container)
 
 
 class InplaceHandle(_Handle):
     def __call__(self, *objs) -> Value:
-        vals = self._values(objs)
-        if not isinstance(objs[self._tree.eff_mutable], Value):
+        args = self._args(objs)
+        out = objs[self._tree.eff_mutable]
+        if not isinstance(out, Value):
             raise ExecutionError("the mutable argument must be passed as a Value")
-        return self._run(vals, None)
+        return self._run(args, out)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .errors import (
     RegistrationError,
 )
 from .types import Kind, SemanticType, TypeHierarchy, is_assignable, parse_type
+from .values import _EXACT
 
 if TYPE_CHECKING:
     from .registry import DependencySpec, OpEnvironment, OpInfo
@@ -108,7 +109,7 @@ class OpRequest:
         extra is the output type string (or None) for FUNCTION, the
         container type string for COMPUTER and the mutable index for
         INPLACE. Type strings are SemanticType's canonical ``_str``.
-        staged_key builds this same tuple from a builder's staged Values
+        staged_key builds this same tuple from a builder's staged inputs
         to reach the cache without constructing a request; a key is only
         ever stored for a request that passed validation, so an invalid
         request always misses and raises on construction.
@@ -306,16 +307,15 @@ class MatchCache:
         return len(self.entries)
 
 
-def staged_key(name: str, kind_value: str, extra, values) -> tuple:
-    """OpRequest.cache_key of a request staged as Values, built without a request.
+def staged_key(name: str, kind_value: str, extra, staged) -> tuple:
+    """OpRequest.cache_key of a builder's staged inputs, built without a request.
 
-    The builder terminals build a one-input key inline and call this for
-    other arities; two inputs are spelled out, since on a cached builder
-    call this key is most of the lookup cost.
+    A staged input is a Value, typed by its tag, or a raw payload whose
+    exact class ``values._EXACT`` lists, typed by that table. The builder
+    terminals build one- and two-input keys inline, since on a cached call
+    this key is most of the lookup cost, and call this for other arities.
     """
-    if len(values) == 2:
-        return (name, kind_value, extra, values[0].type._str, values[1].type._str)
-    return (name, kind_value, extra, *[v.type._str for v in values])
+    return (name, kind_value, extra, *[(_EXACT.get(type(x)) or x.type)._str for x in staged])
 
 
 # ---------------------------------------------------------------------------

@@ -110,20 +110,23 @@ _DEFAULT_POOL = ComputePool(1)
 # nothing, since that sits on every invocation's path: the innermost frame
 # is found, only when a body asks for it, by walking the calling thread's
 # own Python stack to the nearest such function. Each thread, pool workers
-# included, thus sees only the ops it runs itself.
-_RUNNER_CODES: set = set()
+# included, thus sees only the ops it runs itself. The marked code objects
+# are keyed by id, since hashing a code object costs about half a
+# microsecond per frame the walk visits; the dict keeps each one alive, so
+# its id cannot be reused.
+_RUNNER_CODES: dict = {}
 
 
 def runs_op(fn):
     """Mark ``fn`` as running an op whose frame is its ``op_frame`` local."""
-    _RUNNER_CODES.add(fn.__code__)
+    _RUNNER_CODES[id(fn.__code__)] = fn.__code__
     return fn
 
 
 def _innermost_frame() -> tuple | None:
     f = sys._getframe(1)
     while f is not None:
-        if f.f_code in _RUNNER_CODES:
+        if id(f.f_code) in _RUNNER_CODES:
             return f.f_locals["op_frame"]
         f = f.f_back
     return None

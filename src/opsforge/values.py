@@ -218,6 +218,15 @@ def wrap(obj: Any) -> Value:
     return value
 
 
+def payload_of(obj: Any) -> Any:
+    """The payload ``wrap(obj)`` would carry, read without building a Value."""
+    if type(obj) in _EXACT:
+        return obj
+    if isinstance(obj, Value):
+        return obj.payload
+    return _infer(obj)[1]
+
+
 def _infer(obj: Any) -> tuple[SemanticType, Any]:
     """wrap's type and payload for an object whose exact class is not listed:
     arrays, subclasses of the listed classes, numpy scalars, bytes and lists.

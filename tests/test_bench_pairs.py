@@ -147,6 +147,24 @@ def test_criterion6_verdict_reads_the_printed_line(verdict, ordering, ratio, add
     assert record["ratios"] == [float(ratio)] * 2
 
 
+def test_criterion6_record_takes_the_medians_of_the_printed_means():
+    # a failing 0.104 prints as 0.10; the record's ratio comes from the ns
+    runs = [(2500, 24000, "FAIL"), (2000, 25000, "PASS"), (2600, 25000, "FAIL")]
+    verdicts = [
+        bench_pairs.criterion6_verdict(
+            _criterion6_output(verdict, "True", f"{c / n:.2f}", "0.85")
+            .replace("cached=2400 nocache=24000", f"cached={c} nocache={n}"))
+        for c, n, verdict in runs
+    ]
+    assert [(v["cached_ns"], v["nocache_ns"]) for v in verdicts] == [(c, n) for c, n, _ in runs]
+    assert verdicts[0]["ratio"] == 0.10
+    record = bench_pairs.criterion6_record(verdicts)
+    assert record["passed"] == 1
+    assert (record["cached_ns_median"], record["nocache_ns_median"]) == (2500, 25000)
+    assert record["median_ratio"] == pytest.approx(0.1)
+    assert bench_pairs.criterion6_record([])["median_ratio"] is None
+
+
 def test_criterion6_verdict_needs_the_line():
     with pytest.raises(ValueError):
         bench_pairs.criterion6_verdict("ERROR collecting tests/test_acceptance.py\n")
@@ -234,6 +252,35 @@ def test_last_committed_bench_is_the_highest_number_at_head(tmp_path):
                                                      "BENCH_x.json"]
 
 
+def test_the_head_side_is_the_working_trees_tracked_files(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    (repo / "a.py").write_text("committed\n")
+    (repo / "b.py").write_text("committed\n")
+    for args in (("init", "-q"), ("add", "."), ("commit", "-q", "-m", "tree")):
+        git(*args)
+    clean = tmp_path / "clean"
+    bench_pairs._export_worktree(repo, clean)
+    assert sorted(p.name for p in clean.iterdir()) == ["a.py", "b.py"]
+    (repo / "a.py").write_text("changed\n")
+    (repo / "b.py").write_text("staged\n")
+    git("add", "b.py")
+    (repo / "new.py").write_text("untracked\n")
+    dirty = tmp_path / "dirty"
+    bench_pairs._export_worktree(repo, dirty)
+    assert sorted(p.name for p in dirty.iterdir()) == ["a.py", "b.py"]
+    assert (dirty / "a.py").read_text() == "changed\n"
+    assert (dirty / "b.py").read_text() == "staged\n"
+    # the checkout itself is left as it was
+    assert (repo / "a.py").read_text() == "changed\n"
+    assert (repo / "new.py").exists()
+
+
 def test_export_runs_without_extraction_filters(tmp_path, monkeypatch):
     # Python before 3.10.12 / 3.11.4 has no tarfile.data_filter and no
     # ``filter`` keyword on extractall
@@ -259,10 +306,11 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     # pinned at its count since wrap's exact-type table (436 before it), and
     # the array handle since the table took array payloads (575 before).
     # All three fell by 10 when history records moved onto the values
-    # (179, 310 and 397 before).
-    assert counts["increment_mutate"] <= 169
-    assert counts["add_apply"] <= 300
-    assert counts["sub_handle"] <= 387
+    # (179, 310 and 397 before), and again when payloads, not Values, went
+    # from the caller to the body (169, 300 and 387 before).
+    assert counts["increment_mutate"] <= 159
+    assert counts["add_apply"] <= 236
+    assert counts["sub_handle"] <= 327
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

@@ -14,11 +14,11 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from opsforge import execution
-from opsforge.errors import NoMatchError, RegistrationError
+from opsforge.errors import NoMatchError, OpsError, RegistrationError
 from opsforge.execution import OpHistory
 from opsforge.matcher import MatchCache, OpRequest
 from opsforge.registry import Kind, OpEnvironment, parse_descriptors
@@ -31,7 +31,7 @@ from opsforge.stdlib import (
     legacy_descriptors_path,
 )
 from opsforge.types import parse_type
-from opsforge.values import image_f64, image_u8, wrap
+from opsforge.values import Value, image_f64, image_u8, wrap
 
 
 def _rand_image(seed, w=8, h=8):
@@ -281,6 +281,94 @@ def test_cache_and_load_order_do_not_change_matching(cached_and_uncached, req, o
         assert list(shuffled.candidates(name)) == [
             i for i in shuffled.infos if name in i.names
         ]
+
+
+# -- raw payloads and Values reach the same plan and result ------------------
+
+# A payload per base type, made fresh for every call since an inplace call
+# changes its argument. Image names no payload, so requests staging it are
+# left to the test above.
+PAYLOADS = {
+    "Integer": lambda: 3,
+    "Real": lambda: 2.5,
+    "Boolean": lambda: True,
+    "Text": lambda: "ab",
+    "ByteArray": lambda: bytearray([41, 7, 200]),
+    "RealArray": lambda: np.array([1.5, -2.0, 3.25]),
+    "ImageU8": lambda: np.arange(12, dtype=np.uint8).reshape(3, 4),
+    "ImageF64": lambda: np.linspace(0.0, 1.0, 12).reshape(3, 4),
+}
+
+
+def _staged(types, raw, keep=None):
+    """Fresh inputs of ``types``: raw payloads when ``raw``, else Values; the
+    input at index ``keep`` is a Value either way."""
+    return [
+        PAYLOADS[t.base]() if raw and i != keep else Value(t, PAYLOADS[t.base]())
+        for i, t in enumerate(types)
+    ]
+
+
+def _bytes(x):
+    p = x.payload if isinstance(x, Value) else x
+    return p.tobytes() if isinstance(p, np.ndarray) else bytes(p)
+
+
+def _staged_outcome(env, req, raw, handle):
+    """What one call on fresh inputs gives: the error, or the result's type,
+    payload and signature and the in-place inputs' contents afterwards."""
+    kind = req.kind
+    keep = req.mutable_index if handle and kind is Kind.INPLACE else None
+    args = _staged(req.arg_types, raw, keep)
+    b = env.op(req.name)
+    b = b.input_types(*req.arg_types) if handle else b.input(*args)
+    try:
+        if kind is Kind.FUNCTION:
+            if req.output_type is not None:
+                b = b.output_type(req.output_type)
+            out = b.function()(*args) if handle else b.apply()
+        elif kind is Kind.COMPUTER:
+            container = _staged([req.container_type], False)[0]
+            if handle:
+                out = b.container_type(req.container_type).computer()(*args, container=container)
+            else:
+                out = b.container(container).compute()
+        else:
+            index = req.mutable_index
+            out = b.inplace(index)(*args) if handle else b.mutate(index)
+    except OpsError as exc:
+        return type(exc).__name__, str(exc)
+    inputs = [_bytes(x) for x in args if isinstance(getattr(x, "payload", x), (bytearray, np.ndarray))]
+    return out.type, _payload(out), env.history.lookup(out).signature, inputs
+
+
+def _inplace(name, *types, index=0):
+    return OpRequest(name, Kind.INPLACE, tuple(map(parse_type, types)), mutable_index=index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(req=stdlib_requests(), handle=st.booleans(), raw_first=st.booleans())
+# the inplace terminals, which random entries seldom reach, direct and
+# converted
+@example(req=_inplace("benchmark.increment", "ByteArray"), handle=False, raw_first=True)
+@example(req=_inplace("benchmark.increment", "ByteArray"), handle=True, raw_first=False)
+@example(req=_inplace("benchmark.increment", "RealArray"), handle=False, raw_first=False)
+@example(req=_inplace("benchmark.increment", "RealArray"), handle=True, raw_first=True)
+def test_raw_payloads_and_values_reach_the_same_entry_and_result(req, handle, raw_first):
+    if any(t is not None and t.base not in PAYLOADS for t in (*req.arg_types, req.container_type)):
+        return
+    on, off = _stdlib_env(STDLIB_INFOS, True), _stdlib_env(STDLIB_INFOS, False)
+    expected = _staged_outcome(off, req, False, handle)
+    event(expected[0] if isinstance(expected[0], str) else f"ran {req.kind.value}")
+    assert _staged_outcome(off, req, True, handle) == expected
+    assert _staged_outcome(on, req, raw_first, handle) == expected
+    entry, size, hits = on.cache.entries.get(req.cache_key), len(on.cache), on.cache.hits
+    assert _staged_outcome(on, req, not raw_first, handle) == expected
+    # the other staging reaches the first one's entry: one hit, nothing added
+    assert len(on.cache) == size
+    if entry is not None:
+        assert on.cache.entries[req.cache_key] is entry
+        assert on.cache.hits == hits + 1
 
 
 # -- listeners are read when a body reports ---------------------------------

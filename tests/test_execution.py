@@ -15,6 +15,7 @@ from opsforge.errors import (
     ExecutionError,
     NoMatchError,
     PreconditionError,
+    RegistrationError,
 )
 from opsforge.execution import compile_tree
 from opsforge.matcher import computer_request
@@ -99,6 +100,112 @@ def test_mutate_empty_array_precondition(env):
     with pytest.raises(PreconditionError) as err:
         env.op("benchmark.increment").input(wrap(bytearray())).mutate()
     assert "non-empty" in str(err.value)
+
+
+# -- the value boundary: payloads in, a Value only where the caller sees it ----
+
+
+@pytest.fixture(params=[True, False], ids=["cached", "uncached"])
+def any_env(request):
+    return default_environment(include_legacy=False, cache_enabled=request.param)
+
+
+def test_mutate_hands_back_the_staged_value_itself(any_env):
+    value = wrap(bytearray([1, 2]))
+    for k in range(3):
+        assert any_env.op("benchmark.increment").input(value).mutate() is value
+    assert list(value.payload) == [4, 2]
+    assert any_env.history.lookup(value) is not None
+
+
+def test_mutate_on_a_raw_payload_returns_a_new_value_around_it(any_env):
+    data = bytearray([1, 2])
+    outs = [any_env.op("benchmark.increment").input(data).mutate() for _ in range(3)]
+    assert all(type(out) is Value and out.payload is data for out in outs)
+    assert len({out.uid for out in outs}) == 3
+    assert list(data) == [4, 2]
+    assert all(any_env.history.lookup(out) is not None for out in outs)
+
+
+def test_mutate_on_a_raw_scalar_returns_a_value_of_the_result(conv_env):
+    for _ in range(2):
+        out = conv_env.op("test.bump").input(3).mutate()
+        assert (out.type, out.payload) == (opsforge.values.INTEGER, 5)
+
+
+def _values_built(call) -> int:
+    """How many Values ``call()`` builds: every Value takes the next uid."""
+    before = next(opsforge.values._uid_counter)
+    call()
+    return next(opsforge.values._uid_counter) - before - 1
+
+
+def _boundary_calls(env):
+    add = env.op("math.add").input_types("Integer", "Integer").function()
+    sub = env.op("math.sub").input_types("ImageF64", "ImageF64").output_type("ImageF64").function()
+    inc = env.op("benchmark.increment").input_types(BYTE_ARRAY).inplace()
+    into = env.op("math.add").input_types("Real", "Real").container_type("Real").computer()
+    value, data, container = wrap(bytearray(4)), bytearray(4), wrap(0.0)
+    a, b = np.ones((4, 4)), np.zeros((4, 4))
+    return {
+        # the result
+        "apply raw ints": (lambda: env.op("math.add").input(2, 3).apply(), 1),
+        "function handle raw ints": (lambda: add(2, 3), 1),
+        "function handle raw arrays": (lambda: sub(a, b), 1),
+        # the container or mutable argument the caller already holds
+        "compute raw reals": (
+            lambda: env.op("math.add").input(2.5, 1.0).container(container).compute(), 0),
+        "computer handle raw reals": (lambda: into(2.5, 1.0, container=container), 0),
+        "mutate a Value": (lambda: env.op("benchmark.increment").input(value).mutate(), 0),
+        "inplace handle on a Value": (lambda: inc(value), 0),
+        # the Value mutate() hands back for a raw payload
+        "mutate a raw bytearray": (lambda: env.op("benchmark.increment").input(data).mutate(), 1),
+        # an array's exact class is not in the table, so input() wraps it,
+        # and only it
+        "apply raw array and raw real": (
+            lambda: env.op("filter.gauss").input(a, 1.0).apply(), 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_boundary_calls(default_environment(include_legacy=False))))
+def test_a_cached_call_builds_only_the_value_it_returns(name):
+    env = default_environment(include_legacy=False)
+    call, built = _boundary_calls(env)[name]
+    call()
+    hits = env.cache.hits
+    assert _values_built(call) == built
+    assert env.cache.hits == hits + ("handle" not in name)
+
+
+BAD_OBJECTS = [object(), None, 1j, [1.0, "x"], np.zeros((2, 2, 2)), np.zeros(3, dtype=np.int32)]
+
+
+@pytest.mark.parametrize("obj", BAD_OBJECTS, ids=lambda o: type(o).__name__)
+def test_a_bad_object_raises_at_input_and_at_the_handle_call_with_the_wrap_text(env, obj):
+    with pytest.raises(RegistrationError) as wrapped:
+        wrap(obj)
+    add = env.op("math.add").input_types("Integer", "Integer").function()
+    into = env.op("math.add").input_types("Real", "Real").container_type("Real").computer()
+    inc = env.op("benchmark.increment").input_types(BYTE_ARRAY).inplace()
+    for fails in (
+        lambda: env.op("math.add").input(2, obj),
+        lambda: env.op("math.add").input(2).input(obj),
+        lambda: add(2, obj),
+        lambda: add(obj),  # the object fails before the arity check
+        lambda: into(2.5, obj, container=wrap(0.0)),
+        lambda: inc(obj),
+    ):
+        with pytest.raises(RegistrationError) as err:
+            fails()
+        assert str(err.value) == str(wrapped.value)
+
+
+def test_an_inplace_handle_still_wants_its_mutable_argument_as_a_value(env):
+    inc = env.op("benchmark.increment").input_types(BYTE_ARRAY).inplace()
+    data = bytearray([1])
+    with pytest.raises(ExecutionError, match="the mutable argument must be passed as a Value"):
+        inc(data)
+    assert data == bytearray([1])
 
 
 # -- conversion corners --------------------------------------------------------

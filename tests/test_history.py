@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from opsforge.execution import OpHistory
+from opsforge.execution import HistoryRecord, OpHistory
 from opsforge.matcher import MatchCache
 from opsforge.stdlib import default_environment
 from opsforge.values import wrap
@@ -43,6 +43,25 @@ def _recorded_by(how, history):
     # the runner's inlined record
     env = _environment(history)
     return lambda i: env.op("math.add").input(i, 1).apply()
+
+
+def test_a_record_is_an_immutable_hashable_triple():
+    history = OpHistory()
+    value = wrap(1)
+    history.record(value, "sig")
+    record = history.lookup(value)
+    assert type(record) is HistoryRecord
+    assert HistoryRecord._fields == ("uid", "signature", "at")
+    assert (record.uid, record.signature) == (value.uid, "sig")
+    assert isinstance(record.at, float)
+    assert record == HistoryRecord(value.uid, "sig", record.at) == history.snapshot()[0]
+    assert record != HistoryRecord(value.uid, "other", record.at)
+    # a record is a tuple: it also equals the plain triple
+    assert record == (value.uid, "sig", record.at)
+    assert hash(record) == hash(HistoryRecord(value.uid, "sig", record.at))
+    assert len({record, history.lookup(value)}) == 1
+    with pytest.raises(AttributeError):
+        record.signature = "other"
 
 
 @pytest.mark.parametrize("how", ["record", "apply"])

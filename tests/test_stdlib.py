@@ -617,6 +617,39 @@ def test_legacy_sum_via_yaml_only(legacy_env):
     assert out.payload == 6.0
 
 
+class _Tagged(np.ndarray):
+    """An ndarray subclass with its own sum, as np.sum honours it."""
+
+    def sum(self, *args, **kwargs):
+        return 100.0 + float(np.asarray(self).sum(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([-0.0]),
+        np.array([-0.0, -0.0]),
+        np.array([0.0, -0.0]),
+        np.array([np.inf, 1.0]),
+        np.array([np.inf, -np.inf]),
+        np.array([1.0, np.nan]),
+        np.array([]),
+        np.random.default_rng(7).normal(0.0, 1e3, size=16),
+        np.random.default_rng(8).normal(0.0, 1e12, size=1001),
+        np.ma.masked_array([1.0, 2.0, 3.0], mask=[False, True, False]),
+        np.array([1.0, 2.0]).view(_Tagged),
+    ],
+    ids=["-0", "-0-0", "0-0", "inf", "inf-inf", "nan", "empty", "16", "1001", "masked",
+         "subclass"],
+)
+def test_legacy_sum_body_is_bitwise_np_sum(values):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = BINDINGS["legacy:stats/sum"](values)
+        want = float(np.sum(values))
+    assert type(got) is float
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_legacy_reverse(legacy_env):
     out = legacy_env.op("transform.reverse").input(wrap(np.array([1.0, 2.0, 3.0]))).apply()
     assert list(out.payload) == [3.0, 2.0, 1.0]

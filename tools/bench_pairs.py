@@ -3,9 +3,10 @@
     python3 tools/bench_pairs.py --out BENCH_7.json --seeds 10 --criterion6 10
 
 Unpacks the parent commit's tree (``git archive``) into a temporary
-directory and runs ``perfbench/run.py --trace 0`` there and in this
-checkout, alternating which side runs first, for each workload over seeds
-1..N. It reads the JSON last line of every run. For each end-to-end metric
+directory, and this checkout's tracked files as they stand in the working
+tree into another, so that both sides run from a fresh tree with no
+caches of its own. It runs ``perfbench/run.py --trace 0`` in each,
+alternating which side runs first, for each workload over seeds 1..N. It reads the JSON last line of every run. For each end-to-end metric
 it records the paired values, each side's median, q1 and q3, the change's
 relative median delta and how many pairs the change won (ties count for
 neither side). The summary it prints also gives each head median's
@@ -22,8 +23,11 @@ traced pair shows where a change moved time; it is not a distribution.
 The workloads and the run length are BENCHMARK.json's. The script also
 runs criterion 6's own test (``pytest tests/test_acceptance.py -k
 criterion_06``) K times per side, alternating, each in a fresh process, and
-records the verdict line it prints: pass or fail, the cached/uncached ratio
-and the additivity. These are pass counts for the record, not a gate. Paired, order-alternated runs follow Kalibera & Jones,
+records the verdict line it prints: pass or fail, the cached and uncached
+means in ns, the ratio as printed (two places) and the additivity. Per side
+it records the medians of the two means and the ratio of those medians,
+computed from the ns, since a printed 0.10 may be a failing 0.104. These
+are pass counts for the record, not a gate. Paired, order-alternated runs follow Kalibera & Jones,
 "Rigorous Benchmarking in Reasonable Time" (ISMM 2013). Standard library
 only; run it from a checkout of the change.
 
@@ -57,7 +61,7 @@ CRITERION6_TEST = ["-m", "pytest", "tests/test_acceptance.py", "-k", "criterion_
                    "-s", "-q", "-p", "no:cacheprovider"]
 # the verdict line tests/test_acceptance.py prints for criterion 6
 CRITERION6_LINE = re.compile(
-    r"criterion +6 \[(PASS|FAIL)\].*?ordering=(True|False), "
+    r"criterion +6 \[(PASS|FAIL)\].*? cached=(\d+) nocache=(\d+) .*?ordering=(True|False), "
     r"cached/nocache=(\S+) .*?additivity=(\S+) in"
 )
 
@@ -140,10 +144,12 @@ def criterion6_verdict(stdout: str) -> dict:
     for line in stdout.splitlines():
         found = CRITERION6_LINE.search(line)
         if found:
-            verdict, ordering, ratio, additive = found.groups()
+            verdict, cached, nocache, ordering, ratio, additive = found.groups()
             return {
                 "passed": verdict == "PASS",
                 "ordering": ordering == "True",
+                "cached_ns": int(cached),
+                "nocache_ns": int(nocache),
                 "ratio": float(ratio),
                 "additivity": float(additive),
                 "line": line.strip(),
@@ -152,10 +158,17 @@ def criterion6_verdict(stdout: str) -> dict:
 
 
 def criterion6_record(verdicts: list[dict]) -> dict:
+    """Pass count, printed ratios, and the median cached and uncached means
+    with the ratio of those medians; the medians are None for no runs."""
+    cached = statistics.median(v["cached_ns"] for v in verdicts) if verdicts else None
+    nocache = statistics.median(v["nocache_ns"] for v in verdicts) if verdicts else None
     return {
         "runs": len(verdicts),
         "passed": sum(1 for v in verdicts if v["passed"]),
         "ratios": [v["ratio"] for v in verdicts],
+        "cached_ns_median": cached,
+        "nocache_ns_median": nocache,
+        "median_ratio": cached / nocache if nocache else None,
         "verdicts": verdicts,
     }
 
@@ -189,10 +202,10 @@ def count_opcodes(call) -> int:
 def dispatch_opcodes() -> dict:
     """Bytecodes of three cached calls on a fresh stdlib environment, each
     counted after three warm-up calls: ``increment_mutate`` (a ByteArray
-    Value, no Value built), ``add_apply`` (two raw ints wrapped, an Integer
-    result) and ``sub_handle`` (an ADAPTED ``math.sub`` ImageF64 handle
-    through the elementwise lift, two raw 32x32 float64 arrays wrapped, an
-    ImageF64 result)."""
+    Value), ``add_apply`` (two raw ints, an Integer result) and
+    ``sub_handle`` (an ADAPTED ``math.sub`` ImageF64 handle through the
+    elementwise lift, two raw 32x32 float64 arrays, an ImageF64 result).
+    Each builds one Value at most: its result."""
     import numpy as np
 
     from opsforge.stdlib import default_environment
@@ -265,6 +278,14 @@ def _git(*args: str, cwd: Path) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def _export_worktree(root: Path, dest: Path) -> None:
+    """Unpack the working tree's tracked files, changes included, into
+    ``dest``; untracked files stay out, as ``head_dirty`` leaves them out."""
+    # stash create commits the working tree without touching it or any ref,
+    # and prints nothing when the tree is clean
+    _export(root, _git("stash", "create", cwd=root) or "HEAD", dest)
 
 
 def _export(root: Path, commit: str, dest: Path) -> None:
@@ -363,9 +384,9 @@ def main(argv=None) -> int:
         "per_layer": {},
     }
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
-        parent_root = Path(tmp) / "parent"
-        _export(root, report["parent"], parent_root)
-        sides = {"parent": parent_root, "head": root}
+        sides = {"parent": Path(tmp) / "parent", "head": Path(tmp) / "head"}
+        _export(root, report["parent"], sides["parent"])
+        _export_worktree(root, sides["head"])
         for workload in workloads:
             runs = []
             for i, seed in enumerate(report["settings"]["seeds"]):
@@ -407,7 +428,11 @@ def main(argv=None) -> int:
             print(f"{workload:<13} traced {name:<36} parent {m['parent']:>12.4g} "
                   f"head {m['head']:>12.4g} delta {delta}")
     for s, record in report.get("criterion6", {}).items():
-        print(f"criterion 6 {s}: {record['passed']}/{record['runs']} passed")
+        line = f"criterion 6 {s}: {record['passed']}/{record['runs']} passed"
+        if record["median_ratio"] is not None:
+            line += (f", median cached {record['cached_ns_median']:.0f} ns, uncached "
+                     f"{record['nocache_ns_median']:.0f} ns, ratio {record['median_ratio']:.4f}")
+        print(line)
     for s, counts in report["opcodes"].items():
         print(f"opcodes {s}: " + ", ".join(f"{k} {n}" for k, n in counts.items()))
     return 0
