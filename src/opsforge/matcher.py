@@ -312,8 +312,8 @@ def staged_key(name: str, kind_value: str, extra, staged) -> tuple:
 
     A staged input is a Value, typed by its tag, or a raw payload whose
     exact class ``values._EXACT`` lists, typed by that table. The builder
-    terminals build one- and two-input keys inline, since on a cached call
-    this key is most of the lookup cost, and call this for other arities.
+    terminals spell out one input and two raw payloads, since on a cached
+    call this key is most of the lookup cost, and call this for the rest.
     """
     return (name, kind_value, extra, *[(_EXACT.get(type(x)) or x.type)._str for x in staged])
 
