@@ -279,18 +279,17 @@ def _args_of(staged) -> tuple:
 def _key_args(name: str, kind_value: str, extra, staged) -> tuple[tuple, tuple]:
     """``(staged_key(...), _args_of(staged))``, with one input and two raw
     payloads spelled out: on a cached call they are most of the work."""
+    # ``in`` and subscripts, not _EXACT.get: a method call costs more here
     n = len(staged)
     if n == 2:
-        a, b = staged
-        ta, tb = _EXACT.get(type(a)), _EXACT.get(type(b))
-        if ta is not None and tb is not None:
-            return (name, kind_value, extra, ta._str, tb._str), staged
+        a, b = type(staged[0]), type(staged[1])
+        if a in _EXACT and b in _EXACT:
+            return (name, kind_value, extra, _EXACT[a]._str, _EXACT[b]._str), staged
     elif n == 1:
         x = staged[0]
-        t = _EXACT.get(type(x))
-        if t is None:
+        if type(x) not in _EXACT:
             return (name, kind_value, extra, x.type._str), (x.payload,)
-        return (name, kind_value, extra, t._str), staged
+        return (name, kind_value, extra, _EXACT[type(x)]._str), staged
     return staged_key(name, kind_value, extra, staged), _args_of(staged)
 
 
@@ -474,7 +473,12 @@ class _Handle:
         return self._tree.signature
 
     def _args(self, objs) -> tuple:
-        args = tuple(map(payload_of, objs))
+        # raw payloads of listed classes, the common call, pass as they are
+        args = objs
+        for obj in objs:
+            if type(obj) not in _EXACT:
+                args = tuple(map(payload_of, objs))
+                break
         if len(args) != self._tree.eff_arity:
             raise ExecutionError(
                 f"{self._tree.info.name} takes {self._tree.eff_arity} "
