@@ -28,6 +28,7 @@ and reproducibility checks.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,7 +229,9 @@ class InfoTree:
             f"|[{';'.join(middle)}]"
             f"|({','.join(ch.signature for ch in self.children)})"
         )
-        object.__setattr__(self, "signature", sig)
+        # interned: every tree of one plan, cached or freshly matched, holds
+        # one string, and so do the runners and history records built on it
+        object.__setattr__(self, "signature", sys.intern(sig))
 
     @property
     def adapter_chain(self) -> tuple[OpInfo, ...]:
