@@ -5,14 +5,17 @@ newest record made by that history for as long as v exists, also once the
 log has dropped the record. A record made by another environment's
 history since hides this one's: v's contents are then that environment's
 output. The log, which ``len`` and ``snapshot`` read, keeps only the
-newest ``cap`` records.
+newest ``cap`` records, and all records of one plan share one signature
+object.
 """
 
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from opsforge.execution import HistoryRecord, OpHistory
@@ -23,9 +26,9 @@ from opsforge.values import wrap
 INCREMENT = "builtin:benchmark/increment_u8|DIRECT|[]|()"
 
 
-def _environment(history):
+def _environment(history, cache_enabled=True):
     """A stdlib environment recording into ``history`` from its first call."""
-    env = default_environment(include_legacy=False)
+    env = default_environment(include_legacy=False, cache_enabled=cache_enabled)
     env.history, env.cache = history, MatchCache()
     return env
 
@@ -177,3 +180,72 @@ def test_concurrent_recorders_and_lookups_see_each_values_newest_record():
         (type(r.uid), type(r.signature), type(r.at)) == (int, str, float) for r in snapshot
     )
     assert {r.uid for r in snapshot} <= {v.uid for v in every}
+
+
+# -- one signature object per plan ------------------------------------------
+
+
+def _copy(text):
+    """An equal string that is a separate object."""
+    return text[:1] + text[1:]
+
+
+def test_uncached_calls_on_one_plan_leave_one_signature_object_in_the_log():
+    env = _environment(OpHistory(), cache_enabled=False)
+    data = wrap(bytearray(4))
+    for _ in range(20):
+        env.op("benchmark.increment").input(data).mutate()
+    for _ in range(2):
+        # each build matches afresh, so each handle has its own tree
+        env.op("benchmark.increment").input_types("ByteArray").inplace()(data)
+    signatures = list(env.history._log)[1::3]
+    assert len(signatures) == 22
+    assert signatures[0] == INCREMENT
+    assert len({id(s) for s in signatures}) == 1
+
+
+def test_record_keeps_what_the_runner_keeps():
+    # OpHistory.record is the runner's inline record: the same triple on the
+    # value, the same triple in the log, the same shared signature object
+    history = OpHistory()
+    env = _environment(history, cache_enabled=False)
+    ran = env.op("benchmark.increment").input(wrap(bytearray(2))).mutate()
+    recorded = wrap(bytearray(2))
+    history.record(recorded, _copy(INCREMENT))
+    token, signature, at = ran._record
+    assert type(recorded._record) is tuple and len(recorded._record) == 3
+    assert recorded._record[0] is token
+    assert recorded._record[1] is signature
+    assert type(recorded._record[2]) is type(at) is float
+    log = list(history._log)
+    assert log[:3] == [ran.uid, signature, at]
+    assert log[3:] == [recorded.uid, signature, recorded._record[2]]
+    assert log[4] is log[1] is signature
+    assert history.lookup(recorded) == (recorded.uid, INCREMENT, recorded._record[2])
+
+
+def test_a_full_log_retains_under_120_bytes_per_record():
+    # Uncached converted calls on fresh arrays: each record has its own uid
+    # and time, and its plan's signature is 152 characters, which a record
+    # holding its own copy would add to every record (~280 B each in all).
+    cap = 1_000
+    env = default_environment(include_legacy=False, cache_enabled=False)
+
+    def call():
+        env.op("benchmark.increment").input(np.zeros(4)).mutate()
+
+    for _ in range(20):
+        call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        env.history = OpHistory(cap)
+        for _ in range(2 * cap):
+            call()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(env.history) == cap
+    assert retained / cap < 120

@@ -310,6 +310,26 @@ def test_determinism_across_fresh_environments():
     assert len(sigs) == 1
 
 
+@pytest.mark.parametrize(
+    "req",
+    [
+        function_request("math.add", ["Integer", "Integer"], "Integer"),
+        computer_request("filter.dog", ["ImageF64", "Real", "Real"], "ImageF64"),
+        inplace_request("benchmark.increment", ["RealArray"], 0),
+    ],
+    ids=["direct", "children", "converted"],
+)
+def test_two_matches_of_one_request_share_one_signature_object(req):
+    # cache off, so each match builds its own tree; a signature names one plan
+    # and is one string, however often the plan is matched
+    env = default_environment(cache_enabled=False, include_legacy=False)
+    first, again = env.match(req), env.match(req)
+    assert again is not first
+    assert again.signature is first.signature
+    other = default_environment(cache_enabled=False, include_legacy=False).match(req)
+    assert other.signature is first.signature
+
+
 def test_signatures_injective_across_distinct_plans(env):
     reqs = [
         function_request("math.add", ["Integer", "Integer"], "Integer"),
