@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
-from .matcher import MatchCache, match, matcher_tables
+from .matcher import MatchCache, fixed_dependencies, match, matcher_tables
 from .runtime import ComputePool
 from .types import (
     DescriptorTable,
@@ -444,7 +444,9 @@ class OpEnvironment:
 
     Construction applies optional-parameter reduction, sorts entries by
     (priority desc, canonical name asc, source asc), builds the name index
-    and the matcher's tables, verifies bindings, and freezes everything.
+    and the matcher's tables, resolves the dependency plans that no request
+    can change (``matcher.fixed_dependencies``), verifies bindings, and
+    freezes everything.
     Matching state (cache, counters), the execution history, and progress
     listeners live alongside but never alter the registered content; the
     content hash covers only the op entries.
@@ -482,6 +484,11 @@ class OpEnvironment:
         self.shaped, self.converts, self.copies = matcher_tables(
             self._by_name, self.hierarchy
         )
+        # fixed dependency plans resolve against those tables with the plan
+        # cache off, so a fresh environment's cache is empty either way
+        self.cache_enabled = False
+        self.fixed_deps: dict[int, tuple] = {}
+        fixed_dependencies(self)
 
         resolved: dict[str, Callable] = {}
         for info in self._infos:

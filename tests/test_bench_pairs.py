@@ -197,11 +197,12 @@ def test_committed_bench_files_follow_the_schema(path):
     # bytecode counts per side; reports before BENCH_13.json have none
     for side, counts in report.get("opcodes", {}).items():
         assert side in ("parent", "head")
-        # the third count, sub_handle, since BENCH_16.json, and the
-        # uncached mutate() beside them since BENCH_22.json
+        # the third count, sub_handle, since BENCH_16.json, the uncached
+        # mutate() beside them since BENCH_22.json and the uncached dog
+        # match since BENCH_23.json
         assert {"increment_mutate", "add_apply"} <= set(counts)
         assert set(counts) <= {"increment_mutate", "add_apply", "sub_handle",
-                               "increment_mutate_uncached"}
+                               "increment_mutate_uncached", "dog_match_uncached"}
         assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
@@ -316,6 +317,9 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     # criterion 6's uncached call is reported beside them, not pinned: it
     # matches and compiles, so it runs several times the cached count
     assert counts["increment_mutate_uncached"] > 4 * counts["increment_mutate"]
+    # so is the uncached filter.dog match, whose dependency plans are
+    # resolved at build (4,641 bytecodes when each match resolved them)
+    assert counts["dog_match_uncached"] > 0
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

@@ -237,10 +237,16 @@ ops:
       - {field: helper, name: ghost.helper, kind: function, signature: [Integer, Integer]}
 """
     env = OpEnvironment(parse_descriptors(text), BINDINGS)
-    with pytest.raises(NoMatchError) as err:
-        env.match(function_request("dep.orphan", ["Integer"], "Integer"))
-    lines = [m.render() for m in err.value.near_misses]
-    assert "test:dep/orphan :: unmet dependency @ param helper" in lines
+    # the unmet dependency is found once, at build; every match logs it
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NoMatchError) as err:
+            env.match(function_request("dep.orphan", ["Integer"], "Integer"))
+        errors.append(err.value)
+    first, again = ([m.render() for m in e.near_misses] for e in errors)
+    assert "test:dep/orphan :: unmet dependency @ param helper" in first
+    assert again == first
+    assert str(errors[1]) == str(errors[0])
 
 
 CYCLE_OPS = """
@@ -277,6 +283,92 @@ def test_dependency_cycle_error_names_the_depth_cap(monkeypatch):
         env.match(function_request("cyc.a", ["Integer"], "Integer"))
     assert str(err.value).startswith("dependency resolution exceeded depth 5, ")
     assert len(err.value.path) == 6
+
+
+def test_dependency_cycle_on_a_cached_environment_raises_at_match():
+    # the cycle is met at build too; the environment still builds, with
+    # nothing cached, and a match raises the error it always raised
+    env = OpEnvironment(parse_descriptors(CYCLE_OPS), BINDINGS)
+    assert len(env.cache) == 0 and env.cache.stats() == (0, 0)
+    with pytest.raises(DependencyCycleError) as err:
+        env.match(function_request("cyc.a", ["Integer"], "Integer"))
+    assert str(err.value).startswith(f"dependency resolution exceeded depth {matcher.MAX_DEPTH}, ")
+    assert len(err.value.path) == matcher.MAX_DEPTH + 1
+
+
+DOG_REQUESTS = [
+    computer_request("filter.dog", ["ImageF64", "Real", "Real"], "ImageF64"),
+    function_request("filter.dog", ["ImageF64", "Real", "Real"]),
+]
+
+
+@pytest.mark.parametrize("req", DOG_REQUESTS, ids=["computer", "function"])
+def test_fixed_dependencies_are_not_matched_again_per_match(monkeypatch, req):
+    off = default_environment(cache_enabled=False, include_legacy=False)
+    on = default_environment(include_legacy=False)
+    searched = []
+    inner = matcher._match_internal
+
+    def counting(env, r, stack):
+        searched.append(r.name)
+        return inner(env, r, stack)
+
+    monkeypatch.setattr(matcher, "_match_internal", counting)
+    tree = off.match(req)
+    assert searched == ["filter.dog"]
+    assert [c.info.name for c in tree.children] == ["filter.gauss", "filter.gauss", "math.sub"]
+    if req.kind is Kind.FUNCTION:
+        assert tree.adapter.info.source == "builtin:adapt/computer3_to_function3"
+    cached = on.match(req)
+    assert tree == cached
+    assert tree.children == cached.children
+    assert tree.signature == cached.signature
+    # a cached environment holds the plan it was asked for, not its children
+    assert len(on.cache) == 1
+
+
+@pytest.mark.parametrize("ops", ["stdlib", "cycle"])
+def test_building_an_environment_leaves_its_cache_untouched(ops):
+    if ops == "stdlib":
+        env = default_environment(include_legacy=False)
+    else:
+        env = OpEnvironment(parse_descriptors(CYCLE_OPS), BINDINGS)
+    assert len(env.cache) == 0
+    assert env.cache.stats() == (0, 0)
+    assert env.match_calls == 0
+
+
+def test_fixed_children_skip_the_depth_guard_like_a_cache_hit(monkeypatch):
+    env = default_environment(cache_enabled=False, include_legacy=False)
+    monkeypatch.setattr(matcher, "MAX_DEPTH", 1)
+    # dog itself sits at depth 1; its children resolved when env was built
+    tree = env.match(DOG_REQUESTS[0])
+    assert tree.signature == GOLDEN_DOG_COMPUTER
+
+
+def test_dependencies_that_follow_bindings_resolve_per_match():
+    text = """
+ops:
+  - name: gen.outer
+    source: "test:gen/outer"
+    parameters:
+      - {name: a, type: "'A", io: input}
+      - {name: out, type: "'A", io: output}
+    dependencies:
+      - {field: helper, name: gen.helper, kind: function, signature: ["'A", "'A"]}
+  - name: gen.helper
+    source: "test:gen/helper"
+    parameters:
+      - {name: a, type: Integer, io: input}
+      - {name: out, type: Integer, io: output}
+"""
+    env = OpEnvironment(parse_descriptors(text), BINDINGS, cache_enabled=False)
+    tree = env.match(function_request("gen.outer", ["Integer"], "Integer"))
+    assert tree.children[0].info.source == "test:gen/helper"
+    with pytest.raises(NoMatchError) as err:
+        env.match(function_request("gen.outer", ["Real"], "Real"))
+    lines = [m.render() for m in err.value.near_misses]
+    assert "test:gen/outer :: unmet dependency @ param helper" in lines
 
 
 def test_cache_serves_identical_tree_and_counts_hits():

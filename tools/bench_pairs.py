@@ -38,7 +38,9 @@ lifted ``math.sub`` ImageF64 handle on two raw arrays. Counts repeat exactly
 on one interpreter version, so they show a change to the cached path where
 timings drown in host noise. Beside them it counts the same ``mutate()`` on
 an environment with its cache off, criterion 6's uncached call: a rise there
-flatters criterion 6's ratio without making the cached call cheaper.
+flatters criterion 6's ratio without making the cached call cheaper. On that
+environment it also counts one ``env.match`` of the ``filter.dog`` computer
+request, the cost of an op's dependency plans on an uncached match.
 """
 
 from __future__ import annotations
@@ -210,9 +212,12 @@ def dispatch_opcodes() -> dict:
     Each builds one Value at most: its result. ``increment_mutate_uncached``
     is ``increment_mutate`` on a twin environment with its cache off, so
     it matches, compiles and makes a runner on every call; it is reported,
-    not pinned."""
+    not pinned. So is ``dog_match_uncached``: ``env.match`` of the
+    ``filter.dog`` computer request on that twin, whose three dependency
+    plans were resolved when the twin was built."""
     import numpy as np
 
+    from opsforge.matcher import computer_request
     from opsforge.stdlib import default_environment
     from opsforge.values import wrap
 
@@ -222,11 +227,13 @@ def dispatch_opcodes() -> dict:
     sub = (env.op("math.sub").input_types("ImageF64", "ImageF64")
            .output_type("ImageF64").function())
     a, b = np.ones((32, 32)), np.zeros((32, 32))
+    dog = computer_request("filter.dog", ["ImageF64", "Real", "Real"], "ImageF64")
     calls = {
         "increment_mutate": lambda: env.op("benchmark.increment").input(data).mutate(),
         "add_apply": lambda: env.op("math.add").input(2, 3).apply(),
         "sub_handle": lambda: sub(a, b),
         "increment_mutate_uncached": lambda: off.op("benchmark.increment").input(data).mutate(),
+        "dog_match_uncached": lambda: off.match(dog),
     }
     counts = {}
     for name, call in calls.items():
