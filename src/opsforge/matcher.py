@@ -550,8 +550,10 @@ def fixed_dependencies(env: OpEnvironment) -> None:
     matching the dependencies again. children is None, with the NearMiss a
     match logs for the first unmet dependency, when one is unmet. An op
     whose resolution raises anything else (a dependency cycle, say) gets
-    no entry, so a match meets that error on the per-call path, as it
-    always did. Each distinct dependency request is matched once here.
+    no entry, so a match meets that error on the per-call path. Each
+    distinct dependency request is matched once here. Entries are keyed
+    by ``id(info)``: an OpInfo's dataclass hash walks every field, and the
+    environment keeps each info alive as long as the table.
 
     The environment calls this while its plan cache is off, so building
     leaves the cache empty and its counters at zero.
@@ -567,7 +569,6 @@ def fixed_dependencies(env: OpEnvironment) -> None:
         ):
             continue
         children: list[InfoTree] = []
-        entry = None
         for dep in deps:
             req = _dep_request(dep, dep.signature)
             key = req.cache_key
@@ -578,15 +579,12 @@ def fixed_dependencies(env: OpEnvironment) -> None:
                     found[key] = e
             tree = found[key]
             if isinstance(tree, NoMatchError):
-                entry = (None, NearMiss(info.source, "unmet dependency", dep.field))
-                break
+                table[id(info)] = (None, NearMiss(info.source, "unmet dependency", dep.field))
             if isinstance(tree, Exception):
                 break
             children.append(tree)
         else:
-            entry = (tuple(children), None)
-        if entry is not None:
-            table[id(info)] = entry
+            table[id(info)] = (tuple(children), None)
 
 
 def _resolve_deps(
@@ -598,9 +596,8 @@ def _resolve_deps(
     """
     children: list[InfoTree] = []
     for dep in info.dependencies:
-        # looked up inside the loop, so an op without dependencies runs
-        # exactly the bytecodes it ran before the table (criterion 6's
-        # uncached call is one)
+        # looked up inside the loop, so an op without dependencies pays
+        # nothing for the table (criterion 6's uncached call has none)
         fixed = s.env.fixed_deps.get(id(info))
         if fixed is not None:
             if fixed[1] is not None:
