@@ -220,7 +220,7 @@ def _cmd_index(args) -> int:
         print(d.render(), file=sys.stderr)
     text = emit_yaml(entries)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
     else:
         print(text, end="")
     return 1 if (diagnostics and args.strict) else 0
@@ -240,8 +240,15 @@ def _cmd_bench(args) -> int:
         raise _UsageError(str(e)) from e
     print(render_table(report))
     if args.csv:
-        Path(args.csv).write_text(to_csv(report), encoding="utf-8")
+        _write(args.csv, to_csv(report))
     return 0
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 _COMMANDS = {

@@ -67,9 +67,9 @@ def _compile(env: OpEnvironment, tree: InfoTree):
 
 
 def _frame_wrap(env: OpEnvironment, label: str, fn):
-    # op_frame is never read here: runtime finds it on the Python stack
+    # runtime finds op_frame on the stack; it holds env's listeners, not env
     @runs_op
-    def framed(*args, op_frame=(label, env, env.pool)):
+    def framed(*args, op_frame=(label, env._listeners, env.pool)):
         return fn(*args)
 
     return framed
@@ -141,7 +141,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         args,
         out,
         call=_compile(env, tree),
-        op_frame=(info.name, env, env.pool),
+        op_frame=(info.name, env._listeners, env.pool),
         sig=tree.signature,
         inplace=tree.eff_kind is Kind.INPLACE,
         function=tree.eff_kind is Kind.FUNCTION,

@@ -233,10 +233,6 @@ class InfoTree:
         # one string, and so do the runners and history records built on it
         object.__setattr__(self, "signature", sys.intern(sig))
 
-    @property
-    def adapter_chain(self) -> tuple[OpInfo, ...]:
-        return (self.adapter.info,) if self.adapter is not None else ()
-
 
 class CacheEntry:
     """One cached request: its plan and, once run, the plan's runner.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -134,10 +133,6 @@ class OpInfo:
     @property
     def name(self) -> str:
         return self.names[0]
-
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        return self.names[1:]
 
     @property
     def arg_params(self) -> tuple[ParamSpec, ...]:
@@ -449,7 +444,8 @@ class OpEnvironment:
     freezes everything.
     Matching state (cache, counters), the execution history, and progress
     listeners live alongside but never alter the registered content; the
-    content hash covers only the op entries.
+    content hash covers only the op entries. No plan holds the environment,
+    so dropping its last reference frees it, its cache and its history.
     """
 
     def __init__(
@@ -511,8 +507,7 @@ class OpEnvironment:
         self.cache = MatchCache()
         self.history = OpHistory()
         self.pool = pool if pool is not None else ComputePool(1)
-        self._listeners: tuple[Callable, ...] = ()
-        self._listener_lock = threading.Lock()
+        self._listeners: list[Callable] = []
         self._match_calls = 0
 
     @property
@@ -558,8 +553,7 @@ class OpEnvironment:
         return help_text(self, query, verbose=verbose)
 
     def add_progress_listener(self, listener: Callable) -> None:
-        with self._listener_lock:
-            self._listeners = (*self._listeners, listener)
+        self._listeners.append(listener)  # atomic: needs no lock
 
 
 def build_environment(

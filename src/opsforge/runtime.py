@@ -1,11 +1,12 @@
 """Execution-time context: progress reporting and the compute pool.
 
-Every executing op has a frame: a (label, environment, pool) tuple. Bodies
-report progress through report_progress (or report_steps, for a run of equal
-steps) without knowing who is listening; the innermost frame labels the
-report with the op name and fans it out to the listeners registered on the
-environment when the report is made. Outside any op the report functions and
-current_pool degrade to safe no-ops, so op bodies stay plain callables.
+Every executing op has a frame: a (label, listeners, pool) tuple holding
+its environment's own listener list, never the environment. Bodies report
+progress through report_progress (or report_steps, for a run of equal steps)
+without knowing who is listening; the innermost frame labels the report with
+the op name and fans it out to the listeners registered when the report
+starts. Outside any op the report functions and current_pool degrade to
+safe no-ops, so op bodies stay plain callables.
 """
 
 from __future__ import annotations
@@ -106,14 +107,15 @@ class ComputePool:
 _DEFAULT_POOL = ComputePool(1)
 
 # An op's frame is built once per compiled plan and held in the ``op_frame``
-# local of the function that runs the op (see runs_op). Running an op pushes
-# nothing, since that sits on every invocation's path: the innermost frame
-# is found, only when a body asks for it, by walking the calling thread's
-# own Python stack to the nearest such function. Each thread, pool workers
-# included, thus sees only the ops it runs itself. The marked code objects
-# are keyed by id, since hashing a code object costs about half a
-# microsecond per frame the walk visits; the dict keeps each one alive, so
-# its id cannot be reused.
+# local of the function that runs the op (see runs_op); holding no
+# environment, it closes no cycle through the environment's plan cache.
+# Running an op pushes nothing, since that sits on every invocation's path:
+# the innermost frame is found, only when a body asks for it, by walking the
+# calling thread's own Python stack to the nearest such function. Each
+# thread, pool workers included, thus sees only the ops it runs itself. The
+# marked code objects are keyed by id, since hashing a code object costs
+# about half a microsecond per frame the walk visits; the dict keeps each
+# one alive, so its id cannot be reused.
 _RUNNER_CODES: dict = {}
 
 
@@ -137,12 +139,11 @@ def report_progress(fraction: float, stage: str = "") -> None:
     frame = _innermost_frame()
     if frame is None:
         return
-    label, env, _ = frame
-    listeners = env._listeners
+    label, listeners, _ = frame
     if not listeners:
         return
     report = ProgressReport(label, float(fraction), stage)
-    for listener in listeners:
+    for listener in tuple(listeners):
         listener(report)
 
 
@@ -155,10 +156,10 @@ def report_steps(count: int, stage: str = "") -> None:
     frame = _innermost_frame()
     if frame is None:
         return
-    label, env, _ = frame
-    listeners = env._listeners
+    label, listeners, _ = frame
     if not listeners:
         return
+    listeners = tuple(listeners)
     for i in range(1, count + 1):
         report = ProgressReport(label, i / count, stage)
         for listener in listeners:

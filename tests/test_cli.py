@@ -342,6 +342,16 @@ def test_index_missing_directory_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("target", ["missing/out.yaml", "."])
+def test_index_unwritable_output_exits_2(capsys, tmp_path, target):
+    (tmp_path / "demo.java").write_text(TAGGED, encoding="utf-8")
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "index", str(tmp_path), "-o", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}")
+
+
 def test_index_strict_flips_exit_code(capsys, tmp_path):
     (tmp_path / "bad.py").write_text(
         "/// @implNote op names='a.b' priority='x'\n", encoding="utf-8"
@@ -415,3 +425,24 @@ def test_bench_unknown_scenario_exits_2(capsys):
     code, _, err = run(capsys, "bench", "--scenarios", "WARP")
     assert code == 2
     assert "WARP" in err
+
+
+@pytest.mark.parametrize("target", ["missing/bench.csv", "."])
+def test_bench_unwritable_csv_exits_2(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    code, _, err = run(
+        capsys,
+        "bench",
+        "--scenarios",
+        "STATIC",
+        "--iterations",
+        "1",
+        "--warmup",
+        "0",
+        "--reps",
+        "1",
+        "--csv",
+        path,
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}")

@@ -6,11 +6,15 @@ same validation errors, produce the same payloads and history signatures,
 report progress to listeners added later, and stay consistent when one
 environment is shared across threads. A plan compiles once, when its
 runner is made, so these tests also pin that a cached plan never compiles
-again and that plans sharing a signature still run their own code.
+again and that plans sharing a signature still run their own code. No
+cached runner points back at its environment, so a dropped environment is
+freed at once, without the cyclic garbage collector.
 """
 
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -396,6 +400,54 @@ def test_listener_added_after_caching_sees_every_row(terminal):
     assert len(fractions) == 9
     assert fractions == sorted(fractions) and fractions[-1] == 1.0
     assert {r.op_label for r in seen} == {"filter.gauss"}
+    # a second late listener joins the same runner's reports beside the first
+    more = []
+    env.add_progress_listener(more.append)
+    gauss()
+    assert env.cache.stats()[0] == hits + 2
+    assert len(seen) == 18 and [r.fraction for r in more] == fractions
+
+
+def test_a_listener_added_during_a_report_hears_only_later_reports():
+    env = default_environment(include_legacy=False)
+    img = _rand_image(5, w=5, h=4)
+    first, added = [], []
+
+    def adding(report):
+        first.append(report)
+        heard = []
+        added.append(heard)
+        env.add_progress_listener(heard.append)
+
+    env.add_progress_listener(adding)
+    env.op("filter.gauss").input(img, wrap(1.0)).apply()
+    assert len(first) == 4
+    assert len(added) == 4 and all(heard == [] for heard in added)
+    # the next blur reaches the four listeners added during the first
+    env.op("filter.gauss").input(img, wrap(1.0)).apply()
+    assert len(first) == 8
+    assert [len(heard) for heard in added[:4]] == [4] * 4
+    assert all(heard == [] for heard in added[4:])
+
+
+def test_listeners_added_from_many_threads_at_once_are_all_kept():
+    env = default_environment(include_legacy=False)
+    threads_n, per_thread = 8, 100
+    calls = []
+    start = threading.Barrier(threads_n)
+
+    def add():
+        start.wait(timeout=60)
+        for _ in range(per_thread):
+            env.add_progress_listener(calls.append)
+
+    threads = [threading.Thread(target=add) for _ in range(threads_n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    env.op("filter.gauss").input(_rand_image(6, w=5, h=4), wrap(1.0)).apply()
+    assert len(calls) == threads_n * per_thread * 4
 
 
 # -- one environment shared across threads ----------------------------------
@@ -697,3 +749,63 @@ def test_a_runner_being_made_holds_up_only_its_own_request(monkeypatch):
         dog.join(timeout=60)
         add.join(timeout=60)
     assert not dog.is_alive() and not add.is_alive()
+
+
+# -- a dropped environment is freed at once ----------------------------------
+
+
+def _every_plan_shape(env):
+    """One call per kind of compiled plan; returns the handle it made."""
+    img = _rand_image(7)
+    outs = [
+        env.op("math.add").input(2, 3).apply(),
+        env.op("filter.gauss").input(img, wrap(1.5)).apply(),
+        env.op("filter.gauss").input(image_u8(8, 8, range(64)), wrap(1.0)).apply(),
+        env.op("filter.dog").input(img, wrap(1.0), wrap(2.0)).apply(),
+        env.op("benchmark.increment").input(wrap(bytearray([41, 7]))).apply(),
+    ]
+    handle = env.op("filter.gauss").input_types("ImageF64", "Real").function()
+    outs.append(handle(img, wrap(1.5)))
+    routines = [env.history.lookup(out).signature.split("|")[1] for out in outs]
+    assert routines == [
+        "DIRECT",
+        "ADAPTED",
+        "ADAPTED_AND_CONVERTED",
+        "ADAPTED",  # with fixed dependency children
+        "ADAPTED",  # with adapter dependencies
+        "ADAPTED",
+    ]
+    return handle
+
+
+def test_a_dropped_environment_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        env = default_environment()
+        env.add_progress_listener(lambda report: None)
+        _every_plan_shape(env)
+        assert len(env.cache) > 0
+        gone = weakref.ref(env)
+        del env
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_handle_outlives_its_environment():
+    gc.disable()
+    try:
+        env = default_environment()
+        seen = []
+        env.add_progress_listener(seen.append)
+        handle = _every_plan_shape(env)
+        img = _rand_image(8, w=5, h=4)
+        expected = handle(img, wrap(1.0)).payload
+        gone = weakref.ref(env)
+        del env, seen[:]
+        assert gone() is None
+        out = handle(img, wrap(1.0))
+    finally:
+        gc.enable()
+    assert np.array_equal(out.payload, expected)
+    assert len(seen) == 4  # its reports still reach the listeners
