@@ -19,16 +19,15 @@ Kind contracts enforced here:
 - inplaces mutate exactly the declared argument and return it.
 
 Every completed invocation records its plan signature on the Value it
-produced or filled, where the environment's history looks it up, and
-appends (value uid, signature, time) to the history's log, which holds the
-newest records up to its cap.
+produced or filled, where the environment's history looks it up, and adds
+one to the history's count of records.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import time
-from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -147,7 +146,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         function=tree.eff_kind is Kind.FUNCTION,
         out_type=tree.out_type,
         token=history._token,  # OpHistory.record, inlined below
-        log=history._log.extend,
+        tick=history._ticks.__next__,
         now=time.time,
     ):
         try:
@@ -179,9 +178,8 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         else:
             # in the else clause the kind branches run on into the record
             # with one jump fewer per call
-            at = now()
-            out._record = (token, sig, at)
-            log((out.uid, sig, at))
+            out._record = (token, sig, now())
+            tick()
             return out
 
     return run
@@ -208,9 +206,6 @@ class HistoryRecord(NamedTuple):
     at: float
 
 
-HISTORY_CAP = 65_536
-
-
 class OpHistory:
     """Which plan produced a value: its signature and the time it ran.
 
@@ -221,37 +216,26 @@ class OpHistory:
     another environment's history recorded v after this one, v's contents
     are that environment's output, and ``lookup(v)`` here returns None. The
     token is a bare object, not the history itself, so a long-lived value
-    keeps no discarded environment's log alive.
+    keeps no discarded environment alive.
 
-    ``len`` and ``snapshot`` cover exactly the newest ``cap`` records
-    (default HISTORY_CAP), oldest first. They read one flat log of (uid,
-    signature, time) triples, a deque of at most ``3 * cap`` items, so it
-    drops its oldest record by itself. Recording is lock-free: an attribute
-    store and deque.extend with a tuple are each atomic under CPython, so
-    readers always see whole records. The log holds no object the cyclic
-    garbage collector tracks, so a hot loop on one value triggers no
-    collections.
-
-    A record costs the log ~80 B at the cap, about 5 MB at HISTORY_CAP
-    whatever the plans: three deque slots, the uid's int and the time's
-    float. Signatures are interned (``InfoTree.signature`` and ``record``
-    alike), so the log holds one string per distinct plan, not one per
-    record.
+    ``len`` is the number of records this history has made, runners' and
+    ``record``'s alike. The history keeps no log of them: its per-call
+    state is that count, so a record costs no memory beyond its value.
+    Recording is lock-free: an attribute store and a range iterator's
+    ``__next__`` are each atomic under CPython. Signatures are interned
+    (``InfoTree.signature`` and ``record`` alike), so the records of one
+    plan share one string.
     """
 
-    def __init__(self, cap: int = HISTORY_CAP):
-        if cap < 1:
-            raise ValueError(f"history cap must be at least 1, got {cap}")
-        self.cap = cap
-        self._log: deque = deque(maxlen=3 * cap)
+    def __init__(self):
         self._token = object()
+        # an exact lock-free count: __next__ is one C call, length_hint reads it
+        self._ticks = iter(range(sys.maxsize))
 
     def record(self, value: Value, signature: str) -> None:
-        """Record ``signature`` on ``value`` and in the log, as a runner does."""
-        signature = sys.intern(signature)
-        at = time.time()
-        value._record = (self._token, signature, at)
-        self._log.extend((value.uid, signature, at))
+        """Record ``signature`` on ``value`` and count it, as a runner does."""
+        value._record = (self._token, sys.intern(signature), time.time())
+        next(self._ticks)
 
     def lookup(self, value: Value) -> HistoryRecord | None:
         rec = getattr(value, "_record", None)
@@ -259,12 +243,8 @@ class OpHistory:
             return None
         return HistoryRecord(value.uid, rec[1], rec[2])
 
-    def snapshot(self) -> tuple[HistoryRecord, ...]:
-        log = list(self._log)
-        return tuple(map(HistoryRecord, log[0::3], log[1::3], log[2::3]))
-
     def __len__(self) -> int:
-        return len(self._log) // 3
+        return sys.maxsize - operator.length_hint(self._ticks)
 
 
 # Staged by input() as they are: Values, and raw payloads of a class _EXACT

@@ -444,8 +444,10 @@ class OpEnvironment:
     freezes everything.
     Matching state (cache, counters), the execution history, and progress
     listeners live alongside but never alter the registered content; the
-    content hash covers only the op entries. No plan holds the environment,
-    so dropping its last reference frees it, its cache and its history.
+    content hash covers only the op entries. The plan cache is the one
+    state that grows per call; the history only counts its records, which
+    live on the values. No plan holds the environment, so dropping its last
+    reference frees it and its cache.
     """
 
     def __init__(

@@ -94,6 +94,8 @@ def int_to_real(x: int) -> float:
 def real_to_int(x: float) -> int:
     if math.isnan(x):
         raise PreconditionError("cannot convert NaN to an integer")
+    if math.isinf(x):
+        return _INT64_MAX if x > 0 else _INT64_MIN
     v = math.floor(x + 0.5) if x >= 0 else -math.floor(-x + 0.5)
     return min(max(int(v), _INT64_MIN), _INT64_MAX)
 
@@ -104,10 +106,15 @@ def u8_to_f64(image: np.ndarray) -> np.ndarray:
 
 def _round_clamp_u8(values: np.ndarray) -> np.ndarray:
     # round-half-away-from-zero on [0, 255]: floor(x + 0.5) after clipping,
-    # in place on the clipped copy
+    # in place on the clipped copy; NaN survives the clip and fails the cast
     out = np.clip(values, 0.0, 255.0)
     out += 0.5
-    return np.floor(out, out=out).astype(np.uint8)
+    np.floor(out, out=out)
+    try:
+        with np.errstate(invalid="raise"):
+            return out.astype(np.uint8)
+    except FloatingPointError:
+        raise PreconditionError("cannot convert NaN to a byte") from None
 
 
 def f64_to_u8(image: np.ndarray) -> np.ndarray:

@@ -74,8 +74,8 @@ def _check_payload(base: str, payload: Any) -> None:
 class Value:
     """A typed runtime value with a process-unique identity.
 
-    ``_record`` is unset until a history records the value; OpHistory
-    alone reads and writes it.
+    ``_record`` is unset until a history records the value: a runner or
+    ``OpHistory.record`` writes it, and ``OpHistory.lookup`` reads it.
     """
 
     __slots__ = ("uid", "type", "payload", "_record")

@@ -310,10 +310,12 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     # the array handle since the table took array payloads (575 before).
     # All three fell by 10 when history records moved onto the values
     # (179, 310 and 397 before), and again when payloads, not Values, went
-    # from the caller to the body (169, 300 and 387 before).
-    assert counts["increment_mutate"] <= 159
-    assert counts["add_apply"] <= 236
-    assert counts["sub_handle"] <= 342
+    # from the caller to the body (169, 300 and 387 before), and by 7 when
+    # the history stopped logging records and only counts them (159, 236
+    # and 342 before).
+    assert counts["increment_mutate"] <= 152
+    assert counts["add_apply"] <= 229
+    assert counts["sub_handle"] <= 335
     # criterion 6's uncached call is reported beside them, not pinned: it
     # matches and compiles, so it runs several times the cached count
     assert counts["increment_mutate_uncached"] > 4 * counts["increment_mutate"]

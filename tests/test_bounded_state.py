@@ -1,12 +1,12 @@
-"""State that grows per call has a bound: the history log and the plan cache.
+"""State that grows per call has a bound: the plan cache holds its newest
+``cap`` entries, and the history only counts its records.
 
-The history's log keeps its newest ``cap`` records and the plan cache its
-newest ``cap`` entries. These tests check both against plain models: for
-the history, an unbounded list of records, whose last ``cap`` are the log
-and whose newest record of a value is what a lookup of it returns; for the
-cache, insertion-ordered keys that drop the oldest once past ``cap``. The
-history is checked through both ways records are written, ``record`` and
-the runner's inlined copy of it.
+The cache is checked against insertion-ordered keys that drop the oldest
+once past ``cap``. The history keeps no log: a record lives on its value.
+It is checked against an unbounded list of every record ever made, whose
+length is the history's ``len`` and whose newest record of a value is what
+a lookup of it returns, through both ways records are written, ``record``
+and the runner's inlined copy of it.
 """
 
 import pytest
@@ -14,38 +14,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsforge import execution
-from opsforge.execution import HISTORY_CAP, OpHistory
+from opsforge.execution import OpHistory
 from opsforge.matcher import CACHE_CAP, MatchCache, OpRequest
 from opsforge.stdlib import default_environment
 from opsforge.types import Kind, parse_type
 from opsforge.values import wrap
 
 
-def capped(history_cap=HISTORY_CAP, cache_cap=CACHE_CAP, **kwargs):
-    """A stdlib environment whose history and plan cache have the given caps.
+def capped(cache_cap=CACHE_CAP, **kwargs):
+    """A stdlib environment whose plan cache has the given cap.
 
-    Runners and matches read ``env.history`` and ``env.cache`` when they are
-    made, so swapping both before the first call caps every record and entry.
+    Matches read ``env.cache`` when they are made, so swapping it before the
+    first call caps every entry.
     """
     env = default_environment(include_legacy=False, **kwargs)
-    env.history, env.cache = OpHistory(history_cap), MatchCache(cache_cap)
+    env.cache = MatchCache(cache_cap)
     return env
 
 
 def test_default_caps():
-    assert (HISTORY_CAP, CACHE_CAP) == (65_536, 4_096)
-    assert OpHistory().cap == HISTORY_CAP and MatchCache().cap == CACHE_CAP
-    env = default_environment(include_legacy=False)
-    assert (env.history.cap, env.cache.cap) == (HISTORY_CAP, CACHE_CAP)
+    assert CACHE_CAP == 4_096 and MatchCache().cap == CACHE_CAP
+    assert default_environment(include_legacy=False).cache.cap == CACHE_CAP
+    # the history has no cap to set: it keeps no records of its own
+    with pytest.raises(TypeError):
+        OpHistory(16)
 
 
-@pytest.mark.parametrize("make", [OpHistory, MatchCache])
+@pytest.mark.parametrize("make", [MatchCache])
 def test_a_cap_below_one_is_refused(make):
     with pytest.raises(ValueError, match="at least 1"):
         make(0)
 
 
-# -- the history against an unbounded list cut to its last cap records -----
+# -- the history against an unbounded list of every record ------------------
 
 SIGNATURES = ["sig:a", "sig:b", "sig:c"]
 INCREMENT = "builtin:benchmark/increment_u8|DIRECT|[]|()"
@@ -61,9 +62,9 @@ STEPS = st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
-@given(cap=st.integers(1, 5), steps=st.lists(STEPS, max_size=40))
-def test_history_matches_a_list_cut_to_its_last_cap_records(cap, steps):
-    env = capped(history_cap=cap)
+@given(steps=st.lists(STEPS, max_size=40))
+def test_history_matches_a_list_of_every_record(steps):
+    env = capped()
     history = env.history
     pool = [wrap(bytearray(1)) for _ in range(4)]
     made = []  # fresh values, looked up by index past the pool
@@ -88,12 +89,9 @@ def test_history_matches_a_list_cut_to_its_last_cap_records(cap, steps):
             assert (got.signature if got else None) == (made_for[-1] if made_for else None)
             if got is not None:
                 assert got.uid == value.uid
-        assert len(history) == len(model[-cap:])
-        snapshot = history.snapshot()
-        assert [(r.uid, r.signature) for r in snapshot] == model[-cap:]
-        assert all(isinstance(r.at, float) for r in snapshot)
-    # every value looks up its newest record, whether or not the log still
-    # holds it
+                assert isinstance(got.at, float)
+        assert len(history) == len(model)
+    # every value looks up its newest record
     newest = {uid: sig for uid, sig in model}
     for value in pool + made:
         got = history.lookup(value)
@@ -101,44 +99,36 @@ def test_history_matches_a_list_cut_to_its_last_cap_records(cap, steps):
 
 
 def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
-    history = OpHistory(3)
-    a, b = wrap(1), wrap(2)
-    history.record(a, "first")
-    history.record(b, "x")
-    history.record(a, "second")
-    for _ in range(2):
-        history.record(b, "y")
-    # a's first record has left the log, its second is kept
-    assert history.lookup(a).signature == "second"
-    history.record(b, "z")
-    # both have left the log; a still looks up its newest record
-    assert [r.signature for r in history.snapshot()] == ["y", "y", "z"]
-    assert history.lookup(a).signature == "second"
+    # a one-entry cache evicts the increment's runner between two calls on
+    # one value; the value keeps the newest of its records throughout
+    env = capped(cache_cap=1)
+    data = wrap(bytearray(2))
+    env.history.record(data, "first")
+    first = env.history.lookup(data)
+    env.op("benchmark.increment").input(data).mutate()
+    env.op("math.add").input(1, 2).apply()  # evicts the increment's entry
+    assert len(env.cache) == 1
+    assert env.history.lookup(data).signature == INCREMENT
+    env.history.record(data, "second")
+    env.op("benchmark.increment").input(data).mutate()  # a re-miss
+    newest = env.history.lookup(data)
+    assert newest.signature == INCREMENT
+    assert newest.uid == first.uid and newest.at >= first.at
+    env.history.record(data, "third")
+    assert env.history.lookup(data).signature == "third"
+    assert len(env.history) == 6
 
 
 def test_records_with_equal_clock_readings_stay_apart(monkeypatch):
-    # a coarse clock gives two records of one value the same time; evicting
-    # the older must not take the newer's index entry with it
+    # a coarse clock gives two records of one value the same time; the
+    # newer still replaces the older, and both are counted
     monkeypatch.setattr(execution.time, "time", lambda: float("1.5"))
-    history = OpHistory(1)
+    history = OpHistory()
     a = wrap(1)
     history.record(a, "older")
     history.record(a, "newer")
     assert history.lookup(a) == execution.HistoryRecord(a.uid, "newer", 1.5)
-    assert len(history) == 1
-
-
-def test_the_log_never_holds_more_than_cap_records():
-    history = OpHistory(64)
-    values = [wrap(i) for i in range(1000)]
-    longest = 0
-    for value in values:
-        history.record(value, "s")
-        # the log is flat: three items per record, whole records only
-        assert len(history._log) % 3 == 0
-        longest = max(longest, len(history._log) // 3)
-    assert longest == len(history) == 64
-    assert [r.uid for r in history.snapshot()] == [v.uid for v in values[-64:]]
+    assert len(history) == 2
 
 
 # -- the plan cache against insertion-ordered keys cut to cap ---------------

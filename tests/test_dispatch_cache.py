@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from opsforge import execution
 from opsforge.errors import NoMatchError, OpsError, RegistrationError
-from opsforge.execution import OpHistory
 from opsforge.matcher import MatchCache, OpRequest
 from opsforge.registry import Kind, OpEnvironment, parse_descriptors
 from opsforge.stdlib import (
@@ -686,32 +685,34 @@ def test_eight_threads_share_one_environment_over_mixed_calls_and_misses(monkeyp
     assert sorted(map(id, cached)) == sorted(map(id, runners))
 
 
-def test_eight_threads_with_eviction_on_keep_the_history_index_and_log_in_step():
+def test_eight_threads_with_eviction_on_count_and_look_up_every_record():
     calls = _mixed_calls()
-    expected, _ = _expected_outcomes(calls)
+    expected, ref = _expected_outcomes(calls)
+    signatures = {
+        name: ref.history.lookup(calls[name](ref, 0)).signature
+        for name in calls
+        if name != "miss"
+    }
     env = default_environment(include_legacy=False)
-    # runners read env.history and matches env.cache when they are made, so
-    # both caps hold from the first call on
-    env.history, env.cache = OpHistory(64), MatchCache(3)
+    # matches read env.cache when they are made, so the cap holds from the
+    # first call on
+    env.cache = MatchCache(3)
     early = env.op("math.add").input(1, 2).apply()
 
     outcomes = _eight_threads(env, calls)
     for key, outcome, _ in outcomes:
         assert outcome == expected[key], key
     # every success made a new value: its result or the container it filled
-    values = [early] + [value for _, _, value in outcomes if value is not None]
-    assert len({v.uid for v in values}) == len(values) > 64 + 64 // 8
+    made = [(name, value) for (name, _), _, value in outcomes if value is not None]
+    values = [early] + [value for _, value in made]
+    assert len({v.uid for v in values}) == len(values)
     history = env.history
-    assert len(history) == min(len(values), 64)
-    snapshot = history.snapshot()
-    assert len(snapshot) == 64
-    assert all(
-        (type(r.uid), type(r.signature), type(r.at)) == (int, str, float) for r in snapshot
-    )
-    newest = {r.uid: r for r in snapshot}
-    by_uid = {v.uid: v for v in values}
-    for uid, record in newest.items():
-        assert history.lookup(by_uid[uid]) == record
+    assert len(history) == len(values)
+    assert history.lookup(early).signature == signatures["add builder"]
+    for name, value in made:
+        record = history.lookup(value)
+        assert (record.uid, record.signature) == (value.uid, signatures[name])
+        assert type(record.at) is float
     assert len(env.cache) <= 3
 
 

@@ -439,16 +439,18 @@ def test_history_none_for_unproduced_value(env):
     assert env.history.lookup(wrap(5)) is None
 
 
-def test_history_keeps_append_only_log(env):
+def test_history_counts_both_fills_of_a_container(env):
     src = wrap(bytearray([1]))
     dst = wrap(bytearray(1))
+    before = len(env.history)
     env.op("copy.array").input(src).container(dst).compute()
     first = env.history.lookup(dst)
     env.op("copy.array").input(wrap(bytearray([2]))).container(dst).compute()
     second = env.history.lookup(dst)
+    assert second.uid == first.uid == dst.uid
     assert second.at >= first.at
-    records = [r for r in env.history.snapshot() if r.uid == dst.uid]
-    assert len(records) == 2
+    assert second.signature is first.signature
+    assert len(env.history) == before + 2
 
 
 def test_progress_monotone_one_report_per_row():

@@ -1,12 +1,11 @@
 """History records live on the values they describe.
 
 ``OpHistory.lookup(v)`` reads the record stored on v, so it returns v's
-newest record made by that history for as long as v exists, also once the
-log has dropped the record. A record made by another environment's
-history since hides this one's: v's contents are then that environment's
-output. The log, which ``len`` and ``snapshot`` read, keeps only the
-newest ``cap`` records, and all records of one plan share one signature
-object.
+newest record made by that history for as long as v exists, however many
+records follow it. A record made by another environment's history since
+hides this one's: v's contents are then that environment's output. The
+history keeps no log of its records, only their count, which ``len``
+reads, and all records of one plan share one signature object.
 """
 
 import gc
@@ -15,7 +14,6 @@ import threading
 import tracemalloc
 import weakref
 
-import numpy as np
 import pytest
 
 from opsforge.execution import HistoryRecord, OpHistory
@@ -24,6 +22,7 @@ from opsforge.stdlib import default_environment
 from opsforge.values import wrap
 
 INCREMENT = "builtin:benchmark/increment_u8|DIRECT|[]|()"
+ADD = "builtin:math/add_ints|DIRECT|[]|()"
 
 
 def _environment(history, cache_enabled=True):
@@ -57,7 +56,7 @@ def test_a_record_is_an_immutable_hashable_triple():
     assert HistoryRecord._fields == ("uid", "signature", "at")
     assert (record.uid, record.signature) == (value.uid, "sig")
     assert isinstance(record.at, float)
-    assert record == HistoryRecord(value.uid, "sig", record.at) == history.snapshot()[0]
+    assert record == HistoryRecord(value.uid, "sig", record.at)
     assert record != HistoryRecord(value.uid, "other", record.at)
     # a record is a tuple: it also equals the plain triple
     assert record == (value.uid, "sig", record.at)
@@ -68,16 +67,14 @@ def test_a_record_is_an_immutable_hashable_triple():
 
 
 @pytest.mark.parametrize("how", ["record", "apply"])
-def test_a_value_looks_up_its_record_after_the_log_drops_it(how):
-    cap = 16
-    history = OpHistory(cap)
+def test_a_value_looks_up_its_record_however_many_follow(how):
+    history = OpHistory()
     fresh = _recorded_by(how, history)
     first = fresh(0)
     record = history.lookup(first)
     assert record is not None and record.uid == first.uid
-    values = [fresh(i) for i in range(1, 3 * cap)]
-    assert len(history) == cap
-    assert first.uid not in {r.uid for r in history.snapshot()}
+    values = [fresh(i) for i in range(1, 1_000)]
+    assert len(history) == 1_000
     assert history.lookup(first) == record
     assert history.lookup(values[0]).uid == values[0].uid
 
@@ -92,12 +89,12 @@ def test_a_record_made_by_another_environment_since_hides_this_ones():
     other.op("benchmark.increment").input(data).mutate()
     assert one.history.lookup(data) is None
     assert other.history.lookup(data).signature == INCREMENT
-    # each environment's log keeps its own records
-    assert [r.uid for r in one.history.snapshot()] == [data.uid]
-    assert [r.uid for r in other.history.snapshot()] == [data.uid]
+    # each environment counts its own records
+    assert len(one.history) == len(other.history) == 1
     one.history.record(data, "again")
     assert one.history.lookup(data).signature == "again"
     assert other.history.lookup(data) is None
+    assert (len(one.history), len(other.history)) == (2, 1)
 
 
 def test_a_recorded_value_keeps_no_history_alive():
@@ -113,12 +110,12 @@ def test_a_recorded_value_keeps_no_history_alive():
 
 def test_concurrent_recorders_and_lookups_see_each_values_newest_record():
     # Each recording thread re-records its own values with a counting
-    # signature, many times past the cap. Lookup threads read every value
+    # signature, many times over. Lookup threads read every value
     # throughout: once a value is recorded it always looks up, and the count
     # it reads never goes back. Afterwards each value looks up its last
-    # record, and the log holds the newest cap whole records.
-    cap, writers_n, readers_n, rounds, per_value = 8, 3, 2, 2_000, 3
-    history = OpHistory(cap)
+    # record, and the history has counted every record.
+    writers_n, readers_n, rounds, per_value = 3, 2, 2_000, 3
+    history = OpHistory()
     owned = [[wrap(bytearray(1)) for _ in range(per_value)] for _ in range(writers_n)]
     for k, values in enumerate(owned):
         for value in values:
@@ -174,12 +171,45 @@ def test_concurrent_recorders_and_lookups_see_each_values_newest_record():
     for k, values in enumerate(owned):
         for value in values:
             assert history.lookup(value).signature == f"{k}:{rounds}"
-    snapshot = history.snapshot()
-    assert len(history) == len(snapshot) == cap
-    assert all(
-        (type(r.uid), type(r.signature), type(r.at)) == (int, str, float) for r in snapshot
-    )
-    assert {r.uid for r in snapshot} <= {v.uid for v in every}
+    assert len(history) == writers_n * per_value * (rounds + 1)
+
+
+def test_eight_threads_count_every_runner_and_record_call():
+    # half the threads record through the runner, half through record; the
+    # count loses none of either
+    threads_n, rounds = 8, 2_000
+    env = _environment(OpHistory())
+    history = env.history
+    add = env.op("math.add").input(1, 1).apply()  # caches the runner
+    start = threading.Barrier(threads_n)
+    errors = []
+
+    def work(t):
+        try:
+            value = wrap(bytearray(1))
+            start.wait(timeout=60)
+            for i in range(rounds):
+                if t % 2:
+                    history.record(value, "s")
+                else:
+                    env.op("math.add").input(t, i).apply()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert len(history) == 1 + threads_n * rounds
+    assert history.lookup(add).signature == ADD
 
 
 # -- one signature object per plan ------------------------------------------
@@ -190,23 +220,23 @@ def _copy(text):
     return text[:1] + text[1:]
 
 
-def test_uncached_calls_on_one_plan_leave_one_signature_object_in_the_log():
+def test_uncached_calls_on_one_plan_share_one_signature_object():
     env = _environment(OpHistory(), cache_enabled=False)
-    data = wrap(bytearray(4))
-    for _ in range(20):
-        env.op("benchmark.increment").input(data).mutate()
-    for _ in range(2):
+    values = [wrap(bytearray(4)) for _ in range(22)]
+    for value in values[:20]:
+        env.op("benchmark.increment").input(value).mutate()
+    for value in values[20:]:
         # each build matches afresh, so each handle has its own tree
-        env.op("benchmark.increment").input_types("ByteArray").inplace()(data)
-    signatures = list(env.history._log)[1::3]
-    assert len(signatures) == 22
+        env.op("benchmark.increment").input_types("ByteArray").inplace()(value)
+    signatures = [env.history.lookup(v).signature for v in values]
     assert signatures[0] == INCREMENT
-    assert len({id(s) for s in signatures}) == 1
+    assert all(s is signatures[0] for s in signatures)
+    assert len(env.history) == 22
 
 
 def test_record_keeps_what_the_runner_keeps():
     # OpHistory.record is the runner's inline record: the same triple on the
-    # value, the same triple in the log, the same shared signature object
+    # value, the same shared signature object, one more in the count
     history = OpHistory()
     env = _environment(history, cache_enabled=False)
     ran = env.op("benchmark.increment").input(wrap(bytearray(2))).mutate()
@@ -217,35 +247,30 @@ def test_record_keeps_what_the_runner_keeps():
     assert recorded._record[0] is token
     assert recorded._record[1] is signature
     assert type(recorded._record[2]) is type(at) is float
-    log = list(history._log)
-    assert log[:3] == [ran.uid, signature, at]
-    assert log[3:] == [recorded.uid, signature, recorded._record[2]]
-    assert log[4] is log[1] is signature
+    assert history.lookup(ran).signature is history.lookup(recorded).signature
     assert history.lookup(recorded) == (recorded.uid, INCREMENT, recorded._record[2])
+    assert len(history) == 2
 
 
-def test_a_full_log_retains_under_120_bytes_per_record():
-    # Uncached converted calls on fresh arrays: each record has its own uid
-    # and time, and its plan's signature is 152 characters, which a record
-    # holding its own copy would add to every record (~280 B each in all).
-    cap = 1_000
-    env = default_environment(include_legacy=False, cache_enabled=False)
-
-    def call():
-        env.op("benchmark.increment").input(np.zeros(4)).mutate()
-
-    for _ in range(20):
-        call()
+def test_recorded_calls_on_dropped_values_retain_no_memory():
+    # Cached calls make and drop a fresh value each, and record() records
+    # fresh values that are dropped at once. The records went with their
+    # values; a log of them would hold ~80 B each, ~8 MB in all.
+    calls = 100_000
+    env = _environment(OpHistory())
+    for i in range(20):
+        env.op("math.add").input(i, 1).apply()
+        env.history.record(wrap(i), "s")
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        env.history = OpHistory(cap)
-        for _ in range(2 * cap):
-            call()
+        for i in range(calls // 2):
+            env.op("math.add").input(i, 1).apply()
+            env.history.record(wrap(i), "s")
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(env.history) == cap
-    assert retained / cap < 120
+    assert len(env.history) == 40 + calls
+    assert retained < 4_096

@@ -363,7 +363,8 @@ def test_int_to_real(env):
 
 @pytest.mark.parametrize(
     "value,expected",
-    [(2.5, 3), (-2.5, -3), (0.4, 0), (-0.4, 0), (1e300, INT64_MAX), (-1e300, INT64_MIN)],
+    [(2.5, 3), (-2.5, -3), (0.4, 0), (-0.4, 0), (1e300, INT64_MAX), (-1e300, INT64_MIN),
+     (math.inf, INT64_MAX), (-math.inf, INT64_MIN)],
 )
 def test_real_to_int_rounds_and_saturates(value, expected):
     assert bodies.real_to_int(value) == expected
@@ -382,6 +383,17 @@ def test_bytes_to_reals(env):
 def test_reals_to_bytes_applies_round_clamp(env):
     out = env.op("engine.convert").input(wrap(np.array([1.4, 300.0, -5.0]))).apply()
     assert list(out.payload) == [1, 255, 0]
+
+
+@pytest.mark.parametrize("body", [bodies.reals_to_bytes, bodies.f64_to_u8])
+def test_real_to_byte_conversions_reject_nan(body):
+    with pytest.raises(PreconditionError, match="cannot convert NaN to a byte"):
+        body(np.array([[2.0, np.nan]]))
+
+
+def test_converting_a_nan_real_array_to_bytes_fails(env):
+    with pytest.raises(PreconditionError, match="NaN"):
+        env.op("engine.convert").input(wrap(np.array([np.nan, 2.0]))).apply()
 
 
 # -- create and copy ----------------------------------------------------------
