@@ -391,11 +391,6 @@ def test_real_to_byte_conversions_reject_nan(body):
         body(np.array([[2.0, np.nan]]))
 
 
-def test_converting_a_nan_real_array_to_bytes_fails(env):
-    with pytest.raises(PreconditionError, match="NaN"):
-        env.op("engine.convert").input(wrap(np.array([np.nan, 2.0]))).apply()
-
-
 # -- create and copy ----------------------------------------------------------
 
 
