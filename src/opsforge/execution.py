@@ -19,15 +19,15 @@ Kind contracts enforced here:
 - inplaces mutate exactly the declared argument and return it.
 
 Every completed invocation records its plan signature on the Value it
-produced or filled, where the environment's history looks it up, and adds
-one to the history's count of records.
+produced or filled, where the environment's history looks it up, with the
+history's next tick: the record's sequence number, which is also the count
+of records.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-import time
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -147,7 +147,6 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         out_type=tree.out_type,
         token=history._token,  # OpHistory.record, inlined below
         tick=history._ticks.__next__,
-        now=time.time,
     ):
         try:
             result = call(*args) if args is not None else call(out.payload)
@@ -178,8 +177,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
         else:
             # in the else clause the kind branches run on into the record
             # with one jump fewer per call
-            out._record = (token, sig, now())
-            tick()
+            out._record = (token, sig, tick())
             return out
 
     return run
@@ -199,18 +197,22 @@ def _resolve(env: OpEnvironment, req: OpRequest):
 
 
 class HistoryRecord(NamedTuple):
-    """One history record: a value's uid, the plan signature, the time."""
+    """One history record: a value's uid, the plan signature, its sequence number.
+
+    ``seq`` is the record's 0-based place among all the records its history
+    has made, so of two records the newer has the larger ``seq``.
+    """
 
     uid: int
     signature: str
-    at: float
+    seq: int
 
 
 class OpHistory:
-    """Which plan produced a value: its signature and the time it ran.
+    """Which plan produced a value: its signature and its place in the order.
 
     A record lives on the Value it describes, in the Value's ``_record``
-    slot as (token, signature, time), so ``lookup(v)`` returns v's newest
+    slot as (token, signature, seq), so ``lookup(v)`` returns v's newest
     record made by this history for as long as v exists; no index outlives
     the values. The token tells this history's records from another's: if
     another environment's history recorded v after this one, v's contents
@@ -220,22 +222,22 @@ class OpHistory:
 
     ``len`` is the number of records this history has made, runners' and
     ``record``'s alike. The history keeps no log of them: its per-call
-    state is that count, so a record costs no memory beyond its value.
-    Recording is lock-free: an attribute store and a range iterator's
-    ``__next__`` are each atomic under CPython. Signatures are interned
+    state is one tick counter, whose next tick is a record's ``seq``, so a
+    record costs no memory beyond its value. Recording is lock-free: an
+    attribute store and a range iterator's ``__next__`` are each atomic
+    under CPython, so seqs are distinct and increasing across threads. Signatures are interned
     (``InfoTree.signature`` and ``record`` alike), so the records of one
     plan share one string.
     """
 
     def __init__(self):
         self._token = object()
-        # an exact lock-free count: __next__ is one C call, length_hint reads it
+        # an exact lock-free tick: __next__ is one C call, length_hint reads it
         self._ticks = iter(range(sys.maxsize))
 
     def record(self, value: Value, signature: str) -> None:
         """Record ``signature`` on ``value`` and count it, as a runner does."""
-        value._record = (self._token, sys.intern(signature), time.time())
-        next(self._ticks)
+        value._record = (self._token, sys.intern(signature), next(self._ticks))
 
     def lookup(self, value: Value) -> HistoryRecord | None:
         rec = getattr(value, "_record", None)

@@ -540,22 +540,20 @@ def fixed_dependencies(env: OpEnvironment) -> None:
     """Resolve, once, the dependencies of every op whose plans cannot vary.
 
     Those are the non-adapter ops whose dependency signatures are all
-    concrete: no binding can change what they resolve to. Each gets a
-    ``env.fixed_deps[id(info)] = (children, near_miss)`` entry, filled in
-    place, which ``_resolve_deps`` reads on every match in place of
-    matching the dependencies again. children is None, with the NearMiss a
-    match logs for the first unmet dependency, when one is unmet. An op
-    whose resolution raises anything else (a dependency cycle, say) gets
-    no entry, so a match meets that error on the per-call path. Each
-    distinct dependency request is matched once here. Entries are keyed
-    by ``id(info)``: an OpInfo's dataclass hash walks every field, and the
-    environment keeps each info alive as long as the table.
+    concrete: no binding can change what they resolve to. Each is resolved
+    by ``_resolve_deps`` and gets a ``env.fixed_deps[id(info)] =
+    (children, near_miss)`` entry, which ``_resolve_deps`` then reads on
+    every match in place of matching the dependencies again. children is
+    None, with the NearMiss a match logs for the first unmet dependency,
+    when one is unmet. An op whose resolution raises (a dependency cycle,
+    say) gets no entry, so a match meets that error on the per-call path.
+    Entries are keyed by ``id(info)``: an OpInfo's dataclass hash walks
+    every field, and the environment keeps each info alive as long as the
+    table.
 
     The environment calls this while its plan cache is off, so building
     leaves the cache empty and its counters at zero.
     """
-    table = env.fixed_deps
-    found: dict[tuple, InfoTree | Exception] = {}
     for info in env.infos:
         deps = info.dependencies
         if (
@@ -564,23 +562,12 @@ def fixed_dependencies(env: OpEnvironment) -> None:
             or not all(t.is_concrete() for dep in deps for t in dep.signature)
         ):
             continue
-        children: list[InfoTree] = []
-        for dep in deps:
-            req = _dep_request(dep, dep.signature)
-            key = req.cache_key
-            if key not in found:
-                try:
-                    found[key] = _match_internal(env, req, ())
-                except Exception as e:
-                    found[key] = e
-            tree = found[key]
-            if isinstance(tree, NoMatchError):
-                table[id(info)] = (None, NearMiss(info.source, "unmet dependency", dep.field))
-            if isinstance(tree, Exception):
-                break
-            children.append(tree)
-        else:
-            table[id(info)] = (tuple(children), None)
+        s = _Search(env, ())
+        try:
+            children = _resolve_deps(s, info, {})
+        except Exception:
+            continue
+        env.fixed_deps[id(info)] = (children, s.near[-1] if children is None else None)
 
 
 def _resolve_deps(

@@ -88,7 +88,10 @@ def copy_content(src):
 
 
 def int_to_real(x: int) -> float:
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise PreconditionError("cannot convert an integer this large to a Real") from None
 
 
 def real_to_int(x: float) -> int:
@@ -230,40 +233,31 @@ def _kernel(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _gather_indexes(k: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat source pixels of an (h, w) image's row and column pass taps.
+def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (h, w) image's row and column pass taps, and their kernel weights.
 
-    Two (k, h, w) index blocks: tap d of pixel (y, x) reads
-    ``y*w + clip(x+d-r, 0, w-1)`` in the row pass and
-    ``clip(y+d-r, 0, h-1)*w + x`` in the column pass, which is the
-    clamp-to-edge border without a padded copy. They stay writeable,
-    since ``take`` copies a read-only index array on every call. With
-    ``_tiny_taps`` holding up to 32 more, the two caches keep at most
-    ~5 MiB.
+    Three (k, h, w) blocks. The two index blocks hold flat source pixels:
+    tap d of pixel (y, x) reads ``y*w + clip(x+d-r, 0, w-1)`` in the row
+    pass and ``clip(y+d-r, 0, h-1)*w + x`` in the column pass, which is the
+    clamp-to-edge border without a padded copy. They stay writeable, since
+    ``take`` copies a read-only index array on every call. The read-only
+    weights are the kernel column repeated over every pixel, so each pass
+    multiplies two dense blocks: a stride-0 kernel column would send
+    numpy's multiply through its buffered path, which takes 2-7x longer at
+    these sizes and allocates up to a second block. Each entry is under
+    96 KiB, so the cache keeps under 3 MiB.
     """
+    kernel = _kernel(sigma)
+    k = len(kernel)
     r = k // 2
     d = np.arange(-r, r + 1)[:, None, None]
     ys = np.arange(h)[:, None]
     xs = np.arange(w)
     rows = ys * w + np.clip(xs + d, 0, w - 1)
     cols = np.clip(ys + d, 0, h - 1) * w + xs
-    return rows, cols
-
-
-@functools.lru_cache(maxsize=32)
-def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_gather_indexes`` and a read-only (k, h, w) block of kernel weights.
-
-    The weights are the kernel column repeated over every pixel, so each
-    pass multiplies two dense blocks: a stride-0 kernel column would send
-    numpy's multiply through its buffered path, which takes 2-7x longer at
-    these sizes and allocates up to a second block.
-    """
-    kernel = _kernel(sigma)
-    k = len(kernel)
     weights = np.repeat(kernel, h * w).reshape(k, h, w)
     weights.flags.writeable = False
-    return (*_gather_indexes(k, h, w), weights)
+    return rows, cols, weights
 
 
 def _gathered_sum(src: np.ndarray, index: np.ndarray, weights: np.ndarray,

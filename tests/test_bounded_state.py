@@ -5,8 +5,9 @@ The cache is checked against insertion-ordered keys that drop the oldest
 once past ``cap``. The history keeps no log: a record lives on its value.
 It is checked against an unbounded list of every record ever made, whose
 length is the history's ``len`` and whose newest record of a value is what
-a lookup of it returns, through both ways records are written, ``record``
-and the runner's inlined copy of it.
+a lookup of it returns, at its index in the list as its ``seq``, through
+both ways records are written, ``record`` and the runner's inlined copy of
+it.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsforge import execution
-from opsforge.execution import OpHistory
+from opsforge.execution import HistoryRecord, OpHistory
 from opsforge.matcher import CACHE_CAP, MatchCache, OpRequest
 from opsforge.stdlib import default_environment
 from opsforge.types import Kind, parse_type
@@ -84,18 +85,19 @@ def test_history_matches_a_list_of_every_record(steps):
         else:
             values = pool + made
             value = values[step[1] % len(values)]
-            made_for = [sig for uid, sig in model if uid == value.uid]
+            made_for = [(i, sig) for i, (uid, sig) in enumerate(model) if uid == value.uid]
             got = history.lookup(value)
-            assert (got.signature if got else None) == (made_for[-1] if made_for else None)
+            want = made_for[-1] if made_for else None
+            assert ((got.seq, got.signature) if got else None) == want
             if got is not None:
                 assert got.uid == value.uid
-                assert isinstance(got.at, float)
+                assert type(got.seq) is int
         assert len(history) == len(model)
-    # every value looks up its newest record
-    newest = {uid: sig for uid, sig in model}
+    # every value looks up its newest record, at that record's index
+    newest = {uid: (i, sig) for i, (uid, sig) in enumerate(model)}
     for value in pool + made:
         got = history.lookup(value)
-        assert (got.signature if got else None) == newest.get(value.uid)
+        assert ((got.seq, got.signature) if got else None) == newest.get(value.uid)
 
 
 def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
@@ -105,6 +107,7 @@ def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
     data = wrap(bytearray(2))
     env.history.record(data, "first")
     first = env.history.lookup(data)
+    assert first.seq == 0
     env.op("benchmark.increment").input(data).mutate()
     env.op("math.add").input(1, 2).apply()  # evicts the increment's entry
     assert len(env.cache) == 1
@@ -113,22 +116,25 @@ def test_a_value_recorded_again_keeps_its_newest_record_past_eviction():
     env.op("benchmark.increment").input(data).mutate()  # a re-miss
     newest = env.history.lookup(data)
     assert newest.signature == INCREMENT
-    assert newest.uid == first.uid and newest.at >= first.at
+    # records 1 and 3 are older ones of data's; record 2 is the add's
+    assert newest == HistoryRecord(first.uid, INCREMENT, 4)
     env.history.record(data, "third")
-    assert env.history.lookup(data).signature == "third"
+    assert env.history.lookup(data) == HistoryRecord(first.uid, "third", 5)
     assert len(env.history) == 6
 
 
-def test_records_with_equal_clock_readings_stay_apart(monkeypatch):
-    # a coarse clock gives two records of one value the same time; the
-    # newer still replaces the older, and both are counted
-    monkeypatch.setattr(execution.time, "time", lambda: float("1.5"))
+def test_two_records_of_one_value_take_consecutive_seqs():
+    # the newer record replaces the older, takes the next seq, and both
+    # are counted
     history = OpHistory()
-    a = wrap(1)
+    a, b = wrap(1), wrap(2)
+    history.record(b, "other")
     history.record(a, "older")
+    assert history.lookup(a) == HistoryRecord(a.uid, "older", 1)
     history.record(a, "newer")
-    assert history.lookup(a) == execution.HistoryRecord(a.uid, "newer", 1.5)
-    assert len(history) == 2
+    assert history.lookup(a) == HistoryRecord(a.uid, "newer", 2)
+    assert history.lookup(b) == HistoryRecord(b.uid, "other", 0)
+    assert len(history) == 3
 
 
 # -- the plan cache against insertion-ordered keys cut to cap ---------------

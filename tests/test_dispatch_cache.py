@@ -709,10 +709,13 @@ def test_eight_threads_with_eviction_on_count_and_look_up_every_record():
     history = env.history
     assert len(history) == len(values)
     assert history.lookup(early).signature == signatures["add builder"]
+    assert history.lookup(early).seq == 0
     for name, value in made:
         record = history.lookup(value)
         assert (record.uid, record.signature) == (value.uid, signatures[name])
-        assert type(record.at) is float
+        assert type(record.seq) is int
+    # one record per value, so their seqs are exactly the count's range
+    assert sorted(history.lookup(v).seq for v in values) == list(range(len(history)))
     assert len(env.cache) <= 3
 
 

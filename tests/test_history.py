@@ -53,14 +53,14 @@ def test_a_record_is_an_immutable_hashable_triple():
     history.record(value, "sig")
     record = history.lookup(value)
     assert type(record) is HistoryRecord
-    assert HistoryRecord._fields == ("uid", "signature", "at")
-    assert (record.uid, record.signature) == (value.uid, "sig")
-    assert isinstance(record.at, float)
-    assert record == HistoryRecord(value.uid, "sig", record.at)
-    assert record != HistoryRecord(value.uid, "other", record.at)
+    assert HistoryRecord._fields == ("uid", "signature", "seq")
+    # the first record a history makes is its 0th
+    assert record == HistoryRecord(value.uid, "sig", 0)
+    assert type(record.seq) is int
+    assert record != HistoryRecord(value.uid, "other", 0)
     # a record is a tuple: it also equals the plain triple
-    assert record == (value.uid, "sig", record.at)
-    assert hash(record) == hash(HistoryRecord(value.uid, "sig", record.at))
+    assert record == (value.uid, "sig", 0)
+    assert hash(record) == hash(HistoryRecord(value.uid, "sig", 0))
     assert len({record, history.lookup(value)}) == 1
     with pytest.raises(AttributeError):
         record.signature = "other"
@@ -176,23 +176,25 @@ def test_concurrent_recorders_and_lookups_see_each_values_newest_record():
 
 def test_eight_threads_count_every_runner_and_record_call():
     # half the threads record through the runner, half through record; the
-    # count loses none of either
+    # count loses none of either, and no two records share a seq
     threads_n, rounds = 8, 2_000
     env = _environment(OpHistory())
     history = env.history
     add = env.op("math.add").input(1, 1).apply()  # caches the runner
     start = threading.Barrier(threads_n)
     errors = []
+    made = [[] for _ in range(threads_n)]
 
     def work(t):
         try:
-            value = wrap(bytearray(1))
+            values = [wrap(bytearray(1)) for _ in range(rounds)]
             start.wait(timeout=60)
             for i in range(rounds):
                 if t % 2:
-                    history.record(value, "s")
+                    history.record(values[i], "s")
+                    made[t].append(values[i])
                 else:
-                    env.op("math.add").input(t, i).apply()
+                    made[t].append(env.op("math.add").input(t, i).apply())
         except Exception as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
@@ -209,7 +211,12 @@ def test_eight_threads_count_every_runner_and_record_call():
         sys.setswitchinterval(old)
     assert errors == []
     assert len(history) == 1 + threads_n * rounds
-    assert history.lookup(add).signature == ADD
+    assert history.lookup(add) == (add.uid, ADD, 0)
+    # each value holds one record, so their seqs are exactly the count's
+    # range, and each thread's are increasing in the order it made them
+    seqs = [[history.lookup(v).seq for v in mine] for mine in made]
+    assert sorted(s for mine in seqs for s in mine) == list(range(1, len(history)))
+    assert all(mine == sorted(mine) for mine in seqs)
 
 
 # -- one signature object per plan ------------------------------------------
@@ -242,13 +249,16 @@ def test_record_keeps_what_the_runner_keeps():
     ran = env.op("benchmark.increment").input(wrap(bytearray(2))).mutate()
     recorded = wrap(bytearray(2))
     history.record(recorded, _copy(INCREMENT))
-    token, signature, at = ran._record
+    token, signature, seq = ran._record
     assert type(recorded._record) is tuple and len(recorded._record) == 3
     assert recorded._record[0] is token
     assert recorded._record[1] is signature
-    assert type(recorded._record[2]) is type(at) is float
+    # each takes the next tick: the runner's record is the 0th, record's the 1st
+    assert (seq, recorded._record[2]) == (0, 1)
+    assert type(seq) is type(recorded._record[2]) is int
     assert history.lookup(ran).signature is history.lookup(recorded).signature
-    assert history.lookup(recorded) == (recorded.uid, INCREMENT, recorded._record[2])
+    assert history.lookup(ran) == (ran.uid, INCREMENT, 0)
+    assert history.lookup(recorded) == (recorded.uid, INCREMENT, 1)
     assert len(history) == 2
 
 

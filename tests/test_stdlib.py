@@ -359,6 +359,9 @@ def test_int_to_real(env):
     out = env.op("engine.convert").input(5).apply()
     assert out.payload == 5.0
     assert isinstance(out.payload, float)
+    # an int no float can hold is refused, as NaN is on the way back
+    with pytest.raises(PreconditionError, match="to a Real"):
+        env.op("engine.convert").input(10**400).output_type("Real").apply()
 
 
 @pytest.mark.parametrize(
