@@ -225,9 +225,9 @@ class OpHistory:
     state is one tick counter, whose next tick is a record's ``seq``, so a
     record costs no memory beyond its value. Recording is lock-free: an
     attribute store and a range iterator's ``__next__`` are each atomic
-    under CPython, so seqs are distinct and increasing across threads. Signatures are interned
-    (``InfoTree.signature`` and ``record`` alike), so the records of one
-    plan share one string.
+    under CPython, so seqs are distinct and increasing across threads.
+    Signatures are interned (``InfoTree.signature`` and ``record`` alike),
+    so the records of one plan share one string.
     """
 
     def __init__(self):
