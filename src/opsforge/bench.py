@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stdlib import bodies, default_environment
+from .values import wrap
 
 SCENARIOS = (
     "STATIC",
@@ -95,12 +96,17 @@ def _fail(scenario: str, k: int, got, want) -> None:
 def _make_step(scenario: str, size: int):
     """Fresh step(k) callable per repetition; k counts total calls so far.
 
-    Every step body ends with a first-element check against the value the
-    k-th call must produce, inside the timed region, so the dispatch result
-    is consumed every iteration.
+    Three step bodies serve the six scenarios: the bound body, ``mutate()`` and
+    ``apply()``; only the payload and the cache flag vary. Each ends with a
+    first-element check of the k-th call's result inside the timed region, so
+    the dispatch result is consumed every iteration.
     """
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    converted = scenario.endswith("CONVERTED")
+    data = np.zeros(size, dtype=np.float64) if converted else bytearray(size)
+
     if scenario == "STATIC":
-        data = bytearray(size)
         body = bodies.increment_u8
 
         def step(k: int):
@@ -110,27 +116,13 @@ def _make_step(scenario: str, size: int):
 
         return step
 
-    from .values import wrap
-
     cached = scenario == "MATCHED_CACHED"
     env = default_environment(cache_enabled=cached, include_legacy=False)
+    value = wrap(data)
 
-    if scenario in ("MATCHED_NOCACHE", "MATCHED_CACHED"):
-        data = bytearray(size)
-        value = wrap(data)
-
-        def step(k: int):
-            env.op("benchmark.increment").input(value).mutate()
-            if data[0] != (k & 0xFF):
-                _fail(scenario, k, data[0], k & 0xFF)
-
-        return step
-
-    if scenario == "ADAPTED":
+    if scenario.startswith("ADAPTED"):
         # fixed all-zero input; the adapter buffers a private copy, so every
-        # call returns a fresh array whose first byte is 1
-        value = wrap(bytearray(size))
-
+        # call returns a fresh array whose first element is 1
         def step(k: int):
             result = env.op("benchmark.increment").input(value).apply()
             if result.payload[0] != 1:
@@ -138,28 +130,13 @@ def _make_step(scenario: str, size: int):
 
         return step
 
-    if scenario == "CONVERTED":
-        arr = np.zeros(size, dtype=np.float64)
-        value = wrap(arr)
+    # a float64 first element k % 256 compares equal to the int k & 0xFF
+    def step(k: int):
+        env.op("benchmark.increment").input(value).mutate()
+        if data[0] != (k & 0xFF):
+            _fail(scenario, k, data[0], k & 0xFF)
 
-        def step(k: int):
-            env.op("benchmark.increment").input(value).mutate()
-            if arr[0] != float(k % 256):
-                _fail(scenario, k, arr[0], float(k % 256))
-
-        return step
-
-    if scenario == "ADAPTED_CONVERTED":
-        value = wrap(np.zeros(size, dtype=np.float64))
-
-        def step(k: int):
-            result = env.op("benchmark.increment").input(value).apply()
-            if result.payload[0] != 1:
-                _fail(scenario, k, result.payload[0], 1)
-
-        return step
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return step
 
 
 def _run_scenario(scenario: str, size: int, warmup: int, iterations: int, reps: int):

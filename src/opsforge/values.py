@@ -3,7 +3,8 @@
 Each base type's payload is fixed by one table, ``_EXACT``: a scalar or
 byte payload by its Python class, a numpy payload by its (ndim, dtype);
 images are (height, width), row-major. Integer arithmetic's 64-bit wrap is
-documented by the arithmetic ops, not enforced here.
+documented by the arithmetic ops, not enforced here. An Integer read from
+JSON must fit int64, so every op it reaches sees the same number.
 
 The type tag and payload identity of a Value never change after
 construction; payload CONTENTS are the mutable compute surface that
@@ -135,8 +136,8 @@ def from_json_obj(type_: SemanticType, obj: Any) -> Value:
     """Build a Value of the given type from its JSON rendering.
 
     Input that makes no payload of the type raises RegistrationError, also
-    where the payload cannot hold it: an int too large for a float, or an
-    image too large for an array.
+    where the payload cannot hold it: an Integer outside int64, an int too
+    large for a float, or an image too large for an array.
     """
     try:
         return _from_json(type_, obj)
@@ -156,6 +157,10 @@ def _from_json(type_: SemanticType, obj: Any) -> Value:
     if base == "Integer":
         if not _int(obj):
             raise RegistrationError(f"Integer wants an int, got {obj!r}")
+        if not -(2**63) <= obj < 2**63:
+            raise RegistrationError(
+                f"Integer cannot hold the input: wants an int64, got {obj!r}"
+            )
         return Value(type_, obj)
     if base == "Real":
         if not is_number(obj):

@@ -184,8 +184,9 @@ def test_run_bad_image_f64_pixel_exits_2(capsys, pixel):
     [
         ("math.add", f"Real:{10**400}", "Real cannot hold the input"),
         ("filter.gauss", 'ImageF64:{"w":true,"h":1,"data":[1.0]}', "images want"),
+        ("math.add", f"Integer:{10**30}", "Integer cannot hold the input"),
     ],
-    ids=["huge_real", "bool_w"],
+    ids=["huge_real", "bool_w", "huge_int"],
 )
 def test_run_values_no_payload_can_hold_exit_2(capsys, op, value, message):
     code, out, err = run(capsys, "run", op, "--in", value, "--in", "Real:1.0")

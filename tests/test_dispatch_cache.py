@@ -11,7 +11,9 @@ cached runner points back at its environment, so a dropped environment is
 freed at once, without the cyclic garbage collector.
 """
 
+import functools
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -22,9 +24,22 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from opsforge import execution
-from opsforge.errors import NoMatchError, OpsError, RegistrationError
+from opsforge.errors import (
+    DependencyCycleError,
+    NoMatchError,
+    OpsError,
+    RegistrationError,
+)
 from opsforge.matcher import MatchCache, OpRequest
-from opsforge.registry import Kind, OpEnvironment, parse_descriptors
+from opsforge.registry import (
+    DependencySpec,
+    Io,
+    Kind,
+    OpEnvironment,
+    OpInfo,
+    ParamSpec,
+    parse_descriptors,
+)
 from opsforge.stdlib import (
     BINDINGS,
     builtin_descriptors_path,
@@ -33,7 +48,7 @@ from opsforge.stdlib import (
     default_hierarchy,
     legacy_descriptors_path,
 )
-from opsforge.types import parse_type
+from opsforge.types import TypeHierarchy, parse_type
 from opsforge.values import Value, image_f64, image_u8, wrap
 
 
@@ -286,11 +301,169 @@ def test_cache_and_load_order_do_not_change_matching(cached_and_uncached, req, o
         ]
 
 
+# -- the same agreement on drawn registries unlike the stdlib ---------------
+
+# Small registries with their own base names in a random acyclic hierarchy,
+# concrete, type-variable and List<...> parameters, priority ties across
+# load orders, dependencies, two converts, a copy, and two of the stdlib's
+# engine.adapt entries (their bindings are in BINDINGS).
+DRAWN_BASES = ("Alpha", "Beta", "Gamma", "Delta", "Omega")
+DRAWN_NAMES = ("d.one", "d.two", "d.three", "d.four")
+STDLIB_ADAPTERS = [i for i in STDLIB_INFOS if i.name == "engine.adapt"]
+# parsed once: parse_type would otherwise dominate the test's time
+DRAWN_TYPES = {
+    name: (parse_type(name), parse_type(f"List<{name}>"))
+    for name in (*DRAWN_BASES, "'T", "'U")
+}
+
+
+def _type_choices(names):
+    """Each type named in ``names`` twice, and a List of it once."""
+    return [t for name in names for t in DRAWN_TYPES[name] + DRAWN_TYPES[name][:1]]
+
+
+# strategies built once per name tuple: building them per draw costs ~0.5 s
+@functools.cache
+def _types(names):
+    return st.sampled_from(_type_choices(names))
+
+
+KINDS = st.sampled_from(list(Kind))
+
+
+def _drawn_op(draw, source, bases):
+    kind = draw(KINDS)
+    types = draw(st.lists(_types(bases + ("'T", "'U")), min_size=1, max_size=3))
+    # outputs and dependencies use only the variables the arguments bind
+    bound = bases + tuple(sorted(f"'{v}" for t in types for v in t.variables()))
+    params = [ParamSpec(f"p{i}", t, Io.INPUT) for i, t in enumerate(types)]
+    if kind is Kind.INPLACE:
+        at = draw(st.integers(0, len(params) - 1))
+        params[at] = ParamSpec(f"p{at}", types[at], Io.MUTABLE)
+    else:
+        io = Io.OUTPUT if kind is Kind.FUNCTION else Io.CONTAINER
+        params.append(ParamSpec("out", draw(_types(bound)), io))
+    deps = ()
+    if draw(st.integers(0, 4)) == 0:
+        dep_kind = draw(KINDS)
+        width = 1 if dep_kind is Kind.INPLACE else 2
+        signature = tuple(draw(_types(bound)) for _ in range(width))
+        name = draw(st.sampled_from(DRAWN_NAMES))
+        deps = (DependencySpec("dep", name, dep_kind, signature),)
+    return OpInfo(
+        (draw(st.sampled_from(DRAWN_NAMES)),),
+        kind,
+        tuple(params),
+        source,
+        priority=float(draw(st.integers(0, 2))),
+        dependencies=deps,
+    )
+
+
+def _engine_op(name, kind, source, src, dst):
+    io = Io.OUTPUT if kind is Kind.FUNCTION else Io.CONTAINER
+    params = (ParamSpec("src", src, Io.INPUT), ParamSpec("dst", dst, io))
+    return OpInfo((name,), kind, params, source)
+
+
+@st.composite
+def drawn_registries(draw):
+    """``(infos, hierarchy edges, base names)`` of one drawn registry."""
+    bases = DRAWN_BASES[: draw(st.integers(2, 5))]
+    # edges only run from a later base to an earlier one, so no cycle forms
+    edges = [
+        (sub, sup)
+        for i, sub in enumerate(bases)
+        for sup in bases[:i]
+        if draw(st.integers(0, 2)) == 0
+    ]
+    n = draw(st.integers(3, 12))
+    infos = [_drawn_op(draw, f"drawn:op{i}", bases) for i in range(n)]
+    base = st.sampled_from([DRAWN_TYPES[name][0] for name in bases])
+    for i in range(2):
+        a, b = draw(base), draw(base)
+        infos.append(_engine_op("engine.convert", Kind.FUNCTION, f"drawn:convert{i}", a, b))
+    a = draw(base)
+    infos.append(_engine_op("engine.copy", Kind.COMPUTER, "drawn:copy", a, a))
+    infos += draw(
+        st.lists(
+            st.sampled_from(STDLIB_ADAPTERS),
+            min_size=2,
+            max_size=2,
+            unique_by=lambda info: info.source,
+        )
+    )
+    return infos, edges, bases
+
+
+def _drawn_requests(rng, infos, bases):
+    """A request, often shaped after a drawn op, and its twin, which differs
+    only in its output type, container type or mutable index."""
+    choices = _type_choices(bases)
+
+    def concrete():
+        return rng.choice(choices)
+
+    info = rng.choice([i for i in infos if i.name in DRAWN_NAMES])
+    name = rng.choice([*info.names * 5, *DRAWN_NAMES])
+    kind = rng.choice([info.kind] * 3 + list(Kind))
+    bindings = {"T": concrete(), "U": concrete()}
+    args = tuple(p.type.substitute(bindings) for p in info.arg_params)
+    if rng.random() < 0.3:
+        args = tuple(concrete() for _ in range(rng.randint(1, 3)))
+    own = info.special_param.type.substitute(bindings)
+    if kind is Kind.FUNCTION:
+        field, value = "output_type", lambda: rng.choice([None, own, concrete()])
+    elif kind is Kind.COMPUTER:
+        field, value = "container_type", lambda: rng.choice([own, concrete()])
+    else:
+        field, value = "mutable_index", lambda: rng.randrange(len(args))
+    return tuple(OpRequest(name, kind, args, **{field: value()}) for _ in range(2))
+
+
+def _drawn_outcome(env, req):
+    """The plan's signature and output type, or the failed match's error."""
+    try:
+        tree = env.match(req)
+    except (NoMatchError, DependencyCycleError) as exc:
+        return type(exc).__name__, str(exc)
+    return tree.signature, str(tree.out_type)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(registry=drawn_registries(), seed=st.integers(0, 2**32 - 1))
+def test_cache_and_load_order_agree_on_drawn_registries(registry, seed):
+    infos, edges, bases = registry
+    # a plain Random: each call of hypothesis's own costs a draw
+    rng = random.Random(seed)
+
+    def env(infos, edges, cache_enabled):
+        h = TypeHierarchy(edges)
+        return OpEnvironment(infos, BINDINGS, hierarchy=h, cache_enabled=cache_enabled)
+
+    on, off = env(infos, edges, True), env(infos, edges, False)
+    shuffled_infos, shuffled_edges = list(infos), list(edges)
+    rng.shuffle(shuffled_infos)
+    rng.shuffle(shuffled_edges)
+    shuffled = env(shuffled_infos, shuffled_edges, True)
+    for _ in range(20):
+        req, twin = _drawn_requests(rng, infos, bases)
+        want = _drawn_outcome(off, req)
+        want_twin = _drawn_outcome(off, twin)
+        # each cache-on environment meets the pair twice, in its own order,
+        # so a plan cached for one request is looked up by the other
+        for _ in range(2):
+            assert _drawn_outcome(on, req) == want
+            assert _drawn_outcome(on, twin) == want_twin
+            assert _drawn_outcome(shuffled, twin) == want_twin
+            assert _drawn_outcome(shuffled, req) == want
+
+
 # -- raw payloads and Values reach the same plan and result ------------------
 
 # A payload per base type, made fresh for every call since an inplace call
 # changes its argument. Image names no payload, so requests staging it are
-# left to the test above.
+# left to test_cache_and_load_order_do_not_change_matching.
 PAYLOADS = {
     "Integer": lambda: 3,
     "Real": lambda: 2.5,

@@ -209,13 +209,22 @@ HUGE = 10**400  # a JSON integer no float can hold
         ("ImageU8", {"w": 1, "h": True, "data": [1]}),
         ("ImageF64", {"w": 0, "h": 10**30, "data": []}),
         ("ImageU8", {"w": 1, "h": 1, "data": [1.5]}),
+        ("Integer", 2**63),
+        ("Integer", -(2**63) - 1),
+        ("Integer", 10**30),
     ],
     ids=["real", "real_array_item", "image_pixel", "bool_w", "bool_h", "huge_h",
-         "u8_fraction"],
+         "u8_fraction", "int64_max_plus_1", "int64_min_minus_1", "huge_int"],
 )
 def test_values_no_payload_can_hold_are_rejected(type_text, obj):
     with pytest.raises(RegistrationError):
         from_json_obj(parse_type(type_text), obj)
+
+
+@pytest.mark.parametrize("n", [2**63 - 1, -(2**63)])
+def test_integer_from_json_accepts_int64_bounds(n):
+    v = from_json_obj(parse_type("Integer"), n)
+    assert v.payload == n and type(v.payload) is int
 
 
 def test_write_back_preserves_container_object():
