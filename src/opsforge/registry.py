@@ -8,14 +8,23 @@ exposed as ops through a YAML file alone.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import GeneratorType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import yaml
+from yaml.events import (
+    AliasEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
@@ -367,6 +376,112 @@ def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
         raise _fail(origin, path, str(e)) from e
 
 
+_STR_TAG = "tag:yaml.org,2002:str"
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+# Python's SafeLoader composes recursively, so its recursion limit decides
+# at what depth a document fails; the walk leaves deeper documents to it.
+_DEEPEST = 100
+
+
+class _Declined(Exception):
+    """The event walk leaves this document to ``yaml.load``."""
+
+
+def _load_yaml(text: str, Loader) -> Any:
+    """``yaml.load(text, Loader=Loader)``, built from the loader's events.
+
+    ``yaml.load`` composes the whole document into Nodes, each with two
+    Marks, before it constructs anything. This walk builds the dicts, lists
+    and scalars straight from the event stream, so its peak is about the
+    size of the document it returns. Scalars resolve and construct through
+    the loader's own resolver and constructors, and an alias returns the
+    object its anchor built. A merge key, a tag on a collection other than
+    map or seq, an alias to an anchor not yet complete, a repeated anchor,
+    an unhashable key, a second document or deep nesting is left to
+    ``yaml.load``, so every outcome is PyYAML's own.
+    """
+    try:
+        loader = Loader(text)
+        try:
+            get, check, resolve = loader.get_event, loader.check_event, loader.resolve
+            constructors = loader.yaml_constructors
+            anchors: dict[str, Any] = {}
+            # the items read so far of each open collection, with its start
+            # event; the root lands in the outermost list
+            items: list = []
+            open_: list[tuple[list, Any]] = []
+            get()  # stream start
+            if check(StreamEndEvent):
+                get()
+                return None
+            get()  # document start
+            while True:
+                event = get()
+                cls = event.__class__
+                if cls is ScalarEvent:
+                    tag = event.tag
+                    if tag is None or tag == "!":
+                        tag = resolve(ScalarNode, event.value, event.implicit)
+                    if tag == _STR_TAG:
+                        value = event.value
+                    else:
+                        # a tag without a constructor (a merge key among them)
+                        # raises KeyError here
+                        value = constructors[tag](loader, ScalarNode(
+                            tag, event.value, event.start_mark, event.end_mark,
+                            event.style))
+                        if isinstance(value, GeneratorType):
+                            raise _Declined  # a collection tag on a scalar
+                elif cls is AliasEvent:
+                    # KeyError for an undefined anchor or one still open
+                    items.append(anchors[event.anchor])
+                    continue
+                elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                    node, want = (
+                        (MappingNode, _MAP_TAG) if cls is MappingStartEvent
+                        else (SequenceNode, _SEQ_TAG)
+                    )
+                    tag = event.tag
+                    if tag is None or tag == "!":
+                        tag = resolve(node, None, event.implicit)
+                    if tag != want or len(open_) == _DEEPEST:
+                        raise _Declined
+                    open_.append((items, event))
+                    items = []
+                    continue
+                else:  # the end of a collection
+                    done = items
+                    items, event = open_.pop()
+                    if cls is MappingEndEvent:
+                        pairs = iter(done)
+                        # TypeError for an unhashable key; a repeated key
+                        # keeps its first place and its last value
+                        value = dict(zip(pairs, pairs))
+                    else:
+                        value = done
+                anchor = event.anchor
+                if anchor is not None:
+                    if anchor in anchors:
+                        raise _Declined
+                    anchors[anchor] = value
+                items.append(value)
+                if not open_:
+                    break
+            get()  # document end
+            if not check(StreamEndEvent):
+                raise _Declined  # a second document
+            get()
+            return items[0]
+        finally:
+            loader.dispose()
+    except Exception:
+        # The one broad catch: whatever stopped the walk, declined, malformed
+        # or unforeseen, the reference implementation parses the document
+        # again and gives its value or raises its error.
+        return yaml.load(text, Loader=Loader)
+
+
 def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     """Parse one YAML descriptor document into OpInfo entries.
 
@@ -374,7 +489,7 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     document is valid and yields an empty list.
     """
     try:
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        doc = _load_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as e:
         raise SchemaError(f"{origin}: not valid YAML: {e}") from e
     if doc is None:
@@ -519,6 +634,9 @@ class OpEnvironment:
     @cached_property
     def content_hash(self) -> str:
         """sha256 of the op entries in canonical order, made on first read."""
+        # imported here, so that an environment nobody hashes never loads OpenSSL
+        import hashlib
+
         sha = hashlib.sha256()
         for info in self._infos:
             sha.update(_content_line(info).encode())

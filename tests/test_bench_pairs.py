@@ -85,6 +85,28 @@ def test_single_pair_quartiles_collapse_to_the_value():
     assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 
 
+def _claim(parent, head, better="lower"):
+    return bench_pairs.claim_holds(bench_pairs.summarise(list(zip(parent, head)), better))
+
+
+def test_a_claim_needs_nine_of_ten_pairs_and_a_gain_past_the_parents_spread():
+    parent = [50.0 + 0.1 * i for i in range(10)]  # quartiles 50.225 and 50.675
+    lower = [p - 4.0 for p in parent]
+    assert _claim(parent, lower)
+    assert not _claim(parent, lower, better="higher")
+    assert _claim(lower, parent, better="higher")
+    # one lost pair still leaves nine wins in ten; two leave eight
+    assert _claim(parent, [51.0] + lower[1:])
+    assert not _claim(parent, [51.0, 52.0] + lower[2:])
+    # a tie counts for neither side but still counts as a pair run
+    assert _claim(parent, parent[:1] + lower[1:])
+    assert not _claim(parent, parent[:2] + lower[2:])
+    # every pair won, but by less than the parent's own spread (IQR 45)
+    spread = [10.0 * i for i in range(1, 11)]
+    assert not _claim(spread, [p - 1.0 for p in spread])
+    assert _claim(spread, [p - 60.0 for p in spread])
+
+
 def _canned_traced(layers, correct=True):
     """perfbench --trace 1 stdout: the per-layer metrics in the last line."""
     line = {"correct": correct, "attempted": 10, "failed": 0,

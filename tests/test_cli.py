@@ -1,12 +1,18 @@
 """End-to-end command line behavior: exit codes, stream separation, flows."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
 from opsforge.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 IMG4 = json.dumps({"w": 4, "h": 4, "data": [float(i) for i in range(16)]})
 IMG4_U8 = json.dumps({"w": 4, "h": 4, "data": list(range(16))})
@@ -91,6 +97,27 @@ def test_run_add(capsys):
     assert code == 0
     assert json.loads(out) == {"type": "Integer", "value": 5}
     assert err == ""
+
+
+# prints the modules a cold `ops run math.add` loaded beyond the interpreter's own
+RUN_ADD_MODULES = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "from opsforge.cli import main\n"
+    "code = main(['run', 'math.add', '--in', 'Integer:2', '--in', 'Integer:3'])\n"
+    "print(json.dumps({'code': code, 'loaded': sorted(set(sys.modules) - before)}))\n"
+)
+
+
+def test_run_add_leaves_openssl_unloaded():
+    # only OpEnvironment.content_hash needs hashlib, and `ops run` never reads it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", RUN_ADD_MODULES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0 and "opsforge.registry" in result["loaded"]
+    assert not {"hashlib", "_hashlib"} & set(result["loaded"])
 
 
 def test_run_dog_with_trace(capsys):

@@ -1,12 +1,19 @@
 """Descriptor parsing, optional-parameter reduction, environment assembly."""
 
+import gc
+import importlib.util
 import random
 import re
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opsforge import registry
 from opsforge.errors import RegistrationError, SchemaError
 from opsforge.registry import (
     Io,
@@ -25,6 +32,8 @@ from opsforge.stdlib import (
     legacy_descriptors_path,
 )
 from opsforge.types import parse_type
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _param(name, type_, io):
@@ -375,3 +384,220 @@ def test_both_yaml_loaders_place_malformed_yaml_alike(monkeypatch, text):
     assert all(str(e).startswith("bad.yaml: not valid YAML:") for e in errors)
     c_marks, py_marks = (re.findall(r"line \d+, column \d+", str(e)) for e in errors)
     assert c_marks == py_marks and c_marks
+
+
+# -- the event walk gives yaml.load's outcome --------------------------------
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+def _sharing(value) -> list[int]:
+    """Each object's first-seen index, in the order a walk over the value
+    meets it; two values with equal lists share their objects alike."""
+    seen: dict[int, int] = {}
+    order = []
+    stack = [value]
+    while stack:
+        obj = stack.pop()
+        first = id(obj) not in seen
+        order.append(seen.setdefault(id(obj), len(seen)))
+        if first and isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif first and isinstance(obj, list):
+            stack.extend(obj)
+    return order
+
+
+def _outcome(load, text, Loader):
+    try:
+        value = load(text, Loader)
+    except Exception as exc:  # the outcome under test may be any error
+        return ("raised", type(exc), str(exc))
+    return ("value", repr(value), _sharing(value))
+
+
+def _reference(text, Loader):
+    return yaml.load(text, Loader=Loader)
+
+
+def _assert_same_outcome(text):
+    for Loader in LOADERS:
+        walked = _outcome(registry._load_yaml, text, Loader)
+        assert walked == _outcome(_reference, text, Loader), (Loader.__name__, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # YAML 1.1 implicit scalars
+        "[yes, off, On, NO, true, 0x1F, -0x1F, 017, 0b101, 1_000, 1:20, 190:20:30]",
+        "[.inf, -.Inf, .nan, ~, null, '', 1e3, 1.0e+3, -.5, 6.8523015e+5, 0o17, +12]",
+        "[2001-12-14, 2001-12-14t21:59:43.10-05:00, 2001-12-14 21:59:43.10 +5, 2002-1-1]",
+        # styles
+        "- 'single ''quoted'' 123'\n- \"double \\t \\u263A\"\n- '123'\n- \"yes\"\n",
+        "literal: |\n  one\n   two\n\nfolded: >-\n  three\n  four\nkept: |+\n  five\n\n",
+        # explicit tags
+        "[!!str 123, !!int '42', !!float 1, !!bool yes, !!null '', ! 12, ! [1]]",
+        "a: !!binary aGVsbG8gd29ybGQ=\nb: !!timestamp 2001-12-14\nc: !!str [1]\n",
+        "!!set {a, b, c}",
+        "!!omap [a: 1, b: 2]",
+        "!!pairs [a: 1, a: 2]",
+        "[!unknown x]",
+        "[!!python/tuple [1, 2]]",
+        "[!!int abc]",
+        "[!!binary '!!!']",
+        "[!!seq scalar]",
+        "[!!map [1]]",
+        "!!seq {a: 1}",
+        # anchors and aliases
+        "a: &x [1, {b: 2}]\nc: *x\nd: [*x, *x]\n",
+        "[&s shared, *s, &n 12, *n, &t 2001-12-14, *t, &e {}, *e]",
+        "base: &b {x: 1, y: 2}\nd: {<<: *b, y: 3}\n",
+        "d: {<<: [{x: 1}, {z: 2}], y: 3}\n",
+        "[*nope]",
+        "[&a 1, &a 2]",
+        "&r [1, *r]",
+        "&m {self: *m}",
+        "{a: 1, b: 2, a: 3}",
+        "{1: a, true: b, 1.0: c}",
+        "[&k key, {*k : v}]",
+        # keys, documents and malformed text
+        "? [a, b]\n: c\n",
+        "{? {a: 1} : b}",
+        "? !!binary aGk=\n: bytes key\n",
+        "a: 1\n---\nb: 2\n",
+        "--- a\n...\n",
+        "--- !!map\nops: []\n",
+        "{=: a}",
+        "[=]",
+        "{<<: 1}",
+        "'<<': quoted merge",
+        "ops: [a, b\n",
+        "a: b: c\n",
+        "a:\n  - b\n c: d\n",
+        "bell: \x07\n",
+        "",
+        "---\n",
+        "# a comment only\n",
+        "~",
+        "%YAML 1.1\n%TAG !e! tag:example.com,2000:\n--- [!e!x 1]\n",
+        "[" * 150 + "]" * 150,
+    ],
+    ids=lambda text: text[:40],
+)
+def test_the_walk_gives_yaml_loads_value_or_error(text):
+    _assert_same_outcome(text)
+
+
+def _raised(load, text, Loader):
+    try:
+        load(text, Loader)
+    except Exception as exc:  # the outcome under test may be any error
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("depth", [400, 700])
+def test_deeply_nested_documents_fail_or_load_as_yaml_load_does(depth):
+    # the pure-Python composer recurses, so its recursion limit decides the
+    # deepest document it loads; the walk leaves such documents to it
+    text = "[" * depth + "]" * depth
+    for Loader in LOADERS:
+        assert _raised(registry._load_yaml, text, Loader) is _raised(_reference, text, Loader)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["yes", "off", "0x1F", "1:20", "~", "<<", "=", "1e3", ".inf", "2001-12-14"]),
+    st.binary(max_size=4),
+    st.dates(),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.booleans(), st.none())
+
+
+@st.composite
+def _documents(draw):
+    """Nested maps and lists of scalars, some of them placed more than once
+    (a repeated container or date is written as an anchor and its aliases)."""
+    made = []
+
+    def node(depth):
+        pick = draw(st.integers(0, 3 if depth < 4 else 0))
+        if pick == 3 and made:
+            return draw(st.sampled_from(made))
+        if pick == 0 or pick == 3:
+            value = draw(_SCALARS)
+        elif pick == 1:
+            value = [node(depth + 1) for _ in range(draw(st.integers(0, 3)))]
+        else:
+            value = {draw(_KEYS): node(depth + 1) for _ in range(draw(st.integers(0, 3)))}
+        if not isinstance(value, (str, bytes, int, float, type(None))):
+            made.append(value)
+        return value
+
+    return node(0), draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_documents())
+def test_the_walk_matches_yaml_load_on_dumped_documents(drawn):
+    document, flow = drawn
+    _assert_same_outcome(yaml.safe_dump(document, default_flow_style=flow))
+
+
+def _synthetic_text():
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.SynthRegistry(1).text
+
+
+@pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
+@pytest.mark.parametrize("Loader", LOADERS, ids=lambda L: L.__name__)
+def test_parse_descriptors_reads_bundled_files_as_yaml_load_does(monkeypatch, source, Loader):
+    if source == "synthetic":
+        text = _synthetic_text()
+    else:
+        path = builtin_descriptors_path() if source == "builtin" else legacy_descriptors_path()
+        text = path.read_text(encoding="utf-8")
+    monkeypatch.setattr(yaml, "CSafeLoader", Loader, raising=False)
+    walked = parse_descriptors(text, origin=source)
+    monkeypatch.setattr(registry, "_load_yaml", _reference)
+    assert walked == parse_descriptors(text, origin=source) and walked
+
+
+def _descriptor_document(entries: int) -> str:
+    lines = ["ops:"]
+    for k in range(entries):
+        lines += [
+            f"  - name: gen.ns{k % 7}.op{k:04d}",
+            f"    source: gen:op{k}/real",
+            f"    priority: {k % 11 - 5}.25",
+            "    parameters:",
+            "      - {name: x, type: Real, io: input}",
+            "      - {name: y, type: Real, io: input}",
+            "      - {name: out, type: Real, io: output}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_peak_stays_near_the_size_of_the_document():
+    # yaml.load composes every node (each with two marks) before it builds
+    # anything, which peaked at ~6x the document it returned
+    Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = _descriptor_document(500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        document = registry._load_yaml(text, Loader)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(document["ops"]) == 500
+    assert peak - before < 2 * (kept - before)

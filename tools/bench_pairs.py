@@ -9,7 +9,9 @@ caches of its own. It runs ``perfbench/run.py --trace 0`` in each,
 alternating which side runs first, for each workload over seeds 1..N. It reads the JSON last line of every run. For each end-to-end metric
 it records the paired values, each side's median, q1 and q3, the change's
 relative median delta and how many pairs the change won (ties count for
-neither side). The summary it prints also gives each head median's
+neither side). The summary it prints marks a metric "claim holds" when the
+change won at least 9 of 10 pairs and its median delta exceeds the
+parent's interquartile range; it also gives each head median's
 relative delta against the head median of the newest committed
 ``BENCH_<n>.json`` (other than the one being written), so a change reads
 against the trajectory as well as against its parent.
@@ -106,6 +108,16 @@ def summarise(pairs: list[tuple[float, float]], better: str) -> dict:
         "wins": sum(1 for p, h in pairs if sign * (h - p) > 0),
         "losses": sum(1 for p, h in pairs if sign * (h - p) < 0),
     }
+
+
+def claim_holds(m: dict) -> bool:
+    """Whether a ``summarise`` record supports claiming a gain: the change
+    wins at least nine tenths of the pairs (ties count for neither side),
+    and its median beats the parent's by more than the parent's own
+    spread, the distance between the parent's quartiles."""
+    sign = 1 if m["better"] == "higher" else -1
+    gain = sign * (m["head"]["median"] - m["parent"]["median"])
+    return 10 * m["wins"] >= 9 * len(m["pairs"]) and gain > m["parent"]["q3"] - m["parent"]["q1"]
 
 
 def workload_record(runs: list[tuple[dict, dict]], directions: dict) -> dict:
@@ -432,6 +444,8 @@ def main(argv=None) -> int:
             line = (f"{workload:<13} {name:<17} parent {m['parent']['median']:>12.4g} "
                     f"head {m['head']['median']:>12.4g} delta {delta} "
                     f"wins {m['wins']}/{len(m['pairs'])}")
+            if claim_holds(m):
+                line += " claim holds"
             if prior:
                 was = against[workload][name]
                 line += f" vs {prior[0]} head " + ("n/a" if was is None else f"{was:+.1%}")
