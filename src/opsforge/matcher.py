@@ -389,15 +389,18 @@ def _same_shape(shape: _Shape, req: OpRequest) -> bool:
 
 def matcher_tables(
     by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
-) -> tuple[dict, tuple, tuple]:
-    """``(shaped, converts, copies)``: the matcher's facts past DIRECT.
+) -> tuple[dict, tuple, tuple, dict, dict]:
+    """``(shaped, converts, copies, convert_rows, copy_rows)``: the matcher's
+    facts past DIRECT.
 
     An environment builds them once from its name index; they are sized by
     the registry and never grow per call. ``shaped`` maps each name to
     ``(info, shape, adaptations)`` per non-adapter candidate in canonical
     order; shape is None, with no adaptations, for a candidate with generic
     parameter types, since adaptation and conversion only work on concrete
-    shapes. ``converts`` and ``copies`` are ``_convert_table`` rows.
+    shapes. Candidates of one shape share its shape and adaptations, each
+    made once. ``converts`` and ``copies`` are ``_convert_table`` rows, and
+    ``convert_rows`` and ``copy_rows`` are ``_rows_by_base`` over them.
     """
     # adapters whose patterns do not decompose can never match
     adapters = tuple(
@@ -405,6 +408,7 @@ def matcher_tables(
         for info in by_name.get(ADAPT_NAME, ())
         if (patterns := adapter_patterns(info)) is not None
     )
+    shapes: dict[_Shape, tuple] = {}
     shaped = {}
     for name, found in by_name.items():
         rows = []
@@ -412,15 +416,23 @@ def matcher_tables(
             if ADAPT_NAME in info.names:
                 continue
             cand = _encode_info(info)
-            if all(t.is_concrete() for t in cand.types):
-                rows.append((info, cand, _adaptations(adapters, cand, hierarchy)))
-            else:
-                rows.append((info, None, ()))
+            made = shapes.get(cand)
+            if made is None:
+                made = shapes[cand] = (
+                    (cand, _adaptations(adapters, cand, hierarchy))
+                    if all(t.is_concrete() for t in cand.types)
+                    else (None, ())
+                )
+            rows.append((info, *made))
         shaped[name] = tuple(rows)
+    converts = _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION)
+    copies = _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER)
     return (
         shaped,
-        _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION),
-        _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER),
+        converts,
+        copies,
+        _rows_by_base(converts, hierarchy),
+        _rows_by_base(copies, hierarchy),
     )
 
 
@@ -467,6 +479,23 @@ def _convert_table(candidates: tuple[OpInfo, ...], kind: Kind) -> tuple:
         and info.arg_params[0].type.is_concrete()
         and info.special_param.type.is_concrete()
     )
+
+
+def _rows_by_base(rows: tuple, hierarchy: TypeHierarchy) -> dict[str, tuple]:
+    """Per base name, the ``rows`` whose source base it reaches, in order.
+
+    The keys are the rows' own source bases and every name with a declared
+    supertype, and a base with no rows is left out. Any other base has no
+    supertype, so it reaches only itself, and no row starts there: no row
+    can take a type of that base.
+    """
+    bases = {src.base for _, src, _ in rows}.union(hierarchy.subtypes())
+    index = {}
+    for base in bases:
+        reached = tuple(row for row in rows if hierarchy.has_path(base, row[1].base))
+        if reached:
+            index[base] = reached
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +710,8 @@ def _adapter_tree(
     ``engine.copy`` at build made criterion 6's ADAPTED_CONVERTED cheaper
     than CONVERTED, failing its ``CONVERTED <= ADAPTED_CONVERTED`` ordering
     in 2 of 4 runs (against 4 of 4 passing with ops' own dependencies
-    alone). An adapter adds its own cost to a plan, as in the paper.
+    alone), and in 3 of 3 on top of a build-time index of the convert
+    rows. An adapter adds its own cost to a plan, as in the paper.
     """
     children = _resolve_deps(s, ad, bindings)
     if children is None:
@@ -727,18 +757,24 @@ def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
 def _find_convert(
     env: OpEnvironment, frm: SemanticType, to: SemanticType
 ) -> OpInfo | None:
-    """First convert function accepting ``frm`` and producing ``to``."""
+    """First convert function accepting ``frm`` and producing ``to``.
+
+    Only the rows ``env.convert_rows`` keeps for ``frm``'s base can accept it.
+    """
     hierarchy = env.hierarchy
-    for info, src, dst in env.converts:
+    for info, src, dst in env.convert_rows.get(frm.base, ()):
         if is_assignable(frm, src, hierarchy) and is_assignable(dst, to, hierarchy):
             return info
     return None
 
 
 def _find_copy(env: OpEnvironment, t: SemanticType) -> OpInfo | None:
-    """First copy computer able to write ``t`` content into a ``t`` container."""
+    """First copy computer able to write ``t`` content into a ``t`` container.
+
+    Only the rows ``env.copy_rows`` keeps for ``t``'s base can accept it.
+    """
     hierarchy = env.hierarchy
-    for info, src, dst in env.copies:
+    for info, src, dst in env.copy_rows.get(t.base, ()):
         if is_assignable(t, src, hierarchy) and is_assignable(t, dst, hierarchy):
             return info
     return None

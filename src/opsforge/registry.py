@@ -176,7 +176,9 @@ def reduce_optional(info: OpInfo) -> list[OpInfo]:
 
     Optional inputs must form a trailing run among the input parameters.
     Each generated variant removes one more optional input from the right
-    and pays a small priority penalty so fuller matches win ties.
+    and pays a small priority penalty so fuller matches win ties. A variant
+    holds its source's required parameters themselves; an optional one it
+    keeps becomes a required copy.
     """
     if info.reduced_from is not None:
         return [info]
@@ -191,7 +193,7 @@ def reduce_optional(info: OpInfo) -> list[OpInfo]:
     for k in range(1, n_opt + 1):
         removed = set(inputs[len(inputs) - k:])
         params = tuple(
-            replace(p, optional=False)
+            replace(p, optional=False) if p.optional else p
             for i, p in enumerate(info.params)
             if i not in removed
         )
@@ -272,22 +274,36 @@ def _kind(origin: str, path: str, obj: dict) -> Kind:
         ) from None
 
 
-def _parse_type_at(origin: str, path: str, text: Any) -> SemanticType:
+def _parse_type_at(origin: str, path: str, text: Any, shared: dict) -> SemanticType:
     if not isinstance(text, str):
         raise _fail(origin, path, f"expected a type string, got {text!r}")
+    found = shared.get(text)
+    if found is not None:
+        return found
     try:
-        return parse_type(text)
+        t = parse_type(text)
     except TypeSyntaxError as e:
         raise _fail(origin, path, str(e)) from e
+    # keyed by its canonical string too, so "List< Real >" and "List<Real>"
+    # give one type
+    t = shared[text] = shared.setdefault(t._str, t)
+    return t
 
 
-def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
+def read_entry(
+    entry: Any, origin: str, path: str, shared: dict | None = None
+) -> OpInfo:
     """One descriptor entry as an OpInfo, its fields checked in a fixed order.
 
     YAML documents and indexed comment blocks are both read through here,
     so a fault reads the same from either. Errors name ``origin`` and the
-    field's path under ``path`` (the entry's, e.g. ``ops[0]``).
+    field's path under ``path`` (the entry's, e.g. ``ops[0]``). ``shared``,
+    one per document, maps each type string to one SemanticType and each
+    set of parameter fields to one ParamSpec, so entries that repeat a
+    signature hold one copy of it.
     """
+    if shared is None:
+        shared = {}
     _mapping(origin, path, entry, _ENTRY_KEYS, "entry")
     name = _required(origin, path, entry, "name")
     aliases = _strings(origin, path, entry, "aliases", "strings")
@@ -316,15 +332,15 @@ def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
                 f"{ppath}.io",
                 f"must be one of input/container/mutable/output, got {io_text!r}",
             ) from None
-        params.append(
-            ParamSpec(
-                pname,
-                _parse_type_at(origin, f"{ppath}.type", rp.get("type")),
-                io,
-                optional=pname in optional_names,
-                description=_text(origin, ppath, rp, "description"),
-            )
-        )
+        ptype = _parse_type_at(origin, f"{ppath}.type", rp.get("type"), shared)
+        optional = pname in optional_names
+        pdesc = _text(origin, ppath, rp, "description")
+        # the io text names one Io; a str key is cheaper to hash than the member
+        key = (pname, ptype._str, io_text, optional, pdesc)
+        param = shared.get(key)
+        if param is None:
+            param = shared[key] = ParamSpec(pname, ptype, io, optional, pdesc)
+        params.append(param)
     param_names = {p.name for p in params}
     for oname in optional_names:
         if oname not in param_names:
@@ -344,7 +360,7 @@ def read_entry(entry: Any, origin: str, path: str) -> OpInfo:
         if not isinstance(raw_sig, list) or not raw_sig:
             raise _fail(origin, f"{dpath}.signature", "required non-empty list")
         sig = tuple(
-            _parse_type_at(origin, f"{dpath}.signature[{k}]", t)
+            _parse_type_at(origin, f"{dpath}.signature[{k}]", t, shared)
             for k, t in enumerate(raw_sig)
         )
         deps.append(DependencySpec(dfield, dname, dkind, sig))
@@ -504,8 +520,9 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
 
     infos: list[OpInfo] = []
     seen: set[tuple[str, str, str]] = set()
+    shared: dict = {}
     for i, entry in enumerate(entries):
-        info = read_entry(entry, origin, f"ops[{i}]")
+        info = read_entry(entry, origin, f"ops[{i}]", shared)
         key = (info.name, info.signature_string(), info.source)
         if key in seen:
             raise _fail(
@@ -594,9 +611,13 @@ class OpEnvironment:
                 by_name.setdefault(name, []).append(info)
         self._by_name = {name: tuple(found) for name, found in by_name.items()}
         self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
-        self.shaped, self.converts, self.copies = matcher_tables(
-            self._by_name, self.hierarchy
-        )
+        (
+            self.shaped,
+            self.converts,
+            self.copies,
+            self.convert_rows,
+            self.copy_rows,
+        ) = matcher_tables(self._by_name, self.hierarchy)
         # fixed dependency plans resolve against those tables with the plan
         # cache off, so a fresh environment's cache is empty either way
         self.cache_enabled = False

@@ -188,6 +188,10 @@ class TypeHierarchy:
             supers.setdefault(sub, set()).add(sup)
         self._ancestors = _close({k: frozenset(v) for k, v in supers.items()})
 
+    def subtypes(self) -> Iterable[str]:
+        """Every name with a declared supertype."""
+        return self._ancestors.keys()
+
     def has_path(self, sub: str, sup: str) -> bool:
         """True when sub == sup or declared edges connect sub to sup."""
         return sub == sup or sup in self._ancestors.get(sub, ())

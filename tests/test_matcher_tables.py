@@ -1,15 +1,18 @@
 """The matcher's tables built once per environment agree with per-call scans.
 
 An environment builds, per name, each non-adapter candidate's shape and its
-adapter unifications, and the filtered convert and copy lists. The linear
-scans below are what the matcher did on every request before; they stay
-here as the reference, for the stdlib environment and for twins loaded in a
-shuffled order. The twins also carry entries that the tables must leave
-out or mark generic.
+adapter unifications, the filtered convert and copy lists, and per base name
+the convert and copy rows ``_find_convert`` and ``_find_copy`` try. The
+linear scans below are what the matcher did on every request before; they
+stay here as the reference, for the stdlib environment, for twins loaded in
+a shuffled order and for drawn registries. The twins also carry entries
+that the tables must leave out or mark generic, and the requests include
+types no entry names.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_dispatch_cache import DRAWN_TYPES, drawn_registries
 
 from opsforge.matcher import (
     ADAPT_NAME,
@@ -24,10 +27,9 @@ from opsforge.stdlib import (
     BINDINGS,
     builtin_descriptors_path,
     default_environment,
-    default_hierarchy,
     legacy_descriptors_path,
 )
-from opsforge.types import is_assignable, parse_type
+from opsforge.types import TypeHierarchy, is_assignable, parse_type
 
 # Entries the filters must skip, ranked ahead of the stdlib ones, and a
 # generic candidate that adaptation and conversion cannot use.
@@ -53,6 +55,11 @@ ops:
     parameters:
       - {name: input, type: Real, io: input}
       - {name: output, type: Real, io: output}
+  - name: engine.convert
+    source: "extra:convert/image_mean"
+    parameters:
+      - {name: input, type: Image, io: input}
+      - {name: output, type: Real, io: output}
   - name: math.add
     source: "extra:math/generic_add"
     parameters:
@@ -77,7 +84,19 @@ TYPES = [
         "ImageU8",
         "ImageF64",
         "List<Real>",
+        # named by no entry: an unknown base, a List no entry takes, and a
+        # base only the twins' hierarchy knows
+        "Unknown",
+        "List<Integer>",
+        "Sequence",
     )
+]
+# the twins' hierarchy; Image is named by extra:convert/image_mean
+HIERARCHY = [
+    ("ImageU8", "Image"),
+    ("ImageF64", "Image"),
+    ("ByteArray", "Sequence"),
+    ("RealArray", "Sequence"),
 ]
 
 
@@ -114,15 +133,28 @@ def _reference_adaptations(env, shape):
     return rows
 
 
-def _reference_io_op(env, name, kind, frm, to):
-    """First usable convert (or copy) entry taking ``frm`` and giving ``to``."""
+def _usable_io_ops(env, name, kind):
+    """``(info, src, dst)`` of each usable convert (or copy) entry, in order."""
     for info in env.candidates(name):
         if info.kind is not kind or len(info.arg_params) != 1 or info.dependencies:
             continue
         src, dst = info.arg_params[0].type, info.special_param.type
-        if not (src.is_concrete() and dst.is_concrete()):
-            continue
+        if src.is_concrete() and dst.is_concrete():
+            yield info, src, dst
+
+
+def _reference_convert(env, frm, to):
+    """First usable convert entry taking ``frm`` and giving ``to``."""
+    for info, src, dst in _usable_io_ops(env, CONVERT_NAME, Kind.FUNCTION):
         if is_assignable(frm, src, env.hierarchy) and is_assignable(dst, to, env.hierarchy):
+            return info
+    return None
+
+
+def _reference_copy(env, t):
+    """First usable copy entry taking ``t`` content into a ``t`` container."""
+    for info, src, dst in _usable_io_ops(env, COPY_NAME, Kind.COMPUTER):
+        if is_assignable(t, src, env.hierarchy) and is_assignable(t, dst, env.hierarchy):
             return info
     return None
 
@@ -144,20 +176,18 @@ def _check_tables(env):
             ]
             assert got == _reference_adaptations(env, ref)
     for frm in TYPES:
-        assert _find_copy(env, frm) == _reference_io_op(env, COPY_NAME, Kind.COMPUTER, frm, frm)
+        assert _find_copy(env, frm) == _reference_copy(env, frm)
         for to in TYPES:
-            assert _find_convert(env, frm, to) == _reference_io_op(
-                env, CONVERT_NAME, Kind.FUNCTION, frm, to
-            )
+            assert _find_convert(env, frm, to) == _reference_convert(env, frm, to)
 
 
 def test_default_environment_tables_match_linear_scans():
     _check_tables(default_environment())
 
 
-def _env(files):
+def _env(files, edges=HIERARCHY):
     infos = [i for infos in files for i in infos]
-    return OpEnvironment(infos, BINDINGS, hierarchy=default_hierarchy())
+    return OpEnvironment(infos, BINDINGS, hierarchy=TypeHierarchy(edges))
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,7 +197,9 @@ def test_shuffled_load_order_tables_match_linear_scans(order):
     order.shuffle(files)
     for infos in files:
         order.shuffle(infos)
-    twin = _env(files)
+    edges = list(HIERARCHY)
+    order.shuffle(edges)
+    twin = _env(files, edges)
     _check_tables(twin)
     in_order = _env(FILES)
     assert twin.shaped == in_order.shaped
@@ -177,3 +209,26 @@ def test_shuffled_load_order_tables_match_linear_scans(order):
     assert {info.source for info, _, _ in twin.converts + twin.copies}.isdisjoint(
         {"extra:convert/generic", "extra:convert/with_dependency", "extra:copy/as_function"}
     )
+    assert (twin.convert_rows, twin.copy_rows) == (in_order.convert_rows, in_order.copy_rows)
+    # through the hierarchy, both images reach the convert that takes Image
+    for image in ("ImageU8", "ImageF64"):
+        assert _find_convert(twin, parse_type(image), parse_type("Real")).source == (
+            "extra:convert/image_mean"
+        )
+
+
+# concrete types drawn registries name, and some they never do
+DRAWN_CONCRETE = [t for name, ts in DRAWN_TYPES.items() if "'" not in name for t in ts] + [
+    parse_type(t) for t in ("Zeta", "List<Zeta>", "List<List<Alpha>>")
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(registry=drawn_registries())
+def test_rows_by_base_answer_as_the_scan_on_drawn_registries(registry):
+    infos, edges, _ = registry
+    env = OpEnvironment(infos, BINDINGS, hierarchy=TypeHierarchy(edges), cache_enabled=False)
+    for frm in DRAWN_CONCRETE:
+        assert _find_copy(env, frm) is _reference_copy(env, frm)
+        for to in DRAWN_CONCRETE:
+            assert _find_convert(env, frm, to) is _reference_convert(env, frm, to)

@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import random
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from opsforge.stdlib import (
     BINDINGS,
     builtin_descriptors_path,
     default_environment,
+    default_hierarchy,
     legacy_descriptors_path,
 )
 from opsforge.types import parse_type
@@ -601,3 +603,152 @@ def test_parse_peak_stays_near_the_size_of_the_document():
         tracemalloc.stop()
     assert len(document["ops"]) == 500
     assert peak - before < 2 * (kept - before)
+
+
+# -- one copy of each type, parameter and shape -------------------------------
+
+
+def _unshared(text, origin):
+    """The document's OpInfos, each entry read on its own, sharing nothing."""
+    entries = yaml.safe_load(text)["ops"]
+    return [registry.read_entry(e, origin, f"ops[{i}]") for i, e in enumerate(entries)]
+
+
+def _bundled_text(source):
+    if source == "synthetic":
+        return _synthetic_text()
+    path = builtin_descriptors_path() if source == "builtin" else legacy_descriptors_path()
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
+def test_a_shared_parse_equals_an_unshared_one(source):
+    text = _bundled_text(source)
+    shared = parse_descriptors(text, origin=source)
+    unshared = _unshared(text, source)
+    assert shared == unshared and shared
+    # the descriptions, which content_hash leaves out, come from the document
+    for info, entry in zip(shared, yaml.safe_load(text)["ops"]):
+        assert info.description == entry.get("description", "")
+        assert [p.description for p in info.params] == [
+            p.get("description", "") for p in entry["parameters"]
+        ]
+
+    def env(infos):
+        return OpEnvironment(infos, {}, hierarchy=default_hierarchy())
+
+    if source == "synthetic":
+        # its sources have no bindings and a scheme that needs none
+        assert env(shared).content_hash == env(unshared).content_hash
+    else:
+        assert (
+            OpEnvironment(shared, BINDINGS).content_hash
+            == OpEnvironment(unshared, BINDINGS).content_hash
+        )
+
+
+def test_equal_types_and_parameters_are_one_object_per_document():
+    infos = parse_descriptors(_synthetic_text(), origin="synthetic")
+    types, params = {}, {}
+    for info in infos:
+        for p in info.params:
+            types.setdefault(p.type._str, set()).add(id(p.type))
+            params.setdefault(p, set()).add(id(p))
+    assert set(types) == {"Real", "Integer", "RealArray"}
+    assert all(len(ids) == 1 for ids in types.values())
+    # 486 entries hold 8 parameters: x, y, the optional scale and out of
+    # Real, a, b and out of Integer, and values
+    assert len(params) == 8
+    assert all(len(ids) == 1 for ids in params.values())
+    # a second document makes its own
+    again = parse_descriptors(_synthetic_text(), origin="synthetic")
+    assert again[0].params[0] == infos[0].params[0]
+    assert again[0].params[0] is not infos[0].params[0]
+
+
+def test_reduced_variants_keep_their_sources_parameters():
+    (info,) = parse_descriptors(
+        """
+ops:
+  - name: filter.fft
+    source: "builtin:filter/fft_stub"
+    optional: [borderSize, fast]
+    parameters:
+      - {name: input, type: RealArray, io: input}
+      - {name: fftType, type: Text, io: input}
+      - {name: borderSize, type: Integer, io: input}
+      - {name: fast, type: Boolean, io: input}
+      - {name: output, type: RealArray, io: output}
+"""
+    )
+    reduced = reduce_optional(info)[1:]
+    assert len(reduced) == 2
+    kept = {p.name: p for p in info.params if not p.optional}
+    for variant in reduced:
+        for p in variant.params:
+            assert p is kept[p.name] if p.name in kept else not p.optional
+
+
+def test_candidates_of_one_shape_share_its_adaptations():
+    synth = tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False)
+    with synth:
+        synth.write(_synthetic_text())
+    try:
+        env = default_environment(cache_enabled=False, extra_paths=[synth.name])
+    finally:
+        Path(synth.name).unlink()
+    made = {}
+    for rows in env.shaped.values():
+        for _, shape, adaptations in rows:
+            if shape is not None:
+                made.setdefault(shape, set()).add((id(shape), id(adaptations)))
+    assert all(len(ids) == 1 for ids in made.values())
+    # 486 synthetic entries and 81 reduced variants hold 4 shapes
+    synthetic = {
+        shape for name, rows in env.shaped.items() if name.startswith("synth.")
+        for _, shape, _ in rows
+    }
+    assert len(synthetic) == 4
+
+
+# three signatures repeated, as a large registry of overloads repeats them
+_SIGNATURES = [
+    ("Real", ["x", "y"], "Real"),
+    ("Integer", ["a", "b"], "Integer"),
+    ("RealArray", ["values"], "Real"),
+]
+
+
+def _repeating_document(entries: int) -> str:
+    lines = ["ops:"]
+    for k in range(entries):
+        type_, args, out = _SIGNATURES[k % 3]
+        lines += [
+            f"  - name: gen.ns{k % 7}.op{k:04d}",
+            f"    source: gen:op{k}",
+            f"    priority: {k % 11 - 5}.25",
+            "    parameters:",
+            *[f"      - {{name: {a}, type: {type_}, io: input}}" for a in args],
+            f"      - {{name: out, type: {out}, io: output}}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_repeating_registry_retains_one_copy_of_its_signatures():
+    # every entry keeps its own OpInfo, names and source (~0.95 KB here);
+    # a parse and build that copied each entry's parameters, types, shape
+    # and adapter unifications kept ~2.7 KB per entry
+    text = _repeating_document(500)
+    stdlib = parse_descriptors(builtin_descriptors_path().read_text(encoding="utf-8"))
+    hierarchy = default_hierarchy()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        env = OpEnvironment(parse_descriptors(text, "gen") + stdlib, BINDINGS, hierarchy=hierarchy)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(env.infos) > 500
+    assert kept < 1_536 * 500
