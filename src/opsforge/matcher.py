@@ -389,9 +389,8 @@ def _same_shape(shape: _Shape, req: OpRequest) -> bool:
 
 def matcher_tables(
     by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
-) -> tuple[dict, tuple, tuple, dict, dict]:
-    """``(shaped, converts, copies, convert_rows, copy_rows)``: the matcher's
-    facts past DIRECT.
+) -> tuple[dict, dict, dict]:
+    """``(shaped, convert_rows, copy_rows)``: the matcher's facts past DIRECT.
 
     An environment builds them once from its name index; they are sized by
     the registry and never grow per call. ``shaped`` maps each name to
@@ -399,8 +398,8 @@ def matcher_tables(
     order; shape is None, with no adaptations, for a candidate with generic
     parameter types, since adaptation and conversion only work on concrete
     shapes. Candidates of one shape share its shape and adaptations, each
-    made once. ``converts`` and ``copies`` are ``_convert_table`` rows, and
-    ``convert_rows`` and ``copy_rows`` are ``_rows_by_base`` over them.
+    made once. ``convert_rows`` and ``copy_rows`` are ``_rows_by_base``
+    over the ``_convert_table`` rows of the convert and copy entries.
     """
     # adapters whose patterns do not decompose can never match
     adapters = tuple(
@@ -427,13 +426,7 @@ def matcher_tables(
         shaped[name] = tuple(rows)
     converts = _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION)
     copies = _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER)
-    return (
-        shaped,
-        converts,
-        copies,
-        _rows_by_base(converts, hierarchy),
-        _rows_by_base(copies, hierarchy),
-    )
+    return shaped, _rows_by_base(converts, hierarchy), _rows_by_base(copies, hierarchy)
 
 
 def _adaptations(adapters, cand: _Shape, hierarchy: TypeHierarchy) -> tuple:

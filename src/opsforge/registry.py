@@ -12,19 +12,11 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from types import GeneratorType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import yaml
-from yaml.events import (
-    AliasEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceStartEvent,
-    StreamEndEvent,
-)
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.events import MappingEndEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
+from yaml.nodes import ScalarNode
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
@@ -393,8 +385,6 @@ def read_entry(
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
-_MAP_TAG = "tag:yaml.org,2002:map"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
 # Python's SafeLoader composes recursively, so its recursion limit decides
 # at what depth a document fails; the walk leaves deeper documents to it.
 _DEEPEST = 100
@@ -409,24 +399,24 @@ def _load_yaml(text: str, Loader) -> Any:
 
     ``yaml.load`` composes the whole document into Nodes, each with two
     Marks, before it constructs anything. This walk builds the dicts, lists
-    and scalars straight from the event stream, so its peak is about the
-    size of the document it returns. Scalars resolve and construct through
-    the loader's own resolver and constructors, and an alias returns the
-    object its anchor built. A merge key, a tag on a collection other than
-    map or seq, an alias to an anchor not yet complete, a repeated anchor,
-    an unhashable key, a second document or deep nesting is left to
-    ``yaml.load``, so every outcome is PyYAML's own.
+    and scalars of a plain document straight from the event stream, so its
+    peak is about the size of the document it returns. Plain means what a
+    descriptor file is: one document of untagged maps, sequences and
+    scalars with no anchor or alias, nested at most ``_DEEPEST`` deep.
+    Scalars resolve and construct through the loader's own resolver and
+    constructors. Anything else (an explicit tag, an anchor, an alias, a
+    merge key, an unhashable key, a second document or deeper nesting) is
+    left to ``yaml.load``, so every outcome is PyYAML's own.
     """
     try:
         loader = Loader(text)
         try:
             get, check, resolve = loader.get_event, loader.check_event, loader.resolve
             constructors = loader.yaml_constructors
-            anchors: dict[str, Any] = {}
-            # the items read so far of each open collection, with its start
-            # event; the root lands in the outermost list
+            # the items read so far of each open collection; the root lands
+            # in the outermost list
             items: list = []
-            open_: list[tuple[list, Any]] = []
+            open_: list[list] = []
             get()  # stream start
             if check(StreamEndEvent):
                 get()
@@ -435,10 +425,18 @@ def _load_yaml(text: str, Loader) -> Any:
             while True:
                 event = get()
                 cls = event.__class__
-                if cls is ScalarEvent:
-                    tag = event.tag
-                    if tag is None or tag == "!":
-                        tag = resolve(ScalarNode, event.value, event.implicit)
+                if cls is MappingEndEvent or cls is SequenceEndEvent:
+                    value, items = items, open_.pop()
+                    if cls is MappingEndEvent:
+                        pairs = iter(value)
+                        # TypeError for an unhashable key; a repeated key
+                        # keeps its first place and its last value
+                        value = dict(zip(pairs, pairs))
+                # an alias always names its anchor, so it is declined here
+                elif event.anchor is not None or event.tag is not None:
+                    raise _Declined
+                elif cls is ScalarEvent:
+                    tag = resolve(ScalarNode, event.value, event.implicit)
                     if tag == _STR_TAG:
                         value = event.value
                     else:
@@ -447,40 +445,14 @@ def _load_yaml(text: str, Loader) -> Any:
                         value = constructors[tag](loader, ScalarNode(
                             tag, event.value, event.start_mark, event.end_mark,
                             event.style))
-                        if isinstance(value, GeneratorType):
-                            raise _Declined  # a collection tag on a scalar
-                elif cls is AliasEvent:
-                    # KeyError for an undefined anchor or one still open
-                    items.append(anchors[event.anchor])
-                    continue
-                elif cls is MappingStartEvent or cls is SequenceStartEvent:
-                    node, want = (
-                        (MappingNode, _MAP_TAG) if cls is MappingStartEvent
-                        else (SequenceNode, _SEQ_TAG)
-                    )
-                    tag = event.tag
-                    if tag is None or tag == "!":
-                        tag = resolve(node, None, event.implicit)
-                    if tag != want or len(open_) == _DEEPEST:
+                else:
+                    # the start of a collection: no path resolvers are
+                    # registered, so an untagged one is a map or a seq
+                    if len(open_) == _DEEPEST:
                         raise _Declined
-                    open_.append((items, event))
+                    open_.append(items)
                     items = []
                     continue
-                else:  # the end of a collection
-                    done = items
-                    items, event = open_.pop()
-                    if cls is MappingEndEvent:
-                        pairs = iter(done)
-                        # TypeError for an unhashable key; a repeated key
-                        # keeps its first place and its last value
-                        value = dict(zip(pairs, pairs))
-                    else:
-                        value = done
-                anchor = event.anchor
-                if anchor is not None:
-                    if anchor in anchors:
-                        raise _Declined
-                    anchors[anchor] = value
                 items.append(value)
                 if not open_:
                     break
@@ -538,10 +510,6 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_key(info: OpInfo) -> tuple:
-    return (-info.priority, info.name, info.source, info.signature_string())
-
-
 def _content_line(info: OpInfo) -> str:
     deps = ";".join(
         f"{d.field}:{d.op_name}:{d.kind.value}:{','.join(map(str, d.signature))}"
@@ -592,32 +560,32 @@ class OpEnvironment:
         cache_enabled: bool = True,
         pool=None,
     ):
-        expanded: list[OpInfo] = []
-        for info in infos:
-            expanded.extend(reduce_optional(info))
         seen: set[tuple[str, str, str]] = set()
-        for info in expanded:
-            key = (info.name, info.signature_string(), info.source)
-            if key in seen:
-                raise RegistrationError(
-                    f"duplicate op (name, signature, source): {key}"
+        ordered: list[tuple] = []
+        for info in infos:
+            for variant in reduce_optional(info):
+                signature = variant.signature_string()
+                key = (variant.name, signature, variant.source)
+                if key in seen:
+                    raise RegistrationError(
+                        f"duplicate op (name, signature, source): {key}"
+                    )
+                seen.add(key)
+                # canonical order; no two keys tie, so no OpInfo is compared
+                ordered.append(
+                    (-variant.priority, variant.name, variant.source, signature, variant)
                 )
-            seen.add(key)
-        expanded.sort(key=_canonical_key)
-        self._infos = tuple(expanded)
+        ordered.sort()
+        self._infos = tuple(row[-1] for row in ordered)
         by_name: dict[str, list[OpInfo]] = {}
         for info in self._infos:
             for name in set(info.names):
                 by_name.setdefault(name, []).append(info)
         self._by_name = {name: tuple(found) for name, found in by_name.items()}
         self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
-        (
-            self.shaped,
-            self.converts,
-            self.copies,
-            self.convert_rows,
-            self.copy_rows,
-        ) = matcher_tables(self._by_name, self.hierarchy)
+        self.shaped, self.convert_rows, self.copy_rows = matcher_tables(
+            self._by_name, self.hierarchy
+        )
         # fixed dependency plans resolve against those tables with the plan
         # cache off, so a fresh environment's cache is empty either way
         self.cache_enabled = False

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from ..registry import OpEnvironment, build_environment
-from ..types import DescriptorTable, TypeHierarchy, parse_type
+from ..types import DescriptorTable, TypeHierarchy
 from . import adapt, bodies, legacy
 
 BINDINGS: dict[str, Callable] = {
@@ -82,13 +82,7 @@ def legacy_descriptors_path() -> Path:
 
 
 def default_hierarchy() -> TypeHierarchy:
-    image = parse_type("Image")
-    return TypeHierarchy(
-        [
-            (parse_type("ImageU8"), image),
-            (parse_type("ImageF64"), image),
-        ]
-    )
+    return TypeHierarchy([("ImageU8", "Image"), ("ImageF64", "Image")])
 
 
 def default_describe_table() -> DescriptorTable:

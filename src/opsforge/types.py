@@ -183,6 +183,11 @@ class TypeHierarchy:
     def __init__(self, edges: Iterable[tuple[str, str]] = ()):
         supers: dict[str, set[str]] = {}
         for sub, sup in edges:
+            for end in (sub, sup):
+                # paths are asked for by base name, so any other end would
+                # never apply
+                if not isinstance(end, str):
+                    raise RegistrationError(f"a subtype edge joins type names, got {end!r}")
             if sub == sup:
                 raise RegistrationError(f"self edge {sub} -> {sup}")
             supers.setdefault(sub, set()).add(sup)

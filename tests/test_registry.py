@@ -572,6 +572,40 @@ def test_parse_descriptors_reads_bundled_files_as_yaml_load_does(monkeypatch, so
     assert walked == parse_descriptors(text, origin=source) and walked
 
 
+@pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
+@pytest.mark.parametrize("Loader", LOADERS, ids=lambda L: L.__name__)
+def test_no_bundled_or_synthetic_file_leaves_the_walk(monkeypatch, source, Loader):
+    # a file handed to yaml.load would lose the walk's small parse peak
+    text = _bundled_text(source)
+    expected = _reference(text, Loader)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{source} was left to yaml.load")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    assert registry._load_yaml(text, Loader) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a: !!str 12\nb: [1]\n", "a: &x [1]\nb: 2\n", "a: &x [1]\nb: *x\n"],
+    ids=["tag", "anchor", "alias"],
+)
+@pytest.mark.parametrize("Loader", LOADERS, ids=lambda L: L.__name__)
+def test_tags_anchors_and_aliases_are_left_to_yaml_load_once(monkeypatch, text, Loader):
+    expected = _outcome(_reference, text, Loader)
+    calls = []
+    load = yaml.load
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    assert _outcome(registry._load_yaml, text, Loader) == expected
+    assert len(calls) == 1
+
+
 def _descriptor_document(entries: int) -> str:
     lines = ["ops:"]
     for k in range(entries):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opsforge.errors import RegistrationError, TypeSyntaxError
+from opsforge.stdlib import default_hierarchy
 from opsforge.types import (
     DescriptorTable,
     SemanticType,
@@ -74,6 +75,19 @@ def test_print_parse_round_trip(t):
 def test_hierarchy_rejects_cycles():
     with pytest.raises(RegistrationError):
         TypeHierarchy([("A", "B"), ("B", "C"), ("C", "A")])
+
+
+def test_default_hierarchy_joins_both_images_to_image():
+    h = default_hierarchy()
+    assert h.has_path("ImageU8", "Image") and h.has_path("ImageF64", "Image")
+    assert not h.has_path("Image", "ImageU8")
+
+
+@pytest.mark.parametrize("edge", [(parse_type("ImageU8"), "Image"), ("ImageU8", parse_type("Image"))])
+def test_hierarchy_rejects_an_edge_end_that_is_not_a_type_name(edge):
+    # paths are asked for by base name, so such an edge would never apply
+    with pytest.raises(RegistrationError, match="joins type names"):
+        TypeHierarchy([edge])
 
 
 def test_assignable_reflexive():
