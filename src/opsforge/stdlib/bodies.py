@@ -185,22 +185,31 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 # CHANGES.md).
 BAND_PIXELS = 1 << 16
 
-# Product terms of one batched blur pass: a pass of n sums over k taps with
-# k * n up to this runs as one broadcast multiply and one reduction instead
-# of k multiply-adds. Larger blocks, such as 128² passes, lose to the
-# per-tap loop (timings in CHANGES.md). A band split needs
-# h * w >= 2 * BAND_PIXELS, so a batched pass never runs on a pool thread.
-TAPS_BLOCK = 1 << 16
+# A padded pass of n sums over k taps runs batched (one broadcast multiply
+# and one reduction instead of k multiply-adds) when k * n is at most
+# TAPS_BLOCK and n is at most BUFFERED_BATCH_SUMS or over BUFFERED_SUMS and
+# at most BATCH_SUMS. numpy 2.4 buffers the broadcast multiply (its kernel
+# column has stride 0) for passes of up to BUFFERED_SUMS sums (2,730 was
+# buffered and 2,731 was not, by tracemalloc), which makes batching lose
+# from about 2^10 sums up to that bound; past it, batching wins until the
+# block outgrows the core's cache. The bounds are fitted to a sweep over
+# 8² to 128² and sigma 0.5 to 11 (table in CHANGES.md). A band split needs
+# h * w >= 2 * BAND_PIXELS, more sums than BATCH_SUMS, so a batched pass
+# never runs on a pool thread.
+BUFFERED_BATCH_SUMS = 1 << 10
+BUFFERED_SUMS = 8192 // 3
+BATCH_SUMS = 1 << 13
+TAPS_BLOCK = 1 << 18
 
-# Product terms of a whole tiny blur: an image of h * w >= 2 pixels whose
-# k * h * w is under this gathers each pass's taps into one (k, h, w) block
-# (see ``_tiny_blur``). That runs 8x8 blurs ~1.8x and 7x7 at sigma 11
-# 2.4-3x faster than the batched passes, but the gain shrinks with size:
-# 10-27% at 32² and sigma 1 (7,168 terms), 3-10% at 48², and 64² runs
-# 1.4-5x slower, as the blocks (24 bytes a term) outgrow the core's cache
-# (timings in CHANGES.md). The bound keeps every image from 32² up on the
-# padded paths and each cached ``_tiny_taps`` entry under 96 KiB.
-TINY_TERMS = 1 << 12
+# Pixels and product terms of a tiny blur: an image of 2 to TINY_PIXELS
+# pixels whose k * h * w is at most TINY_TERMS gathers each pass's taps into
+# one (k, h, w) block (see ``_tiny_blur``). In the sweep that ran every such
+# blur fastest: 8x8 ~2x, 32x32 ~1.4x and 40x40 ~1.2x faster than the padded
+# paths. By 48x48 the gain is gone, as the blocks (24 bytes a term) outgrow
+# the core's cache. TINY_TERMS also bounds each cached ``_tiny_taps`` entry
+# to 768 KiB.
+TINY_PIXELS = 1 << 11
+TINY_TERMS = 1 << 15
 
 # Float64s of gauss scratch a thread keeps between calls (4 MiB). A larger
 # buffer is allocated for the one call that asks for it and not kept.
@@ -232,7 +241,7 @@ def _kernel(sigma: float) -> np.ndarray:
     return kernel
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An (h, w) image's row and column pass taps, and their kernel weights.
 
@@ -244,8 +253,9 @@ def _tiny_taps(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np
     weights are the kernel column repeated over every pixel, so each pass
     multiplies two dense blocks: a stride-0 kernel column would send
     numpy's multiply through its buffered path, which takes 2-7x longer at
-    these sizes and allocates up to a second block. Each entry is under
-    96 KiB, so the cache keeps under 3 MiB.
+    these sizes and allocates up to a second block. An entry takes 24 bytes
+    a term, at most 768 KiB under ``TINY_TERMS``, so the cache's 8 entries
+    keep at most 6 MiB.
     """
     kernel = _kernel(sigma)
     k = len(kernel)
@@ -275,8 +285,13 @@ def _gathered_sum(src: np.ndarray, index: np.ndarray, weights: np.ndarray,
     np.add.reduce(taps, axis=0, out=out)
 
 
+def _is_tiny(k: int, h: int, w: int) -> bool:
+    """Whether ``gaussian_blur`` runs an (h, w) image over k taps on ``_tiny_blur``."""
+    return 2 <= h * w <= TINY_PIXELS and k * h * w <= TINY_TERMS
+
+
 def _tiny_blur(image: np.ndarray, sigma: float, h: int, w: int) -> np.ndarray:
-    """``gaussian_blur`` of an image with h * w >= 2 and k * h * w < TINY_TERMS.
+    """``gaussian_blur`` of an image that ``_is_tiny`` admits.
 
     Both passes gather their taps into one fresh (k, h, w) block; the row
     sums go into the result, which the column pass then reads. So the call
@@ -296,11 +311,13 @@ def _tiny_blur(image: np.ndarray, sigma: float, h: int, w: int) -> np.ndarray:
 def _terms(k: int, n: int) -> int:
     """Float64s of terms ``_weighted_sum`` takes for ``n`` sums over ``k`` taps.
 
-    ``k * n`` when the pass is batched, else ``n``. A single sum (``n = 1``)
-    is never batched: numpy would reduce its one contiguous row pairwise,
-    out of kernel order.
+    ``k * n`` when the pass is batched (see ``TAPS_BLOCK``), else ``n``. A
+    single sum (``n = 1``) is never batched: numpy would reduce its one
+    contiguous row pairwise, out of kernel order.
     """
-    return k * n if 2 <= n and k * n <= TAPS_BLOCK else n
+    short = 2 <= n <= BUFFERED_BATCH_SUMS
+    unbuffered = BUFFERED_SUMS < n <= BATCH_SUMS
+    return k * n if (short or unbuffered) and k * n <= TAPS_BLOCK else n
 
 
 def _weighted_sum(kernel: np.ndarray, src: np.ndarray, step: int, n: int, out: np.ndarray) -> None:
@@ -337,18 +354,19 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     identical output; they differ only in what a call spends outside that
     arithmetic.
 
-    - Tiny images (h * w >= 2, k * h * w < ``TINY_TERMS``, such as 8x8)
-      gather each pass's taps straight into one (k, h, w) block through
-      cached index blocks and scale it by a cached block of weights
+    - Tiny images (``_is_tiny``: 2 to ``TINY_PIXELS`` pixels and k * h * w
+      at most ``TINY_TERMS``, such as 8x8 and 32x32 up to sigma 5) gather
+      each pass's taps straight into one (k, h, w) block through cached
+      index blocks and scale it by a cached block of weights
       (``_tiny_blur``): three numpy calls per pass, with no padded copy and
-      no scratch. Its gain shrinks with size and turns into a loss by 64²,
-      so images from 32² up take the paths below; so does a single pixel,
-      whose one sum numpy would add pairwise.
+      no scratch. Its gain shrinks with size and is gone by 48², so larger
+      images take the paths below; so does a single pixel, whose one sum
+      numpy would add pairwise.
     - Otherwise each pass is k shifted multiply-adds over a flat edge-padded
-      copy (see ``_weighted_sum``). A pass whose k * n terms fit
-      ``TAPS_BLOCK`` runs them as one batched block, so a small image costs
-      a few numpy calls per pass instead of 2k - 1; larger passes, where the
-      block no longer pays, run per tap.
+      copy (see ``_weighted_sum``). A pass that ``_terms`` batches, such as
+      either pass of a 64² blur up to sigma 5, runs its k * n terms as one
+      block, so it costs a few numpy calls instead of 2k - 1; the others,
+      where the block does not pay, such as every 128² pass, run per tap.
 
     The row pass runs through the compute pool. On the padded paths it runs
     over the padded rows end to end, so the 2r sums per row that straddle
@@ -367,7 +385,7 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     kernel = _kernel(sigma)
     k = len(kernel)
     h, w = image.shape
-    if 2 <= h * w and k * h * w < TINY_TERMS:
+    if _is_tiny(k, h, w):
         return _tiny_blur(image, sigma, h, w)
     radius = k // 2
     wide = w + 2 * radius

@@ -732,38 +732,41 @@ def test_gauss_batched_blur_once_warm_allocates_only_its_result():
     # still give the right output, since numpy copies an overlapping operand
     # first; that copy is what this catches
     tracemalloc = pytest.importorskip("tracemalloc")
-    assert _batched((64, 64), 2.0) == (True, True)
     img = np.random.default_rng(21).random((64, 64))
-    got = {}
+    for sigma, k, n in ((2.0, 13, 4852), (3.0, 19, 5230)):  # n: the row pass's sums
+        assert _batched((64, 64), sigma) == (True, True)
+        got = {}
 
-    def run():
-        bodies.gaussian_blur(img, 2.0)
-        tracemalloc.start()
-        try:
-            got["out"] = bodies.gaussian_blur(img, 2.0)
-            got["peak"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def run():
+            bodies.gaussian_blur(img, sigma)
+            tracemalloc.start()
+            try:
+                got["out"] = bodies.gaussian_blur(img, sigma)
+                got["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    t = threading.Thread(target=run)
-    t.start()
-    t.join()
-    assert got["out"].tobytes() == _shifted_sum_blur(img, 2.0).tobytes()
-    # less than half the row pass's 13 * 4852 float64s of terms
-    assert got["peak"] - got["out"].nbytes < 13 * 4852 * 8 // 2
+        t = threading.Thread(target=run)
+        t.start()
+        t.join()
+        assert got["out"].tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+        # less than half the row pass's k * n float64s of terms
+        assert got["peak"] - got["out"].nbytes < k * n * 8 // 2, sigma
 
 
 def _tiny(shape, sigma):
     # whether gaussian_blur gathers both passes' taps (bodies._tiny_blur)
-    k = len(bodies.gaussian_kernel(sigma))
-    h, w = shape
-    return 2 <= h * w and k * h * w < bodies.TINY_TERMS
+    return bodies._is_tiny(len(bodies.gaussian_kernel(sigma)), *shape)
 
 
-# the last square (k = 7 at sigma 1) and line (k = 13 at sigma 2) on the
-# tiny path; one pixel more takes the padded path
-_SQUARE = math.isqrt((bodies.TINY_TERMS - 1) // 7)
-_LINE = (bodies.TINY_TERMS - 1) // 13
+# the last square at sigma 1 (k = 7) and line at sigma 2 (k = 13) on the
+# tiny path, where TINY_PIXELS binds, and the last square at sigma 3
+# (k = 19) and line at sigma 11 (k = 67), where TINY_TERMS does; one pixel
+# more, or one row and column more for a square, takes the padded path
+_SQUARE = math.isqrt(bodies.TINY_PIXELS)
+_LINE = bodies.TINY_PIXELS
+_TERMS_SQUARE = math.isqrt(bodies.TINY_TERMS // 19)
+_TERMS_LINE = bodies.TINY_TERMS // 67
 
 
 @pytest.mark.parametrize("shape, sigma, tiny", [
@@ -774,6 +777,8 @@ _LINE = (bodies.TINY_TERMS - 1) // 13
     ((_SQUARE, _SQUARE), 1.0, True), ((_SQUARE + 1, _SQUARE + 1), 1.0, False),
     ((_LINE, 1), 2.0, True), ((_LINE + 1, 1), 2.0, False),
     ((1, _LINE), 2.0, True), ((1, _LINE + 1), 2.0, False),
+    ((_TERMS_SQUARE, _TERMS_SQUARE), 3.0, True), ((_TERMS_SQUARE + 1, _TERMS_SQUARE + 1), 3.0, False),
+    ((_TERMS_LINE, 1), 11.0, True), ((_TERMS_LINE + 1, 1), 11.0, False),
 ])
 def test_gauss_tiny_path_bitwise_equal(shape, sigma, tiny):
     # r > w at 7x7 with sigma 11; k >= 9 from sigma 1.3 up, where a pairwise
@@ -796,9 +801,11 @@ def test_tiny_gauss_of_a_non_float64_image_blurs_its_float64_values(dtype):
 
 
 @pytest.mark.parametrize("sigma", [1.6, 3.2])
-@pytest.mark.parametrize("side", [24, 32])
+@pytest.mark.parametrize("side", [math.isqrt(bodies.BUFFERED_SUMS) + 1, 64])
 def test_gauss_batched_passes_past_the_tiny_path_bitwise_equal(side, sigma):
-    # 8x8 now takes the tiny path; these squares still batch both passes
+    # past the tiny path a pass of more than 2^10 and at most BUFFERED_SUMS
+    # sums runs per tap; the first square whose passes both have more sums,
+    # and imaging's 64x64, batch both
     assert not _tiny((side, side), sigma)
     assert _batched((side, side), sigma) == (True, True)
     rng = np.random.default_rng(23)
@@ -844,7 +851,7 @@ def test_tiny_and_padded_blurs_interleaved_on_one_thread_bitwise_equal():
     # a tiny blur touches no scratch; each padded blur here follows a tiny
     # one, and each tiny one follows a padded one
     rng = np.random.default_rng(25)
-    cases = [((8, 8), 3.2), ((128, 128), 2.0), ((7, 7), 11.0), ((32, 32), 1.0),
+    cases = [((8, 8), 3.2), ((128, 128), 2.0), ((7, 7), 11.0), ((48, 48), 1.0),
              ((40, 1), 2.0), ((300, 7), 0.5), ((1, 40), 1.6), ((64, 64), 3.2)]
     assert [_tiny(shape, sigma) for shape, sigma in cases] == [True, False] * 4
     images = {shape: rng.uniform(0.0, 255.0, shape) for shape, _ in cases}
@@ -858,7 +865,7 @@ def test_tiny_and_padded_gauss_on_eight_threads_at_once_bitwise_equal():
     rng = np.random.default_rng(26)
     tiny = [((8, 8), 0.8), ((7, 7), 11.0), ((40, 1), 2.0), ((1, 40), 3.2),
             ((16, 16), 2.0), ((8, 8), 1.6), ((3, 5), 1.2), ((24, 24), 1.0)]
-    padded = [((20 + 9 * i, 60 - 5 * i), 0.8 + 0.4 * i) for i in range(8)]
+    padded = [((40 + 9 * i, 60 - 5 * i), 0.8 + 0.4 * i) for i in range(8)]
     assert all(_tiny(*case) for case in tiny) and not any(_tiny(*case) for case in padded)
     jobs = [[(rng.random(shape), sigma) for shape, sigma in pair] for pair in zip(tiny, padded)]
     expected = [[_shifted_sum_blur(img, sigma).tobytes() for img, sigma in pair] * 10 for pair in jobs]
@@ -878,7 +885,7 @@ def test_tiny_and_padded_gauss_on_eight_threads_at_once_bitwise_equal():
         assert outs == expected[i], i
 
 
-@pytest.mark.parametrize("shape, sigma", [((16, 16), 2.0), ((_LINE, 1), 2.0)])
+@pytest.mark.parametrize("shape, sigma", [((16, 16), 2.0), ((_LINE, 1), 2.0), ((32, 32), 3.0)])
 def test_tiny_gauss_once_warm_allocates_its_result_and_one_block(shape, sigma):
     # a second block (a buffered broadcast multiply, a copied index block)
     # would show, and so would a padded copy, which at _LINE x 1 is as large
@@ -907,6 +914,54 @@ def test_tiny_gauss_once_warm_allocates_its_result_and_one_block(shape, sigma):
     block = len(bodies.gaussian_kernel(sigma)) * img.size * 8
     assert got["peak"] - got["out"].nbytes - block < 4096
     assert got["scratch"] is None
+
+
+def test_tiny_taps_cache_keeps_at_most_6_mib():
+    # an entry is two int64 index blocks and one float64 weight block of
+    # k * h * w terms each; 32x32 at sigma 5 (k = 31) is among the largest
+    # the tiny rule admits, and sigma 5.2 (k = 33) takes the padded path
+    assert _tiny((32, 32), 5.0) and not _tiny((32, 32), 5.2)
+    assert sum(block.nbytes for block in bodies._tiny_taps(5.0, 32, 32)) == 24 * 31 * 32 * 32
+    largest = 24 * bodies.TINY_TERMS
+    assert bodies._tiny_taps.cache_info().maxsize * largest <= 6 << 20
+
+
+def _path(shape, sigma):
+    if _tiny(shape, sigma):
+        return "tiny"
+    return {(True, True): "batched", (False, False): "per-tap"}.get(_batched(shape, sigma), "mixed")
+
+
+# perfbench's traffic: imaging blurs 32x32, 64x64 and 128x128 at sigma 1,
+# 1.5, 2 and 3; match_cold blurs 8x8 at sigma 0.8 to 3.2
+@pytest.mark.parametrize("shape, sigma, path", [
+    *[((32, 32), s, "tiny") for s in (1.0, 1.5, 2.0, 3.0)],
+    *[((64, 64), s, "batched") for s in (1.0, 1.5, 2.0, 3.0)],
+    *[((128, 128), s, "per-tap") for s in (1.0, 1.5, 2.0, 3.0)],
+    *[((8, 8), s, "tiny") for s in (0.8, 1.2, 1.6, 2.4, 3.2)],
+])
+def test_gauss_traffic_cells_take_their_path_bitwise_equal(shape, sigma, path):
+    assert _path(shape, sigma) == path
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        img = rng.uniform(0.0, 255.0, shape)
+        assert bodies.gaussian_blur(img, sigma).tobytes() == _shifted_sum_blur(img, sigma).tobytes()
+
+
+# one-row images, whose two passes both have w sums: each bound of the
+# batched rule, on each side; none of these images is tiny
+@pytest.mark.parametrize("w, sigma, path", [
+    (bodies.BUFFERED_BATCH_SUMS, 11.0, "batched"), (bodies.BUFFERED_BATCH_SUMS + 1, 11.0, "per-tap"),
+    (bodies.BUFFERED_SUMS, 2.0, "per-tap"), (bodies.BUFFERED_SUMS + 1, 2.0, "batched"),
+    (bodies.TAPS_BLOCK // 67, 11.0, "batched"), (bodies.TAPS_BLOCK // 67 + 1, 11.0, "per-tap"),
+    (bodies.BATCH_SUMS, 0.5, "batched"), (bodies.BATCH_SUMS + 1, 0.5, "per-tap"),
+])
+def test_gauss_batched_pass_bounds_bitwise_equal(w, sigma, path):
+    assert _path((1, w), sigma) == path
+    rng = np.random.default_rng(30)
+    for _ in range(4):
+        img = rng.uniform(0.0, 255.0, (1, w))
+        assert bodies.gaussian_blur(img, sigma).tobytes() == _shifted_sum_blur(img, sigma).tobytes()
 
 
 # A fresh process, since how often freed pages go back to the kernel depends
