@@ -23,7 +23,6 @@ from .errors import (
     SchemaError,
     TypeSyntaxError,
 )
-from .indexer import emit_yaml, index_directory
 from .stdlib import default_environment, resolve_descriptor_paths
 from .types import parse_type
 from .values import from_json_obj
@@ -212,6 +211,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    # the indexer loads PyYAML, which no other command needs
+    from .indexer import emit_yaml, index_directory
+
     root = Path(args.directory)
     if not root.is_dir():
         raise _UsageError(f"not a directory: {args.directory}")

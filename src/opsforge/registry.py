@@ -8,15 +8,12 @@ exposed as ops through a YAML file alone.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import yaml
-from yaml.events import MappingEndEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
-from yaml.nodes import ScalarNode
 
 from .errors import ExecutionError, RegistrationError, SchemaError, TypeSyntaxError
 from .execution import OpHistory, help_text, new_builder
@@ -391,7 +388,77 @@ _DEEPEST = 100
 
 
 class _Declined(Exception):
-    """The event walk leaves this document to ``yaml.load``."""
+    """The event walk leaves this document to ``yaml.load``, or the JSON path
+    leaves it to the walk."""
+
+
+# what ``_load_json`` gives for a text it leaves to the walk
+_NOT_JSON = object()
+# libyaml and PyYAML refuse a key whose colon is more than 1,024 characters
+# past its start, so a line that long leaves the JSON path
+_LONGEST_LINE = 1024
+# a line break between a key and its colon is a ParserError to both loaders;
+# JSON strings hold no line break, so any match lies outside them
+_KEY_ON_NEXT_LINE = re.compile(r"\n *:")
+
+
+def _json_float(token: str) -> float:
+    # YAML 1.1 reads 1.5e3 and 1E+2 as strings and 1.5e+3 as a float; every
+    # exponent is left to the walk rather than telling them apart
+    if "e" in token or "E" in token:
+        raise _Declined
+    return float(token)
+
+
+def _json_constant(token: str):
+    # NaN and Infinity are strings to YAML 1.1
+    raise _Declined
+
+
+def _nested_at_most(doc: Any, depth: int) -> bool:
+    """Whether ``doc``'s maps and lists nest at most ``depth`` deep."""
+    level = [doc] if doc.__class__ is dict or doc.__class__ is list else []
+    for _ in range(depth):
+        if not level:
+            return True
+        level = [
+            v
+            for c in level
+            for v in (c.values() if c.__class__ is dict else c)
+            if v.__class__ is dict or v.__class__ is list
+        ]
+    return not level
+
+
+def _load_json(text: str) -> Any:
+    """``yaml.load``'s value of a JSON text, read by ``json.loads``; or
+    ``_NOT_JSON`` for a text that is not JSON or that PyYAML, which reads
+    YAML 1.1, might read differently or refuse.
+
+    Besides the exponents, constants, long or split keys and deep nesting
+    checked below, that is any backslash (PyYAML reads an escaped surrogate
+    pair differently) and any character but a line break and printable
+    ASCII (a tab, DEL, U+0085, a BOM and a lone surrogate each read
+    differently or fail in one loader). Each text check is its own C-level
+    scan; one alternation regex over them all ran several times slower.
+    """
+    if (
+        "\\" in text
+        or not text.isascii()
+        or not text.replace("\n", "").isprintable()
+        or _KEY_ON_NEXT_LINE.search(text)
+        or max(map(len, text.split("\n"))) > _LONGEST_LINE
+    ):
+        return _NOT_JSON
+    try:
+        doc = json.loads(text, parse_float=_json_float, parse_constant=_json_constant)
+    except (ValueError, RecursionError, _Declined):
+        # malformed (JSONDecodeError is a ValueError), too deep for the
+        # decoder, or declined by a hook
+        return _NOT_JSON
+    # the pure-Python composer recurses, so nesting that the walk leaves to
+    # yaml.load is left to the walk too
+    return doc if _nested_at_most(doc, _DEEPEST) else _NOT_JSON
 
 
 def _load_yaml(text: str, Loader) -> Any:
@@ -408,6 +475,10 @@ def _load_yaml(text: str, Loader) -> Any:
     merge key, an unhashable key, a second document or deeper nesting) is
     left to ``yaml.load``, so every outcome is PyYAML's own.
     """
+    import yaml
+    from yaml.events import MappingEndEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
+    from yaml.nodes import ScalarNode
+
     try:
         loader = Loader(text)
         try:
@@ -473,13 +544,19 @@ def _load_yaml(text: str, Loader) -> Any:
 def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     """Parse one YAML descriptor document into OpInfo entries.
 
-    Errors name the entry index and field path. An empty ``ops: []``
-    document is valid and yields an empty list.
+    A JSON document that reads alike in YAML 1.1 is read by ``json.loads``;
+    any other text takes the event walk, and loads PyYAML. Errors name the
+    entry index and field path. An empty ``ops: []`` document is valid and
+    yields an empty list.
     """
-    try:
-        doc = _load_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as e:
-        raise SchemaError(f"{origin}: not valid YAML: {e}") from e
+    doc = _load_json(text)
+    if doc is _NOT_JSON:
+        import yaml
+
+        try:
+            doc = _load_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as e:
+            raise SchemaError(f"{origin}: not valid YAML: {e}") from e
     if doc is None:
         doc = {}
     if not isinstance(doc, dict) or set(doc) - {"ops"}:

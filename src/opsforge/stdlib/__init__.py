@@ -16,34 +16,49 @@ from ..registry import OpEnvironment, build_environment
 from ..types import DescriptorTable, TypeHierarchy
 from . import adapt, bodies, legacy
 
+# builtin-ops.yaml and legacy-ops.yaml are JSON documents, which YAML reads
+# as flow style, so a build reads them with json.loads (see
+# registry._load_json). JSON has no comments; the notes on their entries sit
+# beside the rows below.
+#
+# builtin-ops.yaml: the builtin op descriptors, parsed at environment
+# construction; their bodies live in bodies.py / adapt.py and are attached
+# through this table, keyed by the source URI.
 BINDINGS: dict[str, Callable] = {
+    # -- math ---------------------------------------------------------------
     "builtin:math/add_ints": bodies.add_ints,
     "builtin:math/sub_ints": bodies.sub_ints,
     "builtin:math/mul_ints": bodies.mul_ints,
     "builtin:math/add_reals": bodies.add_reals,
     "builtin:math/sub_reals": bodies.sub_reals,
     "builtin:math/mul_reals": bodies.mul_reals,
-    # compiled computers return content, so the element computer forms
-    # share the scalar function bodies
+    # element computer forms of the Real arithmetic, registered for lifting;
+    # compiled computers return content, so they share the scalar function
+    # bodies
     "builtin:math/add_reals_computer": bodies.add_reals,
     "builtin:math/sub_reals_computer": bodies.sub_reals,
     "builtin:math/mul_reals_computer": bodies.mul_reals,
     "builtin:math/div_reals": bodies.div_reals,
+    # -- engine.create: allocate a fresh zeroed payload shaped like the model
+    # argument
     "builtin:create/bytearray": bodies.create_bytearray,
     "builtin:create/realarray": bodies.create_array,
     "builtin:create/imageu8": bodies.create_array,
     "builtin:create/imagef64": bodies.create_array,
+    # -- engine.copy ----------------------------------------------------------
     "builtin:copy/bytearray": bodies.copy_content,
     "builtin:copy/realarray": bodies.copy_content,
     "builtin:copy/imageu8": bodies.copy_content,
     "builtin:copy/imagef64": bodies.copy_content,
     "builtin:copy/real": bodies.copy_content,
+    # -- engine.convert -------------------------------------------------------
     "builtin:convert/int_to_real": bodies.int_to_real,
     "builtin:convert/real_to_int": bodies.real_to_int,
     "builtin:convert/u8_to_f64": bodies.u8_to_f64,
     "builtin:convert/f64_to_u8": bodies.f64_to_u8,
     "builtin:convert/bytes_to_reals": bodies.bytes_to_reals,
     "builtin:convert/reals_to_bytes": bodies.reals_to_bytes,
+    # -- engine.describe ------------------------------------------------------
     "builtin:describe/integer": bodies.describe_integer,
     "builtin:describe/real": bodies.describe_real,
     "builtin:describe/boolean": bodies.describe_boolean,
@@ -52,6 +67,7 @@ BINDINGS: dict[str, Callable] = {
     "builtin:describe/realarray": bodies.describe_array,
     "builtin:describe/imageu8": bodies.describe_image,
     "builtin:describe/imagef64": bodies.describe_image,
+    # -- engine.adapt: parameter types are shape patterns (see adapt.py) ------
     "builtin:adapt/computer1_to_function1": adapt.computer_to_function,
     "builtin:adapt/computer2_to_function2": adapt.computer_to_function,
     "builtin:adapt/computer3_to_function3": adapt.computer_to_function,
@@ -62,11 +78,17 @@ BINDINGS: dict[str, Callable] = {
     "builtin:adapt/inplace1_to_computer1": adapt.inplace_to_computer,
     "builtin:adapt/lift2_real_to_imagef64": adapt.lift2_elementwise,
     "builtin:adapt/lift2_real_to_imagef64_fn": adapt.lift2_elementwise,
+    # -- filters ----------------------------------------------------------------
     "builtin:filter/gauss": bodies.gaussian_blur,
     "builtin:filter/dog": bodies.difference_of_gaussians,
     "builtin:filter/fft_stub": bodies.fft_stub,
+    # -- transforms -------------------------------------------------------------
     "builtin:transform/rescale2d": bodies.rescale2d,
+    # -- benchmarking -----------------------------------------------------------
     "builtin:benchmark/increment_u8": bodies.increment_u8,
+    # legacy-ops.yaml: descriptors wrapping the plain numpy routines in
+    # legacy.py. The functions know nothing about ops; that file plus one row
+    # here per source URI is the entire integration.
     "legacy:stats/sum": legacy.array_sum,
     "legacy:transform/reverse": legacy.reversed_copy,
     "legacy:transform/transpose": legacy.transpose,

@@ -7,6 +7,11 @@ it, so computer/function adaptation in either direction is the identity;
 inplace adaptation buffers a private copy so the caller's argument stays
 untouched. The elementwise lift calls a body marked ``elementwise`` once on
 whole arrays and any other body once per element.
+
+In builtin-ops.yaml the engine.adapt entries' parameter types are
+functional shape patterns: tick names are variables unified against the
+candidate op (the first parameter) and then substituted into the produced
+shape (the second parameter).
 """
 
 from __future__ import annotations

@@ -220,11 +220,14 @@ def test_committed_bench_files_follow_the_schema(path):
     for side, counts in report.get("opcodes", {}).items():
         assert side in ("parent", "head")
         # the third count, sub_handle, since BENCH_16.json, the uncached
-        # mutate() beside them since BENCH_22.json and the uncached dog
-        # match since BENCH_23.json
+        # mutate() beside them since BENCH_22.json, the uncached dog match
+        # since BENCH_23.json and one stdlib build since BENCH_36.json
         assert {"increment_mutate", "add_apply"} <= set(counts)
+        if int(bench_pairs.BENCH_NAME.fullmatch(path.name).group(1)) >= 36:
+            assert "stdlib_build" in counts
         assert set(counts) <= {"increment_mutate", "add_apply", "sub_handle",
-                               "increment_mutate_uncached", "dog_match_uncached"}
+                               "increment_mutate_uncached", "dog_match_uncached",
+                               "stdlib_build"}
         assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
@@ -345,6 +348,8 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     # so is the uncached filter.dog match, whose dependency plans are
     # resolved at build (4,641 bytecodes when each match resolved them)
     assert counts["dog_match_uncached"] > 0
+    # and so is one default_environment() build, which reads every entry
+    assert counts["stdlib_build"] > counts["dog_match_uncached"]
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

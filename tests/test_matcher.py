@@ -117,6 +117,14 @@ def test_request_kind_field_exclusivity():
         OpRequest("x.y", Kind.INPLACE, (parse_type("Integer"),), mutable_index=3)
 
 
+@pytest.mark.parametrize("field", ["output_type", "container_type"])
+def test_inplace_requests_refuse_an_output_or_a_container(field):
+    # the mutable index is valid, so only the extra type can be refused
+    with pytest.raises(RegistrationError, match="inplace requests take only a mutable index"):
+        OpRequest("x.y", Kind.INPLACE, (parse_type("Integer"),), mutable_index=0,
+                  **{field: parse_type("Integer")})
+
+
 def test_no_candidates_error_suggests_help(env):
     with pytest.raises(NoMatchError) as err:
         env.match(function_request("no.such.op", ["Integer"], "Integer"))

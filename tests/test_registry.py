@@ -2,8 +2,12 @@
 
 import gc
 import importlib.util
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -561,15 +565,176 @@ def _synthetic_text():
 @pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
 @pytest.mark.parametrize("Loader", LOADERS, ids=lambda L: L.__name__)
 def test_parse_descriptors_reads_bundled_files_as_yaml_load_does(monkeypatch, source, Loader):
-    if source == "synthetic":
-        text = _synthetic_text()
-    else:
-        path = builtin_descriptors_path() if source == "builtin" else legacy_descriptors_path()
-        text = path.read_text(encoding="utf-8")
+    # the bundled files take the JSON path and the synthetic one the walk;
+    # both must give the infos of yaml.load's own document
+    text = _bundled_text(source)
     monkeypatch.setattr(yaml, "CSafeLoader", Loader, raising=False)
-    walked = parse_descriptors(text, origin=source)
-    monkeypatch.setattr(registry, "_load_yaml", _reference)
-    assert walked == parse_descriptors(text, origin=source) and walked
+    entries = yaml.load(text, Loader=Loader)["ops"]
+    expected = [registry.read_entry(e, source, f"ops[{i}]") for i, e in enumerate(entries)]
+    assert parse_descriptors(text, origin=source) == expected and expected
+
+
+@pytest.mark.parametrize("source", ["builtin", "legacy"])
+def test_bundled_files_take_the_json_path(monkeypatch, source):
+    # a comment, a tab or an exponent in a bundled file would send every
+    # build through PyYAML
+    text = _bundled_text(source)
+    assert registry._load_json(text) == json.loads(text)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{source} left the JSON path")
+
+    monkeypatch.setattr(registry, "_load_yaml", refuse)
+    assert parse_descriptors(text, origin=source)
+
+
+def test_a_stdlib_build_and_ops_run_leave_pyyaml_unloaded():
+    # importing yaml costs ~12 ms; only a text that leaves the JSON path needs it
+    script = (
+        "import json, sys\n"
+        "from opsforge.cli import main\n"
+        "from opsforge.stdlib import default_environment\n"
+        "default_environment()\n"
+        "built = 'yaml' in sys.modules\n"
+        "code = main(['run', 'math.add', '--in', 'Integer:2', '--in', 'Integer:3'])\n"
+        "print(json.dumps({'code': code, 'built': built, 'ran': 'yaml' in sys.modules}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "built": False, "ran": False}
+
+
+# -- the JSON path gives yaml.load's value or declines -------------------------
+
+# each reads differently in json.loads and in yaml.load under one loader at
+# least, or fails in one of them
+_JSON_DIFFERENCES = [
+    '{"a": 1.5e3}',  # a string to PyYAML
+    "[1E+2]",
+    "[2e-3]",
+    "[NaN]",
+    "[Infinity, -Infinity]",
+    '["\\ud83d\\ude00"]',  # one character to json, two to SafeLoader; CSafeLoader fails
+    "[1,\t2]",  # CSafeLoader reads a tab, SafeLoader fails
+    '["\x7f"]',
+    '["\uffff"]',
+    '["\ud800"]',  # a lone surrogate
+    '["a\x85b"]',  # a space to PyYAML
+    "\ufeff[1]",  # json fails on a BOM
+    '{"' + "k" * 1100 + '": 1}',
+    '{"a"\n: 1}',
+    '{"a"\n  : 1}',
+    "[" * 600 + "]" * 600,  # beyond SafeLoader's recursion
+]
+# PyYAML reads each as json.loads does, and the JSON path takes it
+_JSON_TAKEN = [
+    '{"a": 1, "b": 2, "a": 3}',
+    '{"<<": {"x": 1}, "=": 2, "yes": "~", "null": "0x1F", "a:b": "#c"}',
+    '{"a":1,"b":[true,false,null]}',
+    "[0, -0, -0.0, 0.5, 12345678901234567890123, -1.25]",
+    '"top"',
+    "null",
+    "[" * 100 + "]" * 100,
+]
+# PyYAML reads each alike, or fails as json.loads does, but the JSON path
+# declines it all the same
+_JSON_DECLINED = [
+    "[1.5e+3]",
+    '["\\/"]',
+    '["\xe9", "\U0001f600"]',  # printable, but not ASCII
+    '{"k": "' + "v" * 1100 + '"}',
+    "[" * 101 + "]" * 101,
+    "",
+    "# a comment\n{}",
+    '{"a": 1} {"b": 2}',
+]
+
+
+def _json_path_agrees(text):
+    """Whether the JSON path gives yaml.load's value under each loader, or
+    declines; it must decline whenever one of them raises."""
+    got = registry._load_json(text)
+    if got is registry._NOT_JSON:
+        return True
+    for Loader in LOADERS:
+        try:
+            expected = yaml.load(text, Loader=Loader)
+        except Exception:  # any error must have been declined
+            return False
+        if repr(got) != repr(expected):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", _JSON_DIFFERENCES, ids=lambda text: repr(text[:30]))
+def test_the_json_path_declines_each_difference(text):
+    assert registry._load_json(text) is registry._NOT_JSON
+
+    def outcome(load):
+        try:
+            return ("value", repr(load(text)))
+        except Exception:  # a failure is an outcome here
+            return ("raised",)
+
+    json_outcome = outcome(json.loads)
+    assert any(outcome(lambda t: yaml.load(t, Loader=L)) != json_outcome for L in LOADERS)
+
+
+@pytest.mark.parametrize("text", _JSON_TAKEN, ids=lambda text: repr(text[:30]))
+def test_the_json_path_takes_texts_that_read_alike(text):
+    assert registry._load_json(text) is not registry._NOT_JSON
+    assert _json_path_agrees(text)
+
+
+@pytest.mark.parametrize("text", _JSON_DECLINED, ids=lambda text: repr(text[:30]))
+def test_the_json_path_declines_exponents_escapes_long_lines_and_non_json(text):
+    assert registry._load_json(text) is registry._NOT_JSON
+
+
+_JSON_STRINGS = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+        st.sampled_from(["\t", "\n", "\r", "\x00", "\x7f", "\x85", "\ufeff", "\uffff",
+                         "\ud800", "\u2028", "\xe9", "\U0001f600", "\\", '"', "/", ":"]),
+    ),
+    max_size=6,
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([1.5e3, 1e100, 0.1, -0.0, 2.5, 1e-7]),
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_STRINGS, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _json_texts(draw):
+    """A drawn value written by json.dumps in one of its layouts, at times
+    with its first colon moved to the next line."""
+    text = json.dumps(
+        draw(_JSON_VALUES),
+        ensure_ascii=draw(st.booleans()),
+        indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+        separators=draw(st.sampled_from([None, (",", ":"), (", ", " : ")])),
+    )
+    if draw(st.booleans()) and '": ' in text:
+        text = text.replace('": ', '"\n: ', 1)
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_json_texts())
+def test_the_json_path_matches_yaml_load_on_drawn_json(text):
+    assert _json_path_agrees(text), text
 
 
 @pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])

@@ -42,7 +42,9 @@ timings drown in host noise. Beside them it counts the same ``mutate()`` on
 an environment with its cache off, criterion 6's uncached call: a rise there
 flatters criterion 6's ratio without making the cached call cheaper. On that
 environment it also counts one ``env.match`` of the ``filter.dog`` computer
-request, the cost of an op's dependency plans on an uncached match.
+request, the cost of an op's dependency plans on an uncached match. Last it
+counts one whole ``default_environment()`` build (``stdlib_build``): parse,
+read every entry, build the tables. It too is reported, not pinned.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ def dispatch_opcodes() -> dict:
     it matches, compiles and makes a runner on every call; it is reported,
     not pinned. So is ``dog_match_uncached``: ``env.match`` of the
     ``filter.dog`` computer request on that twin, whose three dependency
-    plans were resolved when the twin was built."""
+    plans were resolved when the twin was built, and ``stdlib_build``, one
+    ``default_environment()`` with the legacy descriptors."""
     import numpy as np
 
     from opsforge.matcher import computer_request
@@ -246,6 +249,7 @@ def dispatch_opcodes() -> dict:
         "sub_handle": lambda: sub(a, b),
         "increment_mutate_uncached": lambda: off.op("benchmark.increment").input(data).mutate(),
         "dog_match_uncached": lambda: off.match(dog),
+        "stdlib_build": default_environment,
     }
     counts = {}
     for name, call in calls.items():

@@ -14,7 +14,9 @@ near-miss lines. The corpus, in a fixed order:
   stay inside the test's time budget, 3-argument requests take one output,
   one container and every index;
 - ``DOCUMENTS`` seeded single-line mutations of the stdlib descriptor
-  entries. Each mutated entry is parsed as its own document and loaded with
+  entries, each rendered as block YAML (the bundled files are JSON, whose
+  entries span no lines a mutation could edit one at a time). Each mutated
+  entry is parsed as its own document and loaded with
   every other stdlib entry. Its outcome is the load error, or the parsed
   entries and the outcomes of every unmutated entry's own requests (one per
   concrete variant), so a mutation also shows in the plans that depend on,
@@ -27,7 +29,7 @@ character per outcome (6 bits of its own hash), so that a mismatch names
 the first request whose outcome moved, not only the op. A change that
 moves signatures on purpose regenerates the file with ``--write`` and lists
 the names that moved. ``tests/test_equivalence_golden.py`` recomputes the
-corpus in tier-1. Standard library and opsforge only; run it from a
+corpus in tier-1. Standard library, PyYAML and opsforge only; run it from a
 checkout with ``src`` on the path (the script adds it).
 """
 
@@ -42,6 +44,8 @@ import random
 import re
 import sys
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "equivalence_golden.json"
@@ -76,7 +80,6 @@ SEED = 22
 # variable and a name no hierarchy knows
 MUTANT_TYPES = [str(t) for t in BASE_TYPES] + ["Image", "'T", "Unknown"]
 ROLES = ["input", "output", "container", "mutable"]
-_ENTRY_START = re.compile(r"  - name:")
 _TYPE = re.compile(r"(type: )([^,}\]]+)")
 _IO = re.compile(r"(io: )(\w+)")
 _NAME = re.compile(r"(name: )(\S+)")
@@ -121,15 +124,25 @@ def _environment(infos) -> OpEnvironment:
                          describe_table=default_describe_table(), cache_enabled=False)
 
 
+class _BlockDumper(yaml.SafeDumper):
+    """Indents a sequence under its key, as hand-written descriptor files do."""
+
+    def increase_indent(self, flow=False, indentless=False):
+        return super().increase_indent(flow, False)
+
+
 def entries() -> list[tuple[str, list[str]]]:
     """The stdlib descriptor entries as ``(where, lines)``, in file order;
-    ``where`` is ``file:line`` of the entry's first line."""
+    ``where`` is ``file:ops[i]``. Each entry is block YAML indented as an
+    item of ``ops``; its parameter mappings and lists of strings, which hold
+    no collection, stay in flow style, one to a line."""
     found = []
     for path in (builtin_descriptors_path(), legacy_descriptors_path()):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        starts = [i for i, line in enumerate(lines) if _ENTRY_START.match(line)]
-        for a, b in zip(starts, [*starts[1:], len(lines)]):
-            found.append((f"{path.name}:{a + 1}", lines[a:b]))
+        ops = yaml.safe_load(path.read_text(encoding="utf-8"))["ops"]
+        for i, entry in enumerate(ops):
+            text = yaml.dump([entry], Dumper=_BlockDumper, sort_keys=False,
+                             default_flow_style=None, width=1 << 16)
+            found.append((f"{path.name}:ops[{i}]", [f"  {line}" for line in text.splitlines()]))
     return found
 
 
