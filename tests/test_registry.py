@@ -589,7 +589,7 @@ def test_bundled_files_take_the_json_path(monkeypatch, source):
 
 
 def test_a_stdlib_build_and_ops_run_leave_pyyaml_unloaded():
-    # importing yaml costs ~12 ms; only a text that leaves the JSON path needs it
+    # importing yaml costs ~14 ms; only a text that leaves the JSON path needs it
     script = (
         "import json, sys\n"
         "from opsforge.cli import main\n"
