@@ -128,11 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _environment(args):
-    # resolve_descriptor_paths lists the builtins first; default_environment
-    # loads them itself and takes only the extras
+    extras = resolve_descriptor_paths(args.descriptors, os.environ)
     return default_environment(
-        include_legacy=False,
-        extra_paths=resolve_descriptor_paths(args.descriptors, os.environ)[1:],
+        include_legacy=extras is None,
+        extra_paths=extras or (),
         cache_enabled=not args.no_cache,
     )
 

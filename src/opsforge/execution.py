@@ -534,8 +534,6 @@ def render_signature(env: OpEnvironment, info: OpInfo) -> str:
 
 
 def _edit_distance(a: str, b: str) -> int:
-    if a == b:
-        return 0
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         cur = [i]

@@ -349,8 +349,6 @@ def _encode_info(info: OpInfo) -> _Shape:
 
 
 def _decompose_pattern(t: SemanticType) -> _Shape | None:
-    if t.is_var or not t.params:
-        return None
     if t.base == "Function" and len(t.params) >= 2:
         return _Shape(Kind.FUNCTION, t.params)
     if t.base == "Computer" and len(t.params) >= 2:

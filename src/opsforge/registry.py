@@ -8,7 +8,6 @@ exposed as ops through a YAML file alone.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -388,77 +387,7 @@ _DEEPEST = 100
 
 
 class _Declined(Exception):
-    """The event walk leaves this document to ``yaml.load``, or the JSON path
-    leaves it to the walk."""
-
-
-# what ``_load_json`` gives for a text it leaves to the walk
-_NOT_JSON = object()
-# libyaml and PyYAML refuse a key whose colon is more than 1,024 characters
-# past its start, so a line that long leaves the JSON path
-_LONGEST_LINE = 1024
-# a line break between a key and its colon is a ParserError to both loaders;
-# JSON strings hold no line break, so any match lies outside them
-_KEY_ON_NEXT_LINE = re.compile(r"\n *:")
-
-
-def _json_float(token: str) -> float:
-    # YAML 1.1 reads 1.5e3 and 1E+2 as strings and 1.5e+3 as a float; every
-    # exponent is left to the walk rather than telling them apart
-    if "e" in token or "E" in token:
-        raise _Declined
-    return float(token)
-
-
-def _json_constant(token: str):
-    # NaN and Infinity are strings to YAML 1.1
-    raise _Declined
-
-
-def _nested_at_most(doc: Any, depth: int) -> bool:
-    """Whether ``doc``'s maps and lists nest at most ``depth`` deep."""
-    level = [doc] if doc.__class__ is dict or doc.__class__ is list else []
-    for _ in range(depth):
-        if not level:
-            return True
-        level = [
-            v
-            for c in level
-            for v in (c.values() if c.__class__ is dict else c)
-            if v.__class__ is dict or v.__class__ is list
-        ]
-    return not level
-
-
-def _load_json(text: str) -> Any:
-    """``yaml.load``'s value of a JSON text, read by ``json.loads``; or
-    ``_NOT_JSON`` for a text that is not JSON or that PyYAML, which reads
-    YAML 1.1, might read differently or refuse.
-
-    Besides the exponents, constants, long or split keys and deep nesting
-    checked below, that is any backslash (PyYAML reads an escaped surrogate
-    pair differently) and any character but a line break and printable
-    ASCII (a tab, DEL, U+0085, a BOM and a lone surrogate each read
-    differently or fail in one loader). Each text check is its own C-level
-    scan; one alternation regex over them all ran several times slower.
-    """
-    if (
-        "\\" in text
-        or not text.isascii()
-        or not text.replace("\n", "").isprintable()
-        or _KEY_ON_NEXT_LINE.search(text)
-        or max(map(len, text.split("\n"))) > _LONGEST_LINE
-    ):
-        return _NOT_JSON
-    try:
-        doc = json.loads(text, parse_float=_json_float, parse_constant=_json_constant)
-    except (ValueError, RecursionError, _Declined):
-        # malformed (JSONDecodeError is a ValueError), too deep for the
-        # decoder, or declined by a hook
-        return _NOT_JSON
-    # the pure-Python composer recurses, so nesting that the walk leaves to
-    # yaml.load is left to the walk too
-    return doc if _nested_at_most(doc, _DEEPEST) else _NOT_JSON
+    """The event walk leaves this document to ``yaml.load``."""
 
 
 def _load_yaml(text: str, Loader) -> Any:
@@ -544,19 +473,23 @@ def _load_yaml(text: str, Loader) -> Any:
 def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
     """Parse one YAML descriptor document into OpInfo entries.
 
-    A JSON document that reads alike in YAML 1.1 is read by ``json.loads``;
-    any other text takes the event walk, and loads PyYAML. Errors name the
-    entry index and field path. An empty ``ops: []`` document is valid and
-    yields an empty list.
+    The text is read by the event walk, which loads PyYAML; a JSON text is
+    read as the YAML flow style it is. Errors name the entry index and
+    field path. An empty ``ops: []`` document is valid and yields an empty
+    list.
     """
-    doc = _load_json(text)
-    if doc is _NOT_JSON:
-        import yaml
+    import yaml
 
-        try:
-            doc = _load_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as e:
-            raise SchemaError(f"{origin}: not valid YAML: {e}") from e
+    try:
+        doc = _load_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as e:
+        raise SchemaError(f"{origin}: not valid YAML: {e}") from e
+    return read_document(doc, origin)
+
+
+def read_document(doc: Any, origin: str) -> list[OpInfo]:
+    """The OpInfo entries of one parsed descriptor document: ``None`` or a
+    mapping whose one key, ``ops``, holds a list of entries."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict) or set(doc) - {"ops"}:
@@ -742,20 +675,9 @@ class OpEnvironment:
         self._listeners.append(listener)  # atomic: needs no lock
 
 
-def build_environment(
-    descriptor_paths: Sequence[str | Path],
-    bindings: Mapping[str, Callable],
-    *,
-    hierarchy: TypeHierarchy | None = None,
-    describe_table: DescriptorTable | None = None,
-    cache_enabled: bool = True,
-    pool=None,
-) -> OpEnvironment:
-    """Parse descriptor files (or directories of ``*.yaml``) into an environment.
-
-    The resulting environment is independent of file order: entries are
-    re-sorted canonically. Unreadable files and schema violations raise.
-    """
+def read_descriptor_files(descriptor_paths: Iterable[str | Path]) -> list[OpInfo]:
+    """The entries of descriptor files, a directory standing for its
+    ``*.yaml`` files in name order."""
     files: list[Path] = []
     for p in descriptor_paths:
         path = Path(p)
@@ -770,8 +692,25 @@ def build_environment(
         except OSError as e:
             raise RegistrationError(f"unreadable descriptor file {f}: {e}") from e
         infos.extend(parse_descriptors(text, origin=str(f)))
+    return infos
+
+
+def build_environment(
+    descriptor_paths: Sequence[str | Path],
+    bindings: Mapping[str, Callable],
+    *,
+    hierarchy: TypeHierarchy | None = None,
+    describe_table: DescriptorTable | None = None,
+    cache_enabled: bool = True,
+    pool=None,
+) -> OpEnvironment:
+    """Parse descriptor files (or directories of ``*.yaml``) into an environment.
+
+    The resulting environment is independent of file order: entries are
+    re-sorted canonically. Unreadable files and schema violations raise.
+    """
     return OpEnvironment(
-        infos,
+        read_descriptor_files(descriptor_paths),
         bindings,
         hierarchy=hierarchy,
         describe_table=describe_table,

@@ -8,18 +8,19 @@ labels into a ready OpEnvironment.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..registry import OpEnvironment, build_environment
+from ..registry import OpEnvironment, read_descriptor_files, read_document
 from ..types import DescriptorTable, TypeHierarchy
 from . import adapt, bodies, legacy
 
 # builtin-ops.yaml and legacy-ops.yaml are JSON documents, which YAML reads
-# as flow style, so a build reads them with json.loads (see
-# registry._load_json). JSON has no comments; the notes on their entries sit
-# beside the rows below.
+# as flow style, so default_environment reads them with json.loads and needs
+# no PyYAML. JSON has no comments; the notes on their entries sit beside the
+# rows below.
 #
 # builtin-ops.yaml: the builtin op descriptors, parsed at environment
 # construction; their bodies live in bodies.py / adapt.py and are attached
@@ -125,25 +126,20 @@ def default_describe_table() -> DescriptorTable:
 
 def resolve_descriptor_paths(
     flag: str | None, environ: Mapping[str, str] | None = None
-) -> list[Path]:
-    """Descriptor files to load: builtins always, then extras.
+) -> list[Path] | None:
+    """The descriptor files a user names to load next to the builtins.
 
-    Extras come from the --descriptors flag (comma separated) when given,
-    else from OPSFORGE_PATH (os.pathsep separated), else the bundled legacy
-    descriptors.
+    They come from the --descriptors flag (comma separated) when given, else
+    from OPSFORGE_PATH (os.pathsep separated). None means neither is set,
+    and the bundled legacy descriptors load in their place.
     """
     if environ is None:
         environ = os.environ
-    paths = [builtin_descriptors_path()]
     if flag:
-        paths.extend(Path(p) for p in flag.split(",") if p)
-    elif environ.get("OPSFORGE_PATH"):
-        paths.extend(
-            Path(p) for p in environ["OPSFORGE_PATH"].split(os.pathsep) if p
-        )
-    else:
-        paths.append(legacy_descriptors_path())
-    return paths
+        return [Path(p) for p in flag.split(",") if p]
+    if environ.get("OPSFORGE_PATH"):
+        return [Path(p) for p in environ["OPSFORGE_PATH"].split(os.pathsep) if p]
+    return None
 
 
 def default_environment(
@@ -154,15 +150,22 @@ def default_environment(
     extra_paths=(),
     extra_bindings: Mapping[str, Callable] | None = None,
 ) -> OpEnvironment:
-    paths = [builtin_descriptors_path()]
+    bundled = [builtin_descriptors_path()]
     if include_legacy:
-        paths.append(legacy_descriptors_path())
-    paths.extend(Path(p) for p in extra_paths)
+        bundled.append(legacy_descriptors_path())
+    # package data, which YAML reads alike (tests/test_registry.py checks both
+    # loaders); user files in extra_paths are read as YAML
+    infos = [
+        info
+        for path in bundled
+        for info in read_document(json.loads(path.read_text(encoding="utf-8")), str(path))
+    ]
+    infos += read_descriptor_files(extra_paths)
     bindings = dict(BINDINGS)
     if extra_bindings:
         bindings.update(extra_bindings)
-    return build_environment(
-        paths,
+    return OpEnvironment(
+        infos,
         bindings,
         hierarchy=default_hierarchy(),
         describe_table=default_describe_table(),

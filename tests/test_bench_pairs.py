@@ -6,6 +6,8 @@ guardrail on the cached call's length.
 
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -350,6 +352,22 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     assert counts["dog_match_uncached"] > 0
     # and so is one default_environment() build, which reads every entry
     assert counts["stdlib_build"] > counts["dog_match_uncached"]
+
+
+def test_the_stdlib_build_counts_alike_at_two_checkout_depths(tmp_path):
+    # the same tree, copied to two depths, must count the same build
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import bench_pairs; "
+              "print(bench_pairs.stdlib_build_opcodes())")
+    counts = []
+    for root in (tmp_path / "a", tmp_path.joinpath("a", "b", "c", "d", "e", "f", "g", "h")):
+        shutil.copytree(ROOT / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT / "tools")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        counts.append(int(done.stdout.splitlines()[-1]))
+    assert counts[0] == counts[1] > 0
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

@@ -248,6 +248,26 @@ def test_run_execution_failure_exits_4(capsys):
     assert "signature:" in err
 
 
+def test_run_computer_into_a_container_of_the_wrong_size_prints_the_signature(capsys):
+    small = json.dumps({"w": 2, "h": 2, "data": [0.0] * 4})
+    code, out, err = run(
+        capsys,
+        "run",
+        "filter.gauss",
+        "--kind",
+        "computer",
+        "--in",
+        f"ImageF64:{IMG4}",
+        "--in",
+        "Real:1.0",
+        "--container",
+        f"ImageF64:{small}",
+    )
+    assert code == 4
+    assert out == ""
+    assert "signature: builtin:filter/gauss|" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -84,6 +84,25 @@ def test_bad_container_leaves_content_intact(env):
     assert np.array_equal(container.payload, np.full((3, 3), 9.0))
 
 
+def test_a_computers_write_back_mismatch_carries_the_plan_signature(env):
+    img = _rand_image(4, 6, 6)
+    with pytest.raises(DimensionMismatchError) as err:
+        env.op("filter.gauss").input(img, wrap(1.0)).container(wrap(np.zeros((3, 3)))).compute()
+    assert err.value.signature.startswith("builtin:filter/gauss|")
+
+
+def test_container_takes_only_a_value(env):
+    with pytest.raises(ExecutionError, match=r"container\(\.\.\.\) takes a Value"):
+        env.op("copy.array").input(wrap(bytearray(2))).container(bytearray(2))
+
+
+def test_computer_without_a_container_is_an_execution_error(env):
+    # not the RegistrationError a computer request without one raises
+    builder = env.op("filter.gauss").input_types("ImageF64", "Real")
+    with pytest.raises(ExecutionError, match=r"computer\(\) needs container_type"):
+        builder.computer()
+
+
 def test_mutate_increments_first_byte(env):
     data = bytearray([0, 5])
     env.op("benchmark.increment").input(wrap(data)).mutate()
@@ -1009,6 +1028,14 @@ def test_help_full_name_uses_simple_type_words(env):
     text = env.help("filter.gauss")
     assert "image" in text
     assert "ImageF64" not in text
+
+
+def test_help_marks_the_mutable_parameter_and_names_a_computers_container(env):
+    assert "benchmark.increment(data: array*) [inplace]" in env.help("benchmark.increment").splitlines()
+    assert (
+        "filter.gauss(input: image, sigma: number, output: image) [computer -> output]"
+        in env.help("filter.gauss").splitlines()
+    )
 
 
 def test_help_verbose_adds_detail(env):

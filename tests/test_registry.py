@@ -127,6 +127,8 @@ ops:
         ("- {name: a,", "- {name: 7,", "ops[0].parameters[0].name: required string"),
         ("io: output}", "io: output, description: [x]}", "ops[0].parameters[1].description: must be a string"),
         ("- {name: a, type: Integer, io: input}", "- [a]", "ops[0].parameters[0]: parameter must be a mapping"),
+        ("type: Integer, io: input}", "type: 7, io: input}",
+         "ops[0].parameters[0].type: expected a type string, got 7"),
         ("name: t.op", "name: t.op\n    dependencies: [{field: f, name: '', kind: function, signature: [Integer]}]",
          "ops[0].dependencies[0].name: required string"),
         ("name: t.op", "name: t.op\n    dependencies: [{field: f, name: g.h, kind: pure, signature: [Integer]}]",
@@ -565,8 +567,8 @@ def _synthetic_text():
 @pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
 @pytest.mark.parametrize("Loader", LOADERS, ids=lambda L: L.__name__)
 def test_parse_descriptors_reads_bundled_files_as_yaml_load_does(monkeypatch, source, Loader):
-    # the bundled files take the JSON path and the synthetic one the walk;
-    # both must give the infos of yaml.load's own document
+    # the bundled files are JSON and the synthetic one block YAML; the walk
+    # must give the infos of yaml.load's own document for both
     text = _bundled_text(source)
     monkeypatch.setattr(yaml, "CSafeLoader", Loader, raising=False)
     entries = yaml.load(text, Loader=Loader)["ops"]
@@ -576,20 +578,31 @@ def test_parse_descriptors_reads_bundled_files_as_yaml_load_does(monkeypatch, so
 
 @pytest.mark.parametrize("source", ["builtin", "legacy"])
 def test_bundled_files_take_the_json_path(monkeypatch, source):
-    # a comment, a tab or an exponent in a bundled file would send every
-    # build through PyYAML
+    # default_environment reads the bundled files with json.loads; a comment,
+    # an exponent or a tab in one would read otherwise, or fail, as YAML
     text = _bundled_text(source)
-    assert registry._load_json(text) == json.loads(text)
+    for Loader in LOADERS:
+        assert json.loads(text) == yaml.load(text, Loader=Loader)
+    paths = [builtin_descriptors_path()]
+    if source == "legacy":
+        paths.append(legacy_descriptors_path())
+    walked = OpEnvironment(
+        [i for p in paths for i in parse_descriptors(p.read_text(encoding="utf-8"), str(p))],
+        BINDINGS,
+        hierarchy=default_hierarchy(),
+    )
 
     def refuse(*_args, **_kwargs):
         raise AssertionError(f"{source} left the JSON path")
 
     monkeypatch.setattr(registry, "_load_yaml", refuse)
-    assert parse_descriptors(text, origin=source)
+    built = default_environment(include_legacy=source == "legacy")
+    assert built.infos == walked.infos
+    assert built.content_hash == walked.content_hash
 
 
 def test_a_stdlib_build_and_ops_run_leave_pyyaml_unloaded():
-    # importing yaml costs ~14 ms; only a text that leaves the JSON path needs it
+    # importing yaml costs ~14 ms; only a user's descriptor file needs it
     script = (
         "import json, sys\n"
         "from opsforge.cli import main\n"
@@ -606,10 +619,11 @@ def test_a_stdlib_build_and_ops_run_leave_pyyaml_unloaded():
     assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "built": False, "ran": False}
 
 
-# -- the JSON path gives yaml.load's value or declines -------------------------
+# -- JSON texts read by the walk as yaml.load reads them -----------------------
 
-# each reads differently in json.loads and in yaml.load under one loader at
-# least, or fails in one of them
+# A user's descriptor file in JSON form is read as YAML. PyYAML reads YAML
+# 1.1, not JSON: each of these reads differently in json.loads and in
+# yaml.load under one loader at least, or fails in one of them.
 _JSON_DIFFERENCES = [
     '{"a": 1.5e3}',  # a string to PyYAML
     "[1E+2]",
@@ -628,8 +642,8 @@ _JSON_DIFFERENCES = [
     '{"a"\n  : 1}',
     "[" * 600 + "]" * 600,  # beyond SafeLoader's recursion
 ]
-# PyYAML reads each as json.loads does, and the JSON path takes it
-_JSON_TAKEN = [
+# PyYAML reads each as json.loads does
+_JSON_ALIKE = [
     '{"a": 1, "b": 2, "a": 3}',
     '{"<<": {"x": 1}, "=": 2, "yes": "~", "null": "0x1F", "a:b": "#c"}',
     '{"a":1,"b":[true,false,null]}',
@@ -638,9 +652,8 @@ _JSON_TAKEN = [
     "null",
     "[" * 100 + "]" * 100,
 ]
-# PyYAML reads each alike, or fails as json.loads does, but the JSON path
-# declines it all the same
-_JSON_DECLINED = [
+# edge cases of escapes, characters, line length, depth and non-JSON text
+_JSON_EDGES = [
     "[1.5e+3]",
     '["\\/"]',
     '["\xe9", "\U0001f600"]',  # printable, but not ASCII
@@ -652,45 +665,34 @@ _JSON_DECLINED = [
 ]
 
 
-def _json_path_agrees(text):
-    """Whether the JSON path gives yaml.load's value under each loader, or
-    declines; it must decline whenever one of them raises."""
-    got = registry._load_json(text)
-    if got is registry._NOT_JSON:
-        return True
-    for Loader in LOADERS:
-        try:
-            expected = yaml.load(text, Loader=Loader)
-        except Exception:  # any error must have been declined
-            return False
-        if repr(got) != repr(expected):
-            return False
-    return True
+def _json_outcome(load, text):
+    try:
+        return ("value", repr(load(text)))
+    except Exception:  # a failure is an outcome here
+        return ("raised",)
 
 
 @pytest.mark.parametrize("text", _JSON_DIFFERENCES, ids=lambda text: repr(text[:30]))
-def test_the_json_path_declines_each_difference(text):
-    assert registry._load_json(text) is registry._NOT_JSON
-
-    def outcome(load):
-        try:
-            return ("value", repr(load(text)))
-        except Exception:  # a failure is an outcome here
-            return ("raised",)
-
-    json_outcome = outcome(json.loads)
-    assert any(outcome(lambda t: yaml.load(t, Loader=L)) != json_outcome for L in LOADERS)
+def test_walk_reads_json_unlike_json_loads(text):
+    _assert_same_outcome(text)
+    json_outcome = _json_outcome(json.loads, text)
+    assert any(
+        _json_outcome(lambda t: yaml.load(t, Loader=L), text) != json_outcome for L in LOADERS
+    )
 
 
-@pytest.mark.parametrize("text", _JSON_TAKEN, ids=lambda text: repr(text[:30]))
-def test_the_json_path_takes_texts_that_read_alike(text):
-    assert registry._load_json(text) is not registry._NOT_JSON
-    assert _json_path_agrees(text)
+@pytest.mark.parametrize("text", _JSON_ALIKE, ids=lambda text: repr(text[:30]))
+def test_walk_reads_json_as_json_loads_does(text):
+    _assert_same_outcome(text)
+    assert all(
+        _json_outcome(lambda t: yaml.load(t, Loader=L), text) == _json_outcome(json.loads, text)
+        for L in LOADERS
+    )
 
 
-@pytest.mark.parametrize("text", _JSON_DECLINED, ids=lambda text: repr(text[:30]))
-def test_the_json_path_declines_exponents_escapes_long_lines_and_non_json(text):
-    assert registry._load_json(text) is registry._NOT_JSON
+@pytest.mark.parametrize("text", _JSON_EDGES, ids=lambda text: repr(text[:30]))
+def test_walk_reads_json_edge_cases(text):
+    _assert_same_outcome(text)
 
 
 _JSON_STRINGS = st.text(
@@ -733,8 +735,8 @@ def _json_texts(draw):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_json_texts())
-def test_the_json_path_matches_yaml_load_on_drawn_json(text):
-    assert _json_path_agrees(text), text
+def test_walk_matches_yaml_load_on_drawn_json(text):
+    _assert_same_outcome(text)
 
 
 @pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
