@@ -84,13 +84,6 @@ def test_bad_container_leaves_content_intact(env):
     assert np.array_equal(container.payload, np.full((3, 3), 9.0))
 
 
-def test_a_computers_write_back_mismatch_carries_the_plan_signature(env):
-    img = _rand_image(4, 6, 6)
-    with pytest.raises(DimensionMismatchError) as err:
-        env.op("filter.gauss").input(img, wrap(1.0)).container(wrap(np.zeros((3, 3)))).compute()
-    assert err.value.signature.startswith("builtin:filter/gauss|")
-
-
 def test_container_takes_only_a_value(env):
     with pytest.raises(ExecutionError, match=r"container\(\.\.\.\) takes a Value"):
         env.op("copy.array").input(wrap(bytearray(2))).container(bytearray(2))
