@@ -186,7 +186,7 @@ def _make_runner(env: OpEnvironment, tree: InfoTree):
 def _resolve(env: OpEnvironment, req: OpRequest):
     """Match a request: ``(plan, runner)``, the runner cached with the plan."""
     tree = env.match(req)
-    entry = env.cache.entries.get(req.cache_key) if env.cache_enabled else None
+    entry = env.cache.entries.get(req.cache_key)
     if entry is None:
         return tree, _make_runner(env, tree)
     if entry.run is None:
@@ -337,65 +337,62 @@ class OpBuilder:
     def _staged_types(self) -> tuple[SemanticType, ...]:
         return self._types or _types_of(self._inputs)
 
-    # The value terminals below share one shape. With the cache on they
-    # look the staged request up under its key and run a cached runner
-    # directly, counting the hit; otherwise they build, validate and match
-    # an OpRequest through _resolve.
+    # The value terminals below share one shape. They look the staged
+    # request up under its key and run a cached runner directly, counting
+    # the hit, or else build, validate and match an OpRequest through
+    # _resolve. A cache-off environment's entries stay empty.
 
     def apply(self) -> Value:
         env, inputs, out = self._env, self._inputs, self._output
-        if env.cache_enabled:
-            cache = env.cache
-            extra = out._str if out is not None else None
-            key, args = _key_args(self._name, "function", extra, inputs)
-            entry = cache.entries.get(key)
-            if entry is not None and entry.run is not None:
-                cache.hits += 1
-                return entry.run(args, None)
+        cache = env.cache
+        extra = out._str if out is not None else None
+        key, args = _key_args(self._name, "function", extra, inputs)
+        entry = cache.entries.get(key)
+        if entry is not None and entry.run is not None:
+            cache.hits += 1
+            return entry.run(args, None)
         req = OpRequest(self._name, Kind.FUNCTION, _types_of(inputs), output_type=out)
-        return _resolve(env, req)[1](_args_of(inputs), None)
+        return _resolve(env, req)[1](args, None)
 
     def compute(self) -> Value:
         env, inputs, container = self._env, self._inputs, self._container
         if container is None:
             raise ExecutionError("compute() needs container(...) staged first")
-        if env.cache_enabled:
-            cache = env.cache
-            key, args = _key_args(self._name, "computer", container.type._str, inputs)
-            entry = cache.entries.get(key)
-            if entry is not None and entry.run is not None:
-                cache.hits += 1
-                return entry.run(args, container)
+        cache = env.cache
+        key, args = _key_args(self._name, "computer", container.type._str, inputs)
+        entry = cache.entries.get(key)
+        if entry is not None and entry.run is not None:
+            cache.hits += 1
+            return entry.run(args, container)
         req = OpRequest(
             self._name, Kind.COMPUTER, _types_of(inputs), container_type=container.type
         )
-        return _resolve(env, req)[1](_args_of(inputs), container)
+        return _resolve(env, req)[1](args, container)
 
     def mutate(self, index: int = 0) -> Value:
         # One staged Value, the mutable argument itself, is spelled out: it
         # is handed back, and its payload reaches the runner with no tuple.
         env, inputs = self._env, self._inputs
-        x = inputs[0] if len(inputs) == 1 else None
-        one = x.__class__ is Value
-        if env.cache_enabled:
-            cache = env.cache
-            if one:
-                entry = cache.entries.get((self._name, "inplace", index, x.type._str))
-                if entry is not None and entry.run is not None:
-                    cache.hits += 1
-                    return entry.run(None, x)
-            else:
-                key, args = _key_args(self._name, "inplace", index, inputs)
-                entry = cache.entries.get(key)
-                if entry is not None and entry.run is not None:
-                    cache.hits += 1
-                    # wrap hands a staged Value back as it is
-                    return entry.run(args, wrap(inputs[index]))
-        if one:
+        cache = env.cache
+        try:
+            (x,) = inputs
+        except ValueError:
+            x = None
+        if x.__class__ is Value:
+            entry = cache.entries.get((self._name, "inplace", index, x.type._str))
+            if entry is not None and entry.run is not None:
+                cache.hits += 1
+                return entry.run(None, x)
             req = OpRequest(self._name, Kind.INPLACE, (x.type,), mutable_index=index)
             return _resolve(env, req)[1](None, x)
+        key, args = _key_args(self._name, "inplace", index, inputs)
+        entry = cache.entries.get(key)
+        if entry is not None and entry.run is not None:
+            cache.hits += 1
+            # wrap hands a staged Value back as it is
+            return entry.run(args, wrap(inputs[index]))
         req = OpRequest(self._name, Kind.INPLACE, _types_of(inputs), mutable_index=index)
-        return _resolve(env, req)[1](_args_of(inputs), wrap(inputs[index]))
+        return _resolve(env, req)[1](args, wrap(inputs[index]))
 
     def function(self) -> "FunctionHandle":
         req = OpRequest(

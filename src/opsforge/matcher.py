@@ -387,17 +387,20 @@ def _same_shape(shape: _Shape, req: OpRequest) -> bool:
 
 def matcher_tables(
     by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
-) -> tuple[dict, dict, dict]:
-    """``(shaped, convert_rows, copy_rows)``: the matcher's facts past DIRECT.
+) -> tuple[dict, dict, dict, dict]:
+    """``(direct, shaped, convert_rows, copy_rows)``: the matcher's facts.
 
     An environment builds them once from its name index; they are sized by
-    the registry and never grow per call. ``shaped`` maps each name to
-    ``(info, shape, adaptations)`` per non-adapter candidate in canonical
-    order; shape is None, with no adaptations, for a candidate with generic
+    the registry and never grow per call. ``direct`` maps each name to
+    ``(info, shape)`` per candidate in canonical order, adapters and
+    generic candidates included. ``shaped`` maps each name to ``(info,
+    shape, adaptations)`` per non-adapter candidate in canonical order;
+    shape is None, with no adaptations, for a candidate with generic
     parameter types, since adaptation and conversion only work on concrete
-    shapes. Candidates of one shape share its shape and adaptations, each
-    made once. ``convert_rows`` and ``copy_rows`` are ``_rows_by_base``
-    over the ``_convert_table`` rows of the convert and copy entries.
+    shapes. Each OpInfo is encoded once, candidates of one shape share one
+    shape object in both tables, and its adaptations are made once.
+    ``convert_rows`` and ``copy_rows`` are ``_rows_by_base`` over the
+    ``_convert_table`` rows of the convert and copy entries.
     """
     # adapters whose patterns do not decompose can never match
     adapters = tuple(
@@ -405,26 +408,33 @@ def matcher_tables(
         for info in by_name.get(ADAPT_NAME, ())
         if (patterns := adapter_patterns(info)) is not None
     )
-    shapes: dict[_Shape, tuple] = {}
-    shaped = {}
+    encoded: dict[int, _Shape] = {}  # each OpInfo's shape
+    shapes: dict[_Shape, _Shape] = {}  # one object per distinct shape
+    made: dict[int, tuple] = {}  # per shape object, the rest of a shaped row
+    direct, shaped = {}, {}
     for name, found in by_name.items():
-        rows = []
+        rows, adaptable = [], []
         for info in found:
+            shape = encoded.get(id(info))
+            if shape is None:
+                shape = _encode_info(info)
+                shape = encoded[id(info)] = shapes.setdefault(shape, shape)
+            rows.append((info, shape))
             if ADAPT_NAME in info.names:
                 continue
-            cand = _encode_info(info)
-            made = shapes.get(cand)
-            if made is None:
-                made = shapes[cand] = (
-                    (cand, _adaptations(adapters, cand, hierarchy))
-                    if all(t.is_concrete() for t in cand.types)
+            fit = made.get(id(shape))
+            if fit is None:
+                fit = made[id(shape)] = (
+                    (shape, _adaptations(adapters, shape, hierarchy))
+                    if all(t.is_concrete() for t in shape.types)
                     else (None, ())
                 )
-            rows.append((info, *made))
-        shaped[name] = tuple(rows)
+            adaptable.append((info, *fit))
+        direct[name] = tuple(rows)
+        shaped[name] = tuple(adaptable)
     converts = _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION)
     copies = _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER)
-    return shaped, _rows_by_base(converts, hierarchy), _rows_by_base(copies, hierarchy)
+    return direct, shaped, _rows_by_base(converts, hierarchy), _rows_by_base(copies, hierarchy)
 
 
 def _adaptations(adapters, cand: _Shape, hierarchy: TypeHierarchy) -> tuple:
@@ -634,48 +644,20 @@ def _plan(
 
 
 def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
-    hierarchy = s.env.hierarchy
-    for info in s.env.candidates(req.name):
+    """The first candidate of the request's shape that fits it unconverted."""
+    env = s.env
+    for info, shape in env.direct.get(req.name, ()):
         s.considered += 1
-        if info.kind is not req.kind:
-            continue
-        args = info.arg_params
-        if len(args) != len(req.arg_types):
-            continue
-        if req.kind is Kind.INPLACE and info.mutable_index != req.mutable_index:
+        if not _same_shape(shape, req):
             continue
         bindings: dict[str, SemanticType] = {}
-        failed = None
-        for rt, p in zip(req.arg_types, args):
-            if not is_assignable(rt, p.type, hierarchy, bindings):
-                failed = NearMiss(info.source, "type mismatch", p.name)
-                break
-        if failed is not None:
-            s.near.append(failed)
+        fit = _bridge(env, req, shape, False, bindings)
+        if isinstance(fit, int):
+            s.near.append(NearMiss(info.source, "type mismatch", _param_label(info, False, fit)))
             continue
-        out_type = None
-        if req.kind is Kind.FUNCTION:
-            produced = info.special_param.type.substitute(bindings)
-            if not produced.is_concrete() or (
-                req.output_type is not None
-                and not is_assignable(produced, req.output_type, hierarchy)
-            ):
-                s.near.append(
-                    NearMiss(info.source, "type mismatch", info.special_param.name)
-                )
-                continue
-            out_type = produced
-        elif req.kind is Kind.COMPUTER:
-            if not is_assignable(
-                req.container_type, info.special_param.type, hierarchy, bindings
-            ):
-                s.near.append(
-                    NearMiss(info.source, "type mismatch", info.special_param.name)
-                )
-                continue
         children = _resolve_deps(s, info, bindings)
         if children is not None:
-            return _plan(req, info, RoutineTag.DIRECT, children, out_type=out_type)
+            return _plan(req, info, RoutineTag.DIRECT, children, out_type=fit[2])
     return None
 
 
@@ -722,7 +704,7 @@ def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
         fitted = False
         for ad, bindings, target in adaptations:
             if not _same_shape(target, req) or isinstance(
-                _bridge(env, req, target, False), int
+                fit := _bridge(env, req, target, False), int
             ):
                 continue
             fitted = True
@@ -738,7 +720,7 @@ def _match_adapted(s: _Search, req: OpRequest) -> InfoTree | None:
                 RoutineTag.ADAPTED,
                 children,
                 adapter=adapter_tree,
-                out_type=target.types[-1] if req.kind is Kind.FUNCTION else None,
+                out_type=fit[2],
             )
         if not fitted:
             s.near.append(NearMiss(info.source, "missing adapter", "*"))
@@ -781,18 +763,22 @@ def _param_label(info: OpInfo, target_from_adapter: bool, position: int) -> str:
 
 
 def _bridge(
-    env: OpEnvironment, req: OpRequest, target: _Shape, convert: bool
-) -> tuple[list[ConvEntry], OpInfo | None] | int:
+    env: OpEnvironment, req: OpRequest, target: _Shape, convert: bool, bindings=None
+) -> tuple[list[ConvEntry], OpInfo | None, SemanticType | None] | int:
     """Fit a request onto a target shape of its own kind and arity.
 
-    Returns ``(conversions, copyback)``, or the first position that does not
-    fit; the output or container is position ``arity``. A request argument
-    or container fits where its type is assignable to the target's, and the
-    target's output where it is assignable to the requested one. Without
+    Returns ``(conversions, copyback, out_type)``, or the first position
+    that does not fit; the output or container is position ``arity``. A
+    request argument or container fits where its type is assignable to the
+    target's, which binds the target's type variables in the ``bindings``
+    dict, if given. A FUNCTION request's output fits where the target's,
+    with the bindings applied, is concrete and assignable to the requested
+    one, and it is the ``out_type``; other kinds have none. Without
     ``convert`` nothing else fits and no convert is looked up. With it, an
     argument fits through an ``engine.convert`` in, and the output through
-    one out; the mutable argument and the container need a convert in, a
-    convert out and an ``engine.copy`` for the copy-back.
+    one out to the requested type; the mutable argument and the container
+    need a convert in, a convert out and an ``engine.copy`` for the
+    copy-back.
     """
     hierarchy = env.hierarchy
     n = len(req.arg_types)
@@ -804,7 +790,7 @@ def _bridge(
     conversions: list[ConvEntry] = []
     copyback: OpInfo | None = None
     for i, (rt, tt) in enumerate(pairs):
-        if is_assignable(rt, tt, hierarchy):
+        if is_assignable(rt, tt, hierarchy, bindings):
             continue
         if not convert:
             return i
@@ -818,21 +804,25 @@ def _bridge(
             if conv_out is None or copyback is None:
                 return i
         conversions.append(ConvEntry(i, conv_in, conv_out))
-    out = req.output_type  # only a FUNCTION request has one
-    if out is not None and not is_assignable(target.types[n], out, hierarchy):
-        conv_out = _find_convert(env, target.types[n], out) if convert else None
+    if req.kind is not Kind.FUNCTION:
+        return conversions, copyback, None
+    out = target.types[n].substitute(bindings) if bindings else target.types[n]
+    if not out.is_concrete():
+        return n
+    want = req.output_type
+    if want is not None and not is_assignable(out, want, hierarchy, bindings):
+        conv_out = _find_convert(env, out, want) if convert else None
         if conv_out is None:
             return n
         conversions.append(ConvEntry(n, None, conv_out))
-    return conversions, copyback
+        out = want
+    return conversions, copyback, out
 
 
 def _match_converted(
     s: _Search, req: OpRequest, allow_adaptation: bool
 ) -> InfoTree | None:
     env = s.env
-    n_args = len(req.arg_types)
-    function = req.kind is Kind.FUNCTION
     for info, cand, adaptations in _shaped_candidates(s, req.name):
         adapter_tree: InfoTree | None = None
         if not allow_adaptation:
@@ -860,17 +850,12 @@ def _match_converted(
                 )
             )
             continue
-        conversions, copyback = fit
+        conversions, copyback, out_type = fit
         if not conversions:
             continue
         children = _resolve_deps(s, info, {})
         if children is None:
             continue
-        out_type = None
-        if function:
-            # an output conversion is the last entry, at position n_args
-            converted_out = conversions[-1].position == n_args
-            out_type = req.output_type if converted_out else target.types[-1]
         return _plan(
             req,
             info,

@@ -593,7 +593,7 @@ class OpEnvironment:
                 by_name.setdefault(name, []).append(info)
         self._by_name = {name: tuple(found) for name, found in by_name.items()}
         self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
-        self.shaped, self.convert_rows, self.copy_rows = matcher_tables(
+        self.direct, self.shaped, self.convert_rows, self.copy_rows = matcher_tables(
             self._by_name, self.hierarchy
         )
         # fixed dependency plans resolve against those tables with the plan

@@ -340,9 +340,11 @@ def test_cached_calls_stay_within_their_bytecode_counts():
     # from the caller to the body (169, 300 and 387 before), and by 7 when
     # the history stopped logging records and only counts them (159, 236
     # and 342 before), and by 5 when a record took its tick in place of a
-    # clock reading (152, 229 and 335 before).
-    assert counts["increment_mutate"] <= 147
-    assert counts["add_apply"] <= 224
+    # clock reading (152, 229 and 335 before). The builder terminals fell
+    # again when they stopped testing cache_enabled and mutate() unpacked
+    # its one staged input (147 and 224 before).
+    assert counts["increment_mutate"] <= 135
+    assert counts["add_apply"] <= 221
     assert counts["sub_handle"] <= 330
     # criterion 6's uncached call is reported beside them, not pinned: it
     # matches and compiles, so it runs several times the cached count
