@@ -284,8 +284,7 @@ def _zero(data):
     data[:] = bytes(len(data))
 
 
-@pytest.fixture()
-def conv_env(tmp_path):
+def _conversion_env(tmp_path, copy_integer=lambda src: src, cache_enabled=True):
     path = tmp_path / "conversion-ops.yaml"
     path.write_text(CONVERSION_OPS)
     return default_environment(
@@ -298,9 +297,15 @@ def conv_env(tmp_path):
             "test:add_into/bytes": _add_into,
             "test:grow/bytes": _grow,
             "test:zero/bytes": _zero,
-            "test:copy/integer": lambda src: src,
+            "test:copy/integer": copy_integer,
         },
+        cache_enabled=cache_enabled,
     )
+
+
+@pytest.fixture()
+def conv_env(tmp_path):
+    return _conversion_env(tmp_path)
 
 
 def test_scalar_mutable_conversion_runs(conv_env):
@@ -312,6 +317,28 @@ def test_scalar_mutable_conversion_runs(conv_env):
         "test:bump/real|CONVERTED|[conv0:in=builtin:convert/int_to_real,"
         "out=builtin:convert/real_to_int;copyback:test:copy/integer]|()"
     )
+
+
+@pytest.mark.parametrize("cache_enabled", [True, False], ids=["cached", "uncached"])
+def test_a_converted_inplace_plan_runs_its_copy_back_once_per_call(tmp_path, cache_enabled):
+    # the copy body marks what it copies back, so the caller's payload shows
+    # that it ran and the log how often
+    copied = []
+
+    def copy_integer(src):
+        copied.append(src)
+        return src + 100
+
+    env = _conversion_env(tmp_path, copy_integer, cache_enabled)
+    v = wrap(3)
+    # 3 -> 3.0, + 1.5 -> 4.5, converted out to 5, copied back as 105
+    assert env.op("test.bump").input(v).mutate() is v
+    assert copied == [5] and v.payload == 105
+    assert env.op("test.bump").input(v).mutate() is v
+    assert copied == [5, 107] and v.payload == 207
+    handle = env.op("test.bump").input_types("Integer").inplace()
+    assert handle(v) is v
+    assert copied == [5, 107, 209] and v.payload == 309
 
 
 def test_an_inplace_byte_payload_keeps_its_edits_whatever_the_body_returns(conv_env):
@@ -1015,12 +1042,16 @@ def test_help_namespace_lists_names(env):
     assert "math.add" in text
     assert "math.sub" in text
     assert "math.mul" in text
+    # with no query, every name, one to a line
+    assert env.help().splitlines() == env.distinct_names()
 
 
 def test_help_full_name_uses_simple_type_words(env):
     text = env.help("filter.gauss")
     assert "image" in text
     assert "ImageF64" not in text
+    # a function's output follows the arrow, not the inputs
+    assert "math.add(a: integer, b: integer) -> integer" in env.help("math.add").splitlines()
 
 
 def test_help_marks_the_mutable_parameter_and_names_a_computers_container(env):
@@ -1035,6 +1066,13 @@ def test_help_verbose_adds_detail(env):
     text = env.help("math.add", verbose=True)
     assert "builtin:math/add_ints" in text
     assert "priority" in text
+    dog = env.help("filter.dog", verbose=True).splitlines()
+    assert "  Difference of Gaussians, composed entirely from dependencies." in dog
+    assert [line for line in dog if line.startswith("  dependency ")] == [
+        "  dependency gauss1 -> filter.gauss [computer]",
+        "  dependency gauss2 -> filter.gauss [computer]",
+        "  dependency sub -> math.sub [computer]",
+    ]
 
 
 def test_help_unknown_with_suggestion(env):

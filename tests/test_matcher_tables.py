@@ -1,28 +1,38 @@
 """The matcher's tables built once per environment agree with per-call scans.
 
-An environment builds, per name, each non-adapter candidate's shape and its
-adapter unifications, the filtered convert and copy lists, and per base name
-the convert and copy rows ``_find_convert`` and ``_find_copy`` try. The
-linear scans below are what the matcher did on every request before; they
-stay here as the reference, for the stdlib environment, for twins loaded in
-a shuffled order and for drawn registries. The twins also carry entries
-that the tables must leave out or mark generic, and the requests include
-types no entry names.
+An environment builds, per name, each candidate's shape, each non-adapter
+candidate's adapter unifications, the filtered convert and copy lists, and
+per base name the convert and copy rows ``_find_convert`` and
+``_find_copy`` try. The linear scans below are what the matcher did on
+every request before; they stay here as the reference, for the stdlib
+environment, for twins loaded in a shuffled order and for drawn registries.
+The twins also carry entries that the tables must leave out or mark
+generic, and the requests include types no entry names. DIRECT's own fit
+loop, which read each candidate's kind, arity and types per call, stays
+here as the reference for DIRECT over the shapes through ``_bridge``.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_dispatch_cache import DRAWN_TYPES, drawn_registries
+from test_dispatch_cache import DRAWN_NAMES, DRAWN_TYPES, _drawn_requests, drawn_registries
 
+from opsforge.errors import DependencyCycleError, NearMiss
 from opsforge.matcher import (
     ADAPT_NAME,
     CONVERT_NAME,
     COPY_NAME,
+    RoutineTag,
     _find_convert,
     _find_copy,
+    _match_direct,
+    _plan,
+    _resolve_deps,
+    _Search,
     adapter_patterns,
 )
-from opsforge.registry import Kind, OpEnvironment, parse_descriptors
+from opsforge.registry import Io, Kind, OpEnvironment, OpInfo, ParamSpec, parse_descriptors
 from opsforge.stdlib import (
     BINDINGS,
     builtin_descriptors_path,
@@ -161,6 +171,17 @@ def _reference_copy(env, t):
 
 def _check_tables(env):
     for name in {n for info in env.infos for n in info.names}:
+        direct = env.direct[name]
+        assert [info for info, _ in direct] == list(env.candidates(name))
+        for info, shape in direct:
+            types = tuple(p.type for p in info.arg_params)
+            if info.kind is not Kind.INPLACE:
+                types += (info.special_param.type,)
+            assert (shape.kind, shape.types, shape.mutable_index) == (
+                info.kind, types, info.mutable_index
+            )
+        # a candidate's DIRECT row and its shaped row hold one shape object
+        shapes = {id(info): shape for info, shape in direct}
         expected = [i for i in env.candidates(name) if ADAPT_NAME not in i.names]
         rows = env.shaped.get(name, ())
         assert [info for info, _, _ in rows] == expected
@@ -169,6 +190,7 @@ def _check_tables(env):
             if ref is None:
                 assert shape is None and adaptations == ()
                 continue
+            assert shape is shapes[id(info)]
             assert (shape.kind, shape.types, shape.mutable_index) == ref
             got = [
                 (ad, dict(b), (t.kind, t.types, t.mutable_index))
@@ -202,6 +224,7 @@ def test_shuffled_load_order_tables_match_linear_scans(order):
     twin = _env(files, edges)
     _check_tables(twin)
     in_order = _env(FILES)
+    assert twin.direct == in_order.direct
     assert twin.shaped == in_order.shaped
     generic = [row for row in twin.shaped["math.add"] if row[1] is None]
     assert [info.source for info, _, _ in generic] == ["extra:math/generic_add"]
@@ -233,3 +256,95 @@ def test_rows_by_base_answer_as_the_scan_on_drawn_registries(registry):
         assert _find_copy(env, frm) is _reference_copy(env, frm)
         for to in DRAWN_CONCRETE:
             assert _find_convert(env, frm, to) is _reference_convert(env, frm, to)
+
+
+def _reference_direct(s, req):
+    """DIRECT with its own fit: each candidate's kind, arity, mutable index
+    and types read from the OpInfo, then the arguments, the output or the
+    container tested in place."""
+    hierarchy = s.env.hierarchy
+    for info in s.env.candidates(req.name):
+        s.considered += 1
+        if info.kind is not req.kind:
+            continue
+        args = info.arg_params
+        if len(args) != len(req.arg_types):
+            continue
+        if req.kind is Kind.INPLACE and info.mutable_index != req.mutable_index:
+            continue
+        bindings = {}
+        failed = None
+        for rt, p in zip(req.arg_types, args):
+            if not is_assignable(rt, p.type, hierarchy, bindings):
+                failed = NearMiss(info.source, "type mismatch", p.name)
+                break
+        if failed is not None:
+            s.near.append(failed)
+            continue
+        out_type = None
+        if req.kind is Kind.FUNCTION:
+            produced = info.special_param.type.substitute(bindings)
+            if not produced.is_concrete() or (
+                req.output_type is not None
+                and not is_assignable(produced, req.output_type, hierarchy)
+            ):
+                s.near.append(NearMiss(info.source, "type mismatch", info.special_param.name))
+                continue
+            out_type = produced
+        elif req.kind is Kind.COMPUTER:
+            if not is_assignable(
+                req.container_type, info.special_param.type, hierarchy, bindings
+            ):
+                s.near.append(NearMiss(info.source, "type mismatch", info.special_param.name))
+                continue
+        children = _resolve_deps(s, info, bindings)
+        if children is not None:
+            return _plan(req, info, RoutineTag.DIRECT, children, out_type=out_type)
+    return None
+
+
+def _direct_outcome(env, req, routine):
+    """``(signature, out_type)`` of a DIRECT plan or None, the near-miss lines
+    and the candidates considered, from a fresh search."""
+    s = _Search(env, ())
+    try:
+        tree = routine(s, req)
+    except DependencyCycleError as exc:
+        return str(exc)
+    plan = None if tree is None else (tree.signature, tree.out_type)
+    return plan, [n.render() for n in s.near], s.considered
+
+
+# A function whose output variable no argument binds: DIRECT must refuse it,
+# since its output stays generic, and log a type mismatch at its output.
+FREE_OUTPUT = st.builds(
+    lambda name, priority: OpInfo(
+        (name,),
+        Kind.FUNCTION,
+        (
+            ParamSpec("p0", DRAWN_TYPES["'T"][0], Io.INPUT),
+            ParamSpec("out", DRAWN_TYPES["'U"][0], Io.OUTPUT),
+        ),
+        "drawn:free_output",
+        priority=float(priority),
+    ),
+    st.sampled_from(DRAWN_NAMES),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(registry=drawn_registries(), free=FREE_OUTPUT, seed=st.integers(0, 2**32 - 1))
+def test_direct_fits_as_its_own_loop_did_on_drawn_registries(registry, free, seed):
+    # drawn candidates bind type variables in their arguments, generic
+    # function outputs and computer containers, which only _bridge's
+    # bindings carry from one position to the next
+    infos, edges, bases = registry
+    infos = [*infos, free]
+    env = OpEnvironment(infos, BINDINGS, hierarchy=TypeHierarchy(edges), cache_enabled=False)
+    rng = random.Random(seed)
+    for _ in range(20):
+        for req in _drawn_requests(rng, infos, bases):
+            assert _direct_outcome(env, req, _match_direct) == _direct_outcome(
+                env, req, _reference_direct
+            )
