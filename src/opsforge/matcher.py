@@ -397,35 +397,41 @@ def matcher_tables(
     shape, adaptations)`` per non-adapter candidate in canonical order;
     shape is None, with no adaptations, for a candidate with generic
     parameter types, since adaptation and conversion only work on concrete
-    shapes. Each OpInfo is encoded once, candidates of one shape share one
+    shapes. Each signature is encoded once, candidates of one shape share one
     shape object in both tables, and its adaptations are made once.
     ``convert_rows`` and ``copy_rows`` are ``_rows_by_base`` over the
     ``_convert_table`` rows of the convert and copy entries.
     """
-    # adapters whose patterns do not decompose can never match
-    adapters = tuple(
-        (info, patterns)
-        for info in by_name.get(ADAPT_NAME, ())
-        if (patterns := adapter_patterns(info)) is not None
-    )
-    encoded: dict[int, _Shape] = {}  # each OpInfo's shape
+    # adapters whose patterns do not decompose can never match; the rest are
+    # grouped by their FROM pattern's kind, length and mutable index, which a
+    # candidate's shape must share
+    adapters: dict[tuple, list] = {}
+    for info in by_name.get(ADAPT_NAME, ()):
+        patterns = adapter_patterns(info)
+        if patterns is not None:
+            frm = patterns[0]
+            key = (frm.kind, len(frm.types), frm.mutable_index)
+            adapters.setdefault(key, []).append((info, patterns))
+    encoded: dict[str, _Shape] = {}  # the shape of each signature string
     shapes: dict[_Shape, _Shape] = {}  # one object per distinct shape
     made: dict[int, tuple] = {}  # per shape object, the rest of a shaped row
     direct, shaped = {}, {}
     for name, found in by_name.items():
         rows, adaptable = [], []
         for info in found:
-            shape = encoded.get(id(info))
+            # equal signatures make equal shapes
+            shape = encoded.get(info.signature_string())
             if shape is None:
                 shape = _encode_info(info)
-                shape = encoded[id(info)] = shapes.setdefault(shape, shape)
+                shape = encoded[info.signature_string()] = shapes.setdefault(shape, shape)
             rows.append((info, shape))
             if ADAPT_NAME in info.names:
                 continue
             fit = made.get(id(shape))
             if fit is None:
+                group = adapters.get((shape.kind, len(shape.types), shape.mutable_index), ())
                 fit = made[id(shape)] = (
-                    (shape, _adaptations(adapters, shape, hierarchy))
+                    (shape, _adaptations(group, shape, hierarchy))
                     if all(t.is_concrete() for t in shape.types)
                     else (None, ())
                 )
@@ -440,18 +446,13 @@ def matcher_tables(
 def _adaptations(adapters, cand: _Shape, hierarchy: TypeHierarchy) -> tuple:
     """Adapters whose FROM pattern unifies with a candidate, canonical order.
 
-    Rows are ``(adapter, bindings, target)`` where target is the TO shape
-    with the read-only bindings applied; adapters whose TO types stay
-    generic are skipped.
+    ``adapters`` are the ones whose FROM pattern has the candidate's kind,
+    length and mutable index. Rows are ``(adapter, bindings, target)`` where
+    target is the TO shape with the read-only bindings applied; adapters
+    whose TO types stay generic are skipped.
     """
     rows = []
     for ad, (frm, to) in adapters:
-        if (
-            frm.kind is not cand.kind
-            or len(frm.types) != len(cand.types)
-            or frm.mutable_index != cand.mutable_index
-        ):
-            continue
         bindings: dict[str, SemanticType] = {}
         if not all(
             is_assignable(ct, ft, hierarchy, bindings)

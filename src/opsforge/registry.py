@@ -9,6 +9,7 @@ exposed as ops through a YAML file alone.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -67,23 +68,36 @@ class DependencySpec:
 
 def infer_kind(params: Sequence[ParamSpec]) -> Kind:
     """Derive the functional kind from io roles; raises on illegal combos."""
-    outputs = sum(1 for p in params if p.io is Io.OUTPUT)
-    containers = sum(1 for p in params if p.io is Io.CONTAINER)
-    mutables = sum(1 for p in params if p.io is Io.MUTABLE)
-    if (outputs, containers, mutables) == (1, 0, 0):
+    roles = [p.io for p in params if p.io is not Io.INPUT]
+    if roles == [Io.OUTPUT]:
         return Kind.FUNCTION
-    if (outputs, containers, mutables) == (0, 1, 0):
+    if roles == [Io.CONTAINER]:
         return Kind.COMPUTER
-    if (outputs, containers, mutables) == (0, 0, 1):
+    if roles == [Io.MUTABLE]:
         return Kind.INPLACE
     raise RegistrationError(
         "io roles must contain exactly one of output/container/mutable, got "
-        f"{outputs} output, {containers} container, {mutables} mutable"
+        f"{roles.count(Io.OUTPUT)} output, {roles.count(Io.CONTAINER)} container, "
+        f"{roles.count(Io.MUTABLE)} mutable"
     )
 
 
 @dataclass(frozen=True)
 class OpInfo:
+    """One registered op.
+
+    Construction checks the entry and derives, once, what matching and
+    execution read of it; ``dataclasses.replace`` derives them again for the
+    copy. They are attributes, not fields, so equality, hashing and repr
+    see the eight fields alone:
+
+    - ``arg_params``: the parameters a caller supplies, inputs plus the
+      mutable one, in declared order;
+    - ``special_param``: the single output, container or mutable parameter;
+    - ``mutable_index``: the mutable parameter's index among ``arg_params``
+      for INPLACE, else None.
+    """
+
     names: tuple[str, ...]
     kind: Kind
     params: tuple[ParamSpec, ...]
@@ -109,54 +123,50 @@ class OpInfo:
                 f"{self.name}: declared kind {self.kind.value} contradicts "
                 f"io roles ({derived.value})"
             )
+        # infer_kind found one parameter that is not an input
+        args: list[ParamSpec] = []
+        mutable_index = None
         for p in self.params:
-            if p.optional and p.io is not Io.INPUT:
-                raise RegistrationError(
-                    f"{self.name}: only input parameters may be optional "
-                    f"({p.name} is {p.io.value})"
-                )
-        own_vars: set[str] = set()
-        for p in self.params:
-            own_vars |= p.type.variables()
-        for dep in self.dependencies:
-            for t in dep.signature:
-                loose = t.variables() - own_vars
-                if loose:
-                    raise RegistrationError(
-                        f"{self.name}: dependency {dep.field} uses unbound "
-                        f"type variables {sorted(loose)}"
-                    )
+            if p.io is Io.INPUT:
+                args.append(p)
+                continue
+            special = p
+            if p.io is Io.MUTABLE:
+                mutable_index = len(args)
+                args.append(p)
+        if special.optional:
+            raise RegistrationError(
+                f"{self.name}: only input parameters may be optional "
+                f"({special.name} is {special.io.value})"
+            )
+        if self.dependencies:
+            own_vars: set[str] = set()
+            for p in self.params:
+                own_vars |= p.type.variables()
+            for dep in self.dependencies:
+                for t in dep.signature:
+                    loose = t.variables() - own_vars
+                    if loose:
+                        raise RegistrationError(
+                            f"{self.name}: dependency {dep.field} uses unbound "
+                            f"type variables {sorted(loose)}"
+                        )
+        parts = ",".join([f"{p.io._value_}:{p.type._str}" for p in self.params])
+        # frozen: the facts go straight into the instance's dict. The
+        # signature is interned, so entries of one signature hold one string.
+        self.__dict__.update(
+            arg_params=tuple(args),
+            special_param=special,
+            mutable_index=mutable_index,
+            _signature=sys.intern(f"{derived._value_}({parts})"),
+        )
 
     @property
     def name(self) -> str:
         return self.names[0]
 
-    @property
-    def arg_params(self) -> tuple[ParamSpec, ...]:
-        """Parameters a caller supplies: inputs plus the mutable one."""
-        return tuple(p for p in self.params if p.io in (Io.INPUT, Io.MUTABLE))
-
-    @property
-    def special_param(self) -> ParamSpec:
-        """The single output, container, or mutable parameter."""
-        for p in self.params:
-            if p.io in (Io.OUTPUT, Io.CONTAINER, Io.MUTABLE):
-                return p
-        raise AssertionError("validated op always has a special param")
-
-    @property
-    def mutable_index(self) -> int | None:
-        """Index of the mutable parameter among arg_params, for INPLACE."""
-        if self.kind is not Kind.INPLACE:
-            return None
-        for i, p in enumerate(self.arg_params):
-            if p.io is Io.MUTABLE:
-                return i
-        raise AssertionError("inplace op always has a mutable param")
-
     def signature_string(self) -> str:
-        parts = ",".join(f"{p.io.value}:{p.type}" for p in self.params)
-        return f"{self.kind.value}({parts})"
+        return self._signature
 
 
 def reduce_optional(info: OpInfo) -> list[OpInfo]:
@@ -170,11 +180,11 @@ def reduce_optional(info: OpInfo) -> list[OpInfo]:
     """
     if info.reduced_from is not None:
         return [info]
-    inputs = [i for i, p in enumerate(info.params) if p.io is Io.INPUT]
-    flags = [info.params[i].optional for i in inputs]
+    flags = [p.optional for p in info.params if p.io is Io.INPUT]
     n_opt = sum(flags)
     if n_opt == 0:
         return [info]
+    inputs = [i for i, p in enumerate(info.params) if p.io is Io.INPUT]
     if flags != [False] * (len(flags) - n_opt) + [True] * n_opt:
         raise RegistrationError(f"{info.name}: optional parameters must be trailing")
     variants = [info]
@@ -227,9 +237,8 @@ def _fail(origin: str, path: str, message: str) -> SchemaError:
 def _mapping(origin: str, path: str, obj: Any, keys: set[str], what: str) -> None:
     if not isinstance(obj, dict):
         raise _fail(origin, path, f"{what} must be a mapping")
-    unknown = set(obj) - keys
-    if unknown:
-        raise _fail(origin, path, f"unknown keys {sorted(unknown)}")
+    if not keys.issuperset(obj):
+        raise _fail(origin, path, f"unknown keys {sorted(set(obj) - keys)}")
 
 
 def _required(origin: str, path: str, obj: dict, key: str) -> str:
@@ -248,30 +257,41 @@ def _text(origin: str, path: str, obj: dict, key: str) -> str:
 
 def _strings(origin: str, path: str, obj: dict, key: str, noun: str) -> list[str]:
     value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _fail(origin, f"{path}.{key}", f"must be a list of {noun}")
-    return value
+    if isinstance(value, list):
+        for v in value:
+            if not isinstance(v, str):
+                break
+        else:
+            return value
+    raise _fail(origin, f"{path}.{key}", f"must be a list of {noun}")
+
+
+# The member each value names, found as Kind(value) and Io(value) find it
+# but without EnumType.__call__; an unhashable value names none.
+_KIND_OF_TEXT = {kind.value: kind for kind in Kind}
+_IO_OF_TEXT = {io.value: io for io in Io}
 
 
 def _kind(origin: str, path: str, obj: dict) -> Kind:
     try:
-        return Kind(obj.get("kind"))
-    except ValueError:
+        return _KIND_OF_TEXT[obj.get("kind")]
+    except (KeyError, TypeError):
         raise _fail(
             origin, f"{path}.kind", "must be one of function/computer/inplace"
         ) from None
 
 
-def _parse_type_at(origin: str, path: str, text: Any, shared: dict) -> SemanticType:
+def _parse_type_at(origin: str, path: str, key: str, text: Any, shared: dict) -> SemanticType:
+    """``text``, read from field ``key`` of the mapping at ``path``, as a type."""
     if not isinstance(text, str):
-        raise _fail(origin, path, f"expected a type string, got {text!r}")
+        raise _fail(origin, f"{path}.{key}", f"expected a type string, got {text!r}")
     found = shared.get(text)
     if found is not None:
         return found
     try:
         t = parse_type(text)
     except TypeSyntaxError as e:
-        raise _fail(origin, path, str(e)) from e
+        raise _fail(origin, f"{path}.{key}", str(e)) from e
     # keyed by its canonical string too, so "List< Real >" and "List<Real>"
     # give one type
     t = shared[text] = shared.setdefault(t._str, t)
@@ -313,14 +333,14 @@ def read_entry(
         pname = _required(origin, ppath, rp, "name")
         io_text = rp.get("io")
         try:
-            io = Io(io_text)
-        except ValueError:
+            io = _IO_OF_TEXT[io_text]
+        except (KeyError, TypeError):
             raise _fail(
                 origin,
                 f"{ppath}.io",
                 f"must be one of input/container/mutable/output, got {io_text!r}",
             ) from None
-        ptype = _parse_type_at(origin, f"{ppath}.type", rp.get("type"), shared)
+        ptype = _parse_type_at(origin, ppath, "type", rp.get("type"), shared)
         optional = pname in optional_names
         pdesc = _text(origin, ppath, rp, "description")
         # the io text names one Io; a str key is cheaper to hash than the member
@@ -329,10 +349,11 @@ def read_entry(
         if param is None:
             param = shared[key] = ParamSpec(pname, ptype, io, optional, pdesc)
         params.append(param)
-    param_names = {p.name for p in params}
-    for oname in optional_names:
-        if oname not in param_names:
-            raise _fail(origin, f"{path}.optional", f"unknown parameter {oname!r}")
+    if optional_names:
+        param_names = {p.name for p in params}
+        for oname in optional_names:
+            if oname not in param_names:
+                raise _fail(origin, f"{path}.optional", f"unknown parameter {oname!r}")
 
     raw_deps = entry.get("dependencies", [])
     if not isinstance(raw_deps, list):
@@ -348,7 +369,7 @@ def read_entry(
         if not isinstance(raw_sig, list) or not raw_sig:
             raise _fail(origin, f"{dpath}.signature", "required non-empty list")
         sig = tuple(
-            _parse_type_at(origin, f"{dpath}.signature[{k}]", t, shared)
+            _parse_type_at(origin, dpath, f"signature[{k}]", t, shared)
             for k, t in enumerate(raw_sig)
         )
         deps.append(DependencySpec(dfield, dname, dkind, sig))

@@ -56,24 +56,27 @@ class SemanticType:
         params = tuple(params)
         if not _NAME_RE.fullmatch(base):
             raise TypeSyntaxError(f"invalid type name {base!r}", 0)
-        if is_var and params:
-            raise TypeSyntaxError("type variables take no parameters", 0)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "is_var", is_var)
         if is_var:
-            text = f"'{base}"
+            if params:
+                raise TypeSyntaxError("type variables take no parameters", 0)
+            text = "'" + base
+            concrete = False
         elif params:
-            text = f"{base}<{', '.join(str(p) for p in params)}>"
+            text = base + "<" + ", ".join([p._str for p in params]) + ">"
+            concrete = True
+            for p in params:
+                if not p._concrete:
+                    concrete = False
+                    break
         else:
             text = base
-        object.__setattr__(self, "_str", text)
-        object.__setattr__(self, "_hash", hash(text))
-        object.__setattr__(
-            self,
-            "_concrete",
-            not is_var and all(p._concrete for p in params),
-        )
+            concrete = True
+        _set_base(self, base)
+        _set_params(self, params)
+        _set_is_var(self, is_var)
+        _set_str(self, text)
+        _set_hash(self, hash(text))
+        _set_concrete(self, concrete)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemanticType is immutable")
@@ -111,50 +114,45 @@ class SemanticType:
         return SemanticType(self.base, [p.substitute(bindings) for p in self.params])
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Each slot's own setter, taken once: object.__setattr__ finds the slot by
+# name on every call.
+(_set_base, _set_params, _set_is_var, _set_str, _set_hash, _set_concrete) = (
+    SemanticType.__dict__[slot].__set__ for slot in SemanticType.__slots__
+)
 
-    def error(self, message: str) -> TypeSyntaxError:
-        return TypeSyntaxError(message, self.pos)
+_SPACE_RE = re.compile(r"\s*")
+# One operand and the whitespace after it: ``'Var``, or ``Name`` with the
+# ``<`` that opens its parameters, if any. ``\s`` and ``str.isspace`` name the
+# same characters.
+_OPERAND_RE = re.compile(r"\s*(?:'([A-Za-z][A-Za-z0-9_]*)|([A-Za-z][A-Za-z0-9_]*)\s*(<)?)\s*")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def parse(self) -> SemanticType:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            self.pos += 1
-            return SemanticType(self.name(), is_var=True)
-        base = self.name()
-        params: list[SemanticType] = []
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "<":
-            self.pos += 1
-            params.append(self.parse())
-            while True:
-                self.skip_ws()
-                if self.pos >= len(self.text):
-                    raise self.error("expected ',' or '>'")
-                ch = self.text[self.pos]
-                if ch == ",":
-                    self.pos += 1
-                    params.append(self.parse())
-                elif ch == ">":
-                    self.pos += 1
-                    break
-                else:
-                    raise self.error("expected ',' or '>'")
-        return SemanticType(base, params)
-
-    def name(self) -> str:
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected type name")
-        self.pos = m.end()
-        return m.group()
+def _parse_at(text: str, pos: int) -> tuple[SemanticType, int]:
+    """The type that starts at ``pos`` and the offset after it and the
+    whitespace that follows it."""
+    m = _OPERAND_RE.match(text, pos)
+    if m is None:
+        pos = _SPACE_RE.match(text, pos).end()
+        if text.startswith("'", pos):
+            pos += 1
+        raise TypeSyntaxError("expected type name", pos)
+    var, base, opened = m.groups()
+    pos = m.end()
+    if var is not None:
+        return SemanticType(var, (), True), pos
+    if opened is None:
+        return SemanticType(base), pos
+    params = []
+    while True:
+        param, pos = _parse_at(text, pos)
+        params.append(param)
+        ch = text[pos:pos + 1]
+        if ch == ",":
+            pos += 1
+        elif ch == ">":
+            return SemanticType(base, params), _SPACE_RE.match(text, pos + 1).end()
+        else:
+            raise TypeSyntaxError("expected ',' or '>'", pos)
 
 
 def parse_type(text: str) -> SemanticType:
@@ -163,11 +161,9 @@ def parse_type(text: str) -> SemanticType:
     Whitespace around commas and angle brackets is ignored. Raises
     TypeSyntaxError with the character offset of the first problem.
     """
-    p = _Parser(text)
-    t = p.parse()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("unexpected trailing characters")
+    t, pos = _parse_at(text, 0)
+    if pos != len(text):
+        raise TypeSyntaxError("unexpected trailing characters", pos)
     return t
 
 

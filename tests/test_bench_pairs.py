@@ -202,6 +202,11 @@ def test_benchmark_spec_is_benchmark_json():
     assert better == {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
+BUILD_STAGES = {f"stdlib_build.{stage}" for stage in (
+    "json_loads", "read_document", "environment_init", "matcher_tables",
+    "fixed_dependencies", "other")}
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_files_follow_the_schema(path):
     report = json.loads(path.read_text(encoding="utf-8"))
@@ -223,13 +228,17 @@ def test_committed_bench_files_follow_the_schema(path):
         assert side in ("parent", "head")
         # the third count, sub_handle, since BENCH_16.json, the uncached
         # mutate() beside them since BENCH_22.json, the uncached dog match
-        # since BENCH_23.json and one stdlib build since BENCH_36.json
+        # since BENCH_23.json, one stdlib build since BENCH_36.json, and its
+        # stages and the synthetic build since BENCH_40.json
         assert {"increment_mutate", "add_apply"} <= set(counts)
-        if int(bench_pairs.BENCH_NAME.fullmatch(path.name).group(1)) >= 36:
+        number = int(bench_pairs.BENCH_NAME.fullmatch(path.name).group(1))
+        if number >= 36:
             assert "stdlib_build" in counts
+        if number >= 40:
+            assert BUILD_STAGES | {"synth_build"} <= set(counts)
         assert set(counts) <= {"increment_mutate", "add_apply", "sub_handle",
                                "increment_mutate_uncached", "dog_match_uncached",
-                               "stdlib_build"}
+                               "stdlib_build", "synth_build"} | BUILD_STAGES
         assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
@@ -370,6 +379,39 @@ def test_the_stdlib_build_counts_alike_at_two_checkout_depths(tmp_path):
         )
         counts.append(int(done.stdout.splitlines()[-1]))
     assert counts[0] == counts[1] > 0
+
+
+def test_the_build_stages_add_up_to_the_build_and_both_builds_repeat():
+    counts = bench_pairs.build_opcodes()
+    assert set(counts) == {"stdlib_build", "synth_build"} | BUILD_STAGES
+    assert sum(counts[stage] for stage in BUILD_STAGES) == counts["stdlib_build"]
+    assert all(counts[stage] > 0 for stage in BUILD_STAGES)
+    # the synthetic build reads ten times the entries, through the YAML walk
+    assert counts["synth_build"] > 10 * counts["stdlib_build"]
+    assert bench_pairs.build_opcodes() == counts
+
+
+def test_stages_count_to_the_innermost_listed_function():
+    def inner():
+        return len([1, 2, 3])
+
+    def outer():
+        inner()
+        return inner()
+
+    def call():
+        outer()
+        inner()
+
+    total = bench_pairs.count_opcodes(call)
+    split = bench_pairs.count_opcodes_by_stage(call, {outer: "outer", inner: "inner"})
+    assert sum(split.values()) == total
+    assert split["other"] == 0
+    # inner runs three times, twice inside outer
+    once = bench_pairs.count_opcodes_by_stage(lambda: inner(), {inner: "inner"})
+    assert once == {"inner": bench_pairs.count_opcodes(lambda: inner()), "other": 0}
+    assert split["inner"] == 3 * once["inner"]
+    assert split["outer"] == total - split["inner"] > 0
 
 
 def test_count_opcodes_leaves_out_the_callers_frame():

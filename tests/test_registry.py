@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from opsforge.registry import (
     Io,
     Kind,
     OpEnvironment,
+    OpInfo,
     ParamSpec,
     build_environment,
     infer_kind,
@@ -557,11 +558,11 @@ def test_the_walk_matches_yaml_load_on_dumped_documents(drawn):
     _assert_same_outcome(yaml.safe_dump(document, default_flow_style=flow))
 
 
-def _synthetic_text():
+def _synthetic_text(seed=1):
     spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return synth.SynthRegistry(1).text
+    return synth.SynthRegistry(seed).text
 
 
 @pytest.mark.parametrize("source", ["builtin", "legacy", "synthetic"])
@@ -953,3 +954,103 @@ def test_a_repeating_registry_retains_one_copy_of_its_signatures():
         tracemalloc.stop()
     assert len(env.infos) > 500
     assert kept < 1_536 * 500
+
+
+# -- the facts an entry makes once, against their earlier definitions -------
+#
+# OpInfo derived these on every read, as below; it now makes them when it is
+# constructed.
+
+
+def _reference_arg_params(info):
+    return tuple(p for p in info.params if p.io in (Io.INPUT, Io.MUTABLE))
+
+
+def _reference_special_param(info):
+    for p in info.params:
+        if p.io in (Io.OUTPUT, Io.CONTAINER, Io.MUTABLE):
+            return p
+    raise AssertionError("validated op always has a special param")
+
+
+def _reference_mutable_index(info):
+    if info.kind is not Kind.INPLACE:
+        return None
+    for i, p in enumerate(_reference_arg_params(info)):
+        if p.io is Io.MUTABLE:
+            return i
+    raise AssertionError("inplace op always has a mutable param")
+
+
+def _reference_signature_string(info):
+    parts = ",".join(f"{p.io.value}:{p.type}" for p in info.params)
+    return f"{info.kind.value}({parts})"
+
+
+def _assert_reference_facts(info):
+    args = _reference_arg_params(info)
+    assert len(info.arg_params) == len(args)
+    assert all(a is b for a, b in zip(info.arg_params, args))
+    assert info.special_param is _reference_special_param(info)
+    assert info.mutable_index == _reference_mutable_index(info)
+    assert info.signature_string() == _reference_signature_string(info)
+
+
+def _rotations(info):
+    """Copies of ``info`` with its parameters rotated, and with its output,
+    if it has one, turned container and then mutable."""
+    params = info.params
+    copies = [replace(info, params=params[k:] + params[:k], kind=infer_kind(params))
+              for k in range(1, len(params))]
+    if info.kind is Kind.FUNCTION:
+        for io in (Io.CONTAINER, Io.MUTABLE):
+            turned = tuple(replace(p, io=io) if p.io is Io.OUTPUT else p for p in params)
+            for k in range(len(turned)):
+                rotated = turned[k:] + turned[:k]
+                copies.append(replace(info, params=rotated, kind=infer_kind(rotated)))
+    return copies
+
+
+def _entries(text, origin):
+    infos = parse_descriptors(text, origin=origin)
+    return [variant for info in infos for variant in reduce_optional(info)]
+
+
+@pytest.mark.parametrize("source", ["builtin", "legacy", 1, 2, 3])
+def test_entry_facts_match_their_earlier_definitions(source):
+    if isinstance(source, int):
+        entries = _entries(_synthetic_text(source), f"synthetic seed {source}")
+    else:
+        entries = _entries(_bundled_text(source), source)
+        # the JSON path default_environment takes makes the same entries
+        doc = json.loads(_bundled_text(source))
+        assert entries == [v for i in registry.read_document(doc, source)
+                           for v in reduce_optional(i)]
+    # the legacy file has no optional parameters
+    assert source == "legacy" or any(v.reduced_from is not None for v in entries)
+    for info in entries:
+        _assert_reference_facts(info)
+        for copy in _rotations(info):
+            _assert_reference_facts(copy)
+            # the facts are not fields: equality, hashing and repr ignore them
+            assert copy == replace(copy) and hash(copy) == hash(replace(copy))
+            assert "arg_params" not in repr(copy)
+    assert [f.name for f in fields(OpInfo)] == [
+        "names", "kind", "params", "source", "priority", "dependencies", "description",
+        "reduced_from"]
+
+
+def test_replaced_copies_cover_every_mutable_position():
+    (info,) = parse_descriptors(
+        """
+ops:
+  - name: t.op
+    source: "x:a"
+    parameters:
+      - {name: a, type: Integer, io: input}
+      - {name: b, type: Real, io: input}
+      - {name: out, type: Text, io: output}
+"""
+    )
+    positions = {c.mutable_index for c in _rotations(info) if c.kind is Kind.INPLACE}
+    assert positions == {0, 1, 2}

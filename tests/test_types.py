@@ -1,9 +1,11 @@
 """Type grammar, assignability, and description behavior."""
 
+import re
 import string
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opsforge.errors import RegistrationError, TypeSyntaxError
 from opsforge.stdlib import default_hierarchy
@@ -275,3 +277,134 @@ def test_cycle_rejection_message_is_unchanged(data):
     with pytest.raises(RegistrationError) as info:
         TypeHierarchy(edges)
     assert str(info.value) == expected
+
+
+# -- the type reader against its earlier, character-by-character form -------
+
+
+class _ReferenceParser:
+    """The reader parse_type used before it matched whole operands by regex."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> TypeSyntaxError:
+        return TypeSyntaxError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def parse(self) -> SemanticType:
+        self.skip_ws()
+        if self.pos < len(self.text) and self.text[self.pos] == "'":
+            self.pos += 1
+            return SemanticType(self.name(), is_var=True)
+        base = self.name()
+        params: list[SemanticType] = []
+        self.skip_ws()
+        if self.pos < len(self.text) and self.text[self.pos] == "<":
+            self.pos += 1
+            params.append(self.parse())
+            while True:
+                self.skip_ws()
+                if self.pos >= len(self.text):
+                    raise self.error("expected ',' or '>'")
+                ch = self.text[self.pos]
+                if ch == ",":
+                    self.pos += 1
+                    params.append(self.parse())
+                elif ch == ">":
+                    self.pos += 1
+                    break
+                else:
+                    raise self.error("expected ',' or '>'")
+        return SemanticType(base, params)
+
+    def name(self) -> str:
+        m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(self.text, self.pos)
+        if not m:
+            raise self.error("expected type name")
+        self.pos = m.end()
+        return m.group()
+
+
+def _reference_parse_type(text: str) -> SemanticType:
+    p = _ReferenceParser(text)
+    t = p.parse()
+    p.skip_ws()
+    if p.pos != len(text):
+        raise p.error("unexpected trailing characters")
+    return t
+
+
+def _outcome(parse, text):
+    """The type a reader gives, with its string, or its error and offset."""
+    try:
+        t = parse(text)
+    except TypeSyntaxError as e:
+        return ("error", str(e), e.offset)
+    return ("type", t, str(t))
+
+
+_SPACES = st.text(st.sampled_from(" \t\n\u00a0\u2003"), max_size=2)
+_LEAF_NAMES = st.sampled_from(["A", "b", "Real", "List", "Map_2", "x1"])
+_TREES = st.recursive(
+    st.builds(SemanticType, _LEAF_NAMES, is_var=st.booleans()),
+    lambda inner: st.builds(SemanticType, _LEAF_NAMES, st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _spaced(draw):
+    """A drawn type, rendered with drawn whitespace wherever the grammar allows it."""
+    t = draw(_TREES)
+
+    def render(t):
+        if t.is_var:
+            return "'" + t.base
+        if not t.params:
+            return t.base
+        inner = ",".join(draw(_SPACES) + render(p) + draw(_SPACES) for p in t.params)
+        return t.base + draw(_SPACES) + "<" + inner + ">"
+
+    return t, draw(_SPACES) + render(t) + draw(_SPACES)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_spaced())
+def test_spaced_types_read_as_the_type_they_render(drawn):
+    t, text = drawn
+    got = parse_type(text)
+    assert got == t and str(got) == str(t)
+    assert _outcome(parse_type, text) == _outcome(_reference_parse_type, text)
+
+
+@st.composite
+def _malformed(draw):
+    """A rendered type, cut short or with one character put in, dropped or replaced."""
+    _, text = draw(_spaced())
+    edit = draw(st.sampled_from(["cut", "put", "drop", "swap"]))
+    at = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from("<>,' A_1"))
+    if edit == "cut":
+        return text[:at]
+    if edit == "put":
+        return text[:at] + ch + text[at:]
+    if edit == "drop":
+        return text[:at] + text[at + 1:]
+    return text[:at] + ch + text[at + 1:]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_malformed())
+def test_malformed_types_fail_where_the_reference_fails(text):
+    assert _outcome(parse_type, text) == _outcome(_reference_parse_type, text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the reader skips whitespace with \s, the reference with str.isspace
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == list(filter(str.isspace, chars))

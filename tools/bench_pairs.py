@@ -46,8 +46,13 @@ request, the cost of an op's dependency plans on an uncached match. Last it
 counts one whole ``default_environment()`` build (``stdlib_build``): parse,
 read every entry, build the tables. Its two descriptor files are read before
 counting starts and served from memory under one-part paths, so the count
-does not move with the depth of the checkout. It too is reported, not
-pinned.
+does not move with the depth of the checkout. A second counted build splits
+it by stage (``stdlib_build.<stage>``): the JSON read, ``read_document``,
+``OpEnvironment.__init__`` with ``matcher_tables`` and ``fixed_dependencies``
+apart, and the rest. ``synth_build`` counts one ``parse_descriptors`` of
+perfbench's synthetic registry (seed 1, match_cold's size) plus the
+``OpEnvironment`` build over it and the stdlib entries, from a text and
+entries made before counting starts. These too are reported, not pinned.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -208,6 +214,51 @@ def count_opcodes(call) -> int:
             count += 1
         return trace
 
+    _traced(call, trace)
+    return count
+
+
+def count_opcodes_by_stage(call, stages: dict) -> dict:
+    """The bytecodes ``count_opcodes`` counts for one ``call()``, split by
+    stage. ``stages`` maps functions to stage names; a bytecode counts to
+    the stage of the innermost listed function running it, or to
+    ``"other"`` outside them all."""
+    counts = dict.fromkeys([*stages.values(), "other"], 0)
+    named = {f.__code__: name for f, name in stages.items()}
+    top = call.__code__
+
+    def counter(stage):
+        def trace(frame, event, arg):
+            if event == "opcode":
+                counts[stage] += 1
+            return trace
+
+        return trace
+
+    stage_of = {counter(name): name for name in counts}
+    local = {name: trace for trace, name in stage_of.items()}
+
+    def uncounted(frame, event, arg):
+        return uncounted
+
+    def enter(frame, event, arg):
+        # a frame's stage is its function's, else its caller's
+        frame.f_trace_opcodes = True
+        if frame.f_code is top:
+            return uncounted
+        name = named.get(frame.f_code)
+        if name is None:
+            caller = frame.f_back
+            name = stage_of.get(caller.f_trace if caller else None, "other")
+        return local[name]
+
+    _traced(call, enter)
+    return counts
+
+
+def _traced(call, trace) -> None:
+    """``call()`` under ``sys.settrace(trace)``, with the garbage collector
+    held off so that no finalizer runs inside the count."""
     was_enabled = gc.isenabled()
     gc.disable()
     sys.settrace(trace)
@@ -217,7 +268,6 @@ def count_opcodes(call) -> int:
         sys.settrace(None)
         if was_enabled:
             gc.enable()
-    return count
 
 
 def dispatch_opcodes() -> dict:
@@ -258,11 +308,27 @@ def dispatch_opcodes() -> dict:
         for _ in range(3):
             call()
         counts[name] = count_opcodes(call)
-    counts["stdlib_build"] = stdlib_build_opcodes()
+    counts.update(build_opcodes())
     return counts
 
 
-def stdlib_build_opcodes() -> int:
+def build_opcodes() -> dict:
+    """``stdlib_build`` (``stdlib_build_opcodes``), its split by stage as
+    ``stdlib_build.<stage>`` and ``synth_build`` (``synth_build_opcodes``)."""
+    from opsforge.matcher import fixed_dependencies, matcher_tables
+    from opsforge.registry import OpEnvironment, read_document
+
+    stages = {json.loads: "json_loads", read_document: "read_document",
+              OpEnvironment.__init__: "environment_init", matcher_tables: "matcher_tables",
+              fixed_dependencies: "fixed_dependencies"}
+    counts = {"stdlib_build": stdlib_build_opcodes()}
+    split = stdlib_build_opcodes(lambda build: count_opcodes_by_stage(build, stages))
+    counts.update((f"stdlib_build.{stage}", n) for stage, n in split.items())
+    counts["synth_build"] = synth_build_opcodes()
+    return counts
+
+
+def stdlib_build_opcodes(count=count_opcodes):
     """Bytecodes of one ``default_environment()`` build with the legacy
     descriptors, counted after three warm-up builds. pathlib splits and joins
     paths part by part in Python, so building, testing and reading the two
@@ -270,7 +336,8 @@ def stdlib_build_opcodes() -> int:
     checkout lies. Here the files are read before counting starts, and the
     build gets them from memory under one-part relative paths: ``stdlib``'s
     two path functions return those paths, and ``Path.read_text`` and
-    ``Path.is_dir`` answer for them, until the count is taken."""
+    ``Path.is_dir`` answer for them, until the count is taken. ``count``
+    takes the count of a call."""
     from opsforge import stdlib
 
     getters = ("builtin_descriptors_path", "legacy_descriptors_path")
@@ -288,10 +355,40 @@ def stdlib_build_opcodes() -> int:
     try:
         for _ in range(3):
             stdlib.default_environment()
-        return count_opcodes(stdlib.default_environment)
+        return count(stdlib.default_environment)
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
+
+
+def synth_build_opcodes() -> int:
+    """Bytecodes of one build at match_cold's size, counted after three
+    warm-up builds: ``parse_descriptors`` of perfbench's synthetic registry
+    (``perfbench/synth.py``, seed 1, read and not changed) and the
+    ``OpEnvironment`` over its entries and the stdlib's, with the stdlib's
+    hierarchy. The text, the stdlib entries and the hierarchy are made
+    before counting starts."""
+    import opsforge
+    from opsforge.registry import OpEnvironment, parse_descriptors, read_document
+    from opsforge.stdlib import BINDINGS, builtin_descriptors_path, default_hierarchy
+
+    path = Path(opsforge.__file__).resolve().parents[2] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    registry = synth.SynthRegistry(1)
+    text = registry.text
+    stdlib = builtin_descriptors_path()
+    infos = read_document(json.loads(stdlib.read_text(encoding="utf-8")), str(stdlib))
+    bindings = {**BINDINGS, **registry.bindings}
+    hierarchy = default_hierarchy()
+
+    def build():
+        OpEnvironment(parse_descriptors(text, "synth") + infos, bindings, hierarchy=hierarchy)
+
+    for _ in range(3):
+        build()
+    return count_opcodes(build)
 
 
 # imports this file from its own directory, so a side's src/ (PYTHONPATH)
