@@ -282,6 +282,9 @@ def test_cycle_rejection_message_is_unchanged(data):
 # -- the type reader against its earlier, character-by-character form -------
 
 
+_REFERENCE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
 class _ReferenceParser:
     """The reader parse_type used before it matched whole operands by regex."""
 
@@ -323,7 +326,7 @@ class _ReferenceParser:
         return SemanticType(base, params)
 
     def name(self) -> str:
-        m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(self.text, self.pos)
+        m = _REFERENCE_NAME.match(self.text, self.pos)
         if not m:
             raise self.error("expected type name")
         self.pos = m.end()
