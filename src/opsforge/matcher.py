@@ -387,36 +387,82 @@ def _same_shape(shape: _Shape, req: OpRequest) -> bool:
 
 def matcher_tables(
     by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy
-) -> tuple[dict, dict, dict, dict]:
-    """``(direct, shaped, convert_rows, copy_rows)``: the matcher's facts.
+) -> tuple[NameRows, dict, dict]:
+    """``(name_rows, convert_rows, copy_rows)``: the matcher's facts.
 
     An environment builds them once from its name index; they are sized by
-    the registry and never grow per call. ``direct`` maps each name to
-    ``(info, shape)`` per candidate in canonical order, adapters and
-    generic candidates included. ``shaped`` maps each name to ``(info,
-    shape, adaptations)`` per non-adapter candidate in canonical order;
-    shape is None, with no adaptations, for a candidate with generic
-    parameter types, since adaptation and conversion only work on concrete
-    shapes. Each signature is encoded once, candidates of one shape share one
-    shape object in both tables, and its adaptations are made once.
-    ``convert_rows`` and ``copy_rows`` are ``_rows_by_base`` over the
-    ``_convert_table`` rows of the convert and copy entries.
+    the registry and never grow per call. ``name_rows`` builds each name's
+    rows at its first lookup (``NameRows``). ``convert_rows`` and
+    ``copy_rows`` are ``_rows_by_base`` over the ``_convert_table`` rows of
+    the convert and copy entries.
     """
-    # adapters whose patterns do not decompose can never match; the rest are
-    # grouped by their FROM pattern's kind, length and mutable index, which a
-    # candidate's shape must share
-    adapters: dict[tuple, list] = {}
-    for info in by_name.get(ADAPT_NAME, ()):
-        patterns = adapter_patterns(info)
-        if patterns is not None:
-            frm = patterns[0]
-            key = (frm.kind, len(frm.types), frm.mutable_index)
-            adapters.setdefault(key, []).append((info, patterns))
-    encoded: dict[str, _Shape] = {}  # the shape of each signature string
-    shapes: dict[_Shape, _Shape] = {}  # one object per distinct shape
-    made: dict[int, tuple] = {}  # per shape object, the rest of a shaped row
-    direct, shaped = {}, {}
-    for name, found in by_name.items():
+    converts = _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION)
+    copies = _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER)
+    return (
+        NameRows(by_name, hierarchy),
+        _rows_by_base(converts, hierarchy),
+        _rows_by_base(copies, hierarchy),
+    )
+
+
+class NameRows:
+    """Each name's DIRECT and shaped rows, built once, at the name's first lookup.
+
+    ``direct`` maps each built name to ``(info, shape)`` per candidate in
+    canonical order, adapters and generic candidates included. ``shaped``
+    maps it to ``(info, shape, adaptations)`` per non-adapter candidate in
+    canonical order; shape is None, with no adaptations, for a candidate
+    with generic parameter types, since adaptation and conversion only work
+    on concrete shapes. The matcher reads a built name with one
+    ``dict.get`` and calls the instance only when that finds nothing.
+
+    The call builds both rows of a registered name under ``lock`` and
+    stores them; a name no entry carries gets empty rows and stores
+    nothing, so the store stays bounded by the registered names. The
+    sharing tables live as long as the instance, so across names built at
+    any time each signature is encoded once, candidates of one shape share
+    one shape object in both rows, and its adaptations are made once.
+    """
+
+    def __init__(self, by_name: Mapping[str, tuple[OpInfo, ...]], hierarchy: TypeHierarchy):
+        self.direct: dict[str, tuple] = {}
+        self.shaped: dict[str, tuple] = {}
+        self.lock = threading.Lock()
+        self._by_name = by_name
+        self._hierarchy = hierarchy
+        # adapters whose patterns do not decompose can never match; the rest
+        # are grouped by their FROM pattern's kind, length and mutable index,
+        # which a candidate's shape must share
+        self._adapters: dict[tuple, list] = {}
+        for info in by_name.get(ADAPT_NAME, ()):
+            patterns = adapter_patterns(info)
+            if patterns is not None:
+                frm = patterns[0]
+                key = (frm.kind, len(frm.types), frm.mutable_index)
+                self._adapters.setdefault(key, []).append((info, patterns))
+        self._encoded: dict[str, _Shape] = {}  # the shape of each signature string
+        self._shapes: dict[_Shape, _Shape] = {}  # one object per distinct shape
+        self._made: dict[int, tuple] = {}  # per shape object, the rest of a shaped row
+
+    def __call__(self, name: str) -> tuple[tuple, tuple]:
+        """``(direct rows, shaped rows)`` of ``name``, built if not yet."""
+        found = self._by_name.get(name)
+        if found is None:
+            return (), ()
+        with self.lock:
+            rows = self.direct.get(name)
+            if rows is None:
+                rows, adaptable = self._build(found)
+                # stored under the lock, shaped first: a reader that finds
+                # a name in either store reads its final rows
+                self.shaped[name] = adaptable
+                self.direct[name] = rows
+            else:
+                adaptable = self.shaped[name]
+        return rows, adaptable
+
+    def _build(self, found: tuple[OpInfo, ...]) -> tuple[tuple, tuple]:
+        encoded, shapes, made = self._encoded, self._shapes, self._made
         rows, adaptable = [], []
         for info in found:
             # equal signatures make equal shapes
@@ -429,18 +475,16 @@ def matcher_tables(
                 continue
             fit = made.get(id(shape))
             if fit is None:
-                group = adapters.get((shape.kind, len(shape.types), shape.mutable_index), ())
+                group = self._adapters.get(
+                    (shape.kind, len(shape.types), shape.mutable_index), ()
+                )
                 fit = made[id(shape)] = (
-                    (shape, _adaptations(group, shape, hierarchy))
+                    (shape, _adaptations(group, shape, self._hierarchy))
                     if all(t.is_concrete() for t in shape.types)
                     else (None, ())
                 )
             adaptable.append((info, *fit))
-        direct[name] = tuple(rows)
-        shaped[name] = tuple(adaptable)
-    converts = _convert_table(by_name.get(CONVERT_NAME, ()), Kind.FUNCTION)
-    copies = _convert_table(by_name.get(COPY_NAME, ()), Kind.COMPUTER)
-    return direct, shaped, _rows_by_base(converts, hierarchy), _rows_by_base(copies, hierarchy)
+        return tuple(rows), tuple(adaptable)
 
 
 def _adaptations(adapters, cand: _Shape, hierarchy: TypeHierarchy) -> tuple:
@@ -583,7 +627,8 @@ def fixed_dependencies(env: OpEnvironment) -> None:
     table.
 
     The environment calls this while its plan cache is off, so building
-    leaves the cache empty and its counters at zero.
+    leaves the cache empty and its counters at zero; of the name rows, it
+    builds those of the names its dependencies look up.
     """
     for info in env.infos:
         deps = info.dependencies
@@ -647,7 +692,10 @@ def _plan(
 def _match_direct(s: _Search, req: OpRequest) -> InfoTree | None:
     """The first candidate of the request's shape that fits it unconverted."""
     env = s.env
-    for info, shape in env.direct.get(req.name, ()):
+    rows = env.direct.get(req.name)
+    if rows is None:
+        rows = env.name_rows(req.name)[0]
+    for info, shape in rows:
         s.considered += 1
         if not _same_shape(shape, req):
             continue
@@ -667,7 +715,10 @@ def _shaped_candidates(s: _Search, name: str):
 
     Every non-adapter candidate is counted, generic ones too.
     """
-    for row in s.env.shaped.get(name, ()):
+    rows = s.env.shaped.get(name)
+    if rows is None:
+        rows = s.env.name_rows(name)[1]
+    for row in rows:
         s.considered += 1
         if row[1] is not None:
             yield row

@@ -66,15 +66,16 @@ class DependencySpec:
     signature: tuple[SemanticType, ...]
 
 
+# The kind an op has when this is the io of its one parameter that is not
+# an input.
+_KIND_OF_ROLE = {Io.OUTPUT: Kind.FUNCTION, Io.CONTAINER: Kind.COMPUTER, Io.MUTABLE: Kind.INPLACE}
+
+
 def infer_kind(params: Sequence[ParamSpec]) -> Kind:
     """Derive the functional kind from io roles; raises on illegal combos."""
     roles = [p.io for p in params if p.io is not Io.INPUT]
-    if roles == [Io.OUTPUT]:
-        return Kind.FUNCTION
-    if roles == [Io.CONTAINER]:
-        return Kind.COMPUTER
-    if roles == [Io.MUTABLE]:
-        return Kind.INPLACE
+    if len(roles) == 1:
+        return _KIND_OF_ROLE[roles[0]]
     raise RegistrationError(
         "io roles must contain exactly one of output/container/mutable, got "
         f"{roles.count(Io.OUTPUT)} output, {roles.count(Io.CONTAINER)} container, "
@@ -117,23 +118,28 @@ class OpInfo:
             raise RegistrationError("an op needs a source URI")
         if self.priority != self.priority:
             raise RegistrationError(f"{self.name}: priority must be a number, got nan")
-        derived = infer_kind(self.params)
-        if derived is not self.kind:
-            raise RegistrationError(
-                f"{self.name}: declared kind {self.kind.value} contradicts "
-                f"io roles ({derived.value})"
-            )
-        # infer_kind found one parameter that is not an input
+        # one pass finds the arguments and the parameters that are not
+        # inputs, of which there must be exactly one
         args: list[ParamSpec] = []
+        specials: list[ParamSpec] = []
         mutable_index = None
         for p in self.params:
             if p.io is Io.INPUT:
                 args.append(p)
                 continue
-            special = p
+            specials.append(p)
             if p.io is Io.MUTABLE:
                 mutable_index = len(args)
                 args.append(p)
+        if len(specials) != 1:
+            infer_kind(self.params)  # raises: the io roles name no single kind
+        special = specials[0]
+        derived = _KIND_OF_ROLE[special.io]
+        if derived is not self.kind:
+            raise RegistrationError(
+                f"{self.name}: declared kind {self.kind.value} contradicts "
+                f"io roles ({derived.value})"
+            )
         if special.optional:
             raise RegistrationError(
                 f"{self.name}: only input parameters may be optional "
@@ -180,10 +186,14 @@ def reduce_optional(info: OpInfo) -> list[OpInfo]:
     """
     if info.reduced_from is not None:
         return [info]
+    # only inputs may be optional (OpInfo checks it)
+    for p in info.params:
+        if p.optional:
+            break
+    else:
+        return [info]
     flags = [p.optional for p in info.params if p.io is Io.INPUT]
     n_opt = sum(flags)
-    if n_opt == 0:
-        return [info]
     inputs = [i for i, p in enumerate(info.params) if p.io is Io.INPUT]
     if flags != [False] * (len(flags) - n_opt) + [True] * n_opt:
         raise RegistrationError(f"{info.name}: optional parameters must be trailing")
@@ -306,49 +316,76 @@ def read_entry(
     YAML documents and indexed comment blocks are both read through here,
     so a fault reads the same from either. Errors name ``origin`` and the
     field's path under ``path`` (the entry's, e.g. ``ops[0]``). ``shared``,
-    one per document, maps each type string to one SemanticType and each
+    one per build, maps each type string to one SemanticType and each
     set of parameter fields to one ParamSpec, so entries that repeat a
     signature hold one copy of it.
+
+    Each field is checked inline. The field readers above run only on a
+    faulty field, to raise their own SchemaError, and on the two optional
+    lists when present. A field's path is built only for an error, or to
+    read a type string new to ``shared``.
     """
     if shared is None:
         shared = {}
-    _mapping(origin, path, entry, _ENTRY_KEYS, "entry")
-    name = _required(origin, path, entry, "name")
-    aliases = _strings(origin, path, entry, "aliases", "strings")
-    source = _required(origin, path, entry, "source")
+    if not (isinstance(entry, dict) and _ENTRY_KEYS.issuperset(entry)):
+        _mapping(origin, path, entry, _ENTRY_KEYS, "entry")
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        _required(origin, path, entry, "name")
+    aliases = _strings(origin, path, entry, "aliases", "strings") if "aliases" in entry else ()
+    source = entry.get("source")
+    if not isinstance(source, str) or not source:
+        _required(origin, path, entry, "source")
     priority = entry.get("priority", 0.0)
     # NaN compares false both ways, so canonical order would follow load order
-    if not is_number(priority) or priority != priority:
+    if (priority.__class__ is not float and not is_number(priority)) or priority != priority:
         raise _fail(origin, f"{path}.priority", "must be a number")
-    description = _text(origin, path, entry, "description")
+    description = entry.get("description", "")
+    if not isinstance(description, str):
+        _text(origin, path, entry, "description")
 
     raw_params = entry.get("parameters")
     if not isinstance(raw_params, list):
         raise _fail(origin, f"{path}.parameters", "required list")
-    optional_names = _strings(origin, path, entry, "optional", "names")
+    optional_names = (
+        _strings(origin, path, entry, "optional", "names") if "optional" in entry else ()
+    )
     params: list[ParamSpec] = []
-    for j, rp in enumerate(raw_params):
-        ppath = f"{path}.parameters[{j}]"
-        _mapping(origin, ppath, rp, _PARAM_KEYS, "parameter")
-        pname = _required(origin, ppath, rp, "name")
+    roles: list[Io] = []  # the io of each parameter that is not an input
+    for rp in raw_params:
+        # the parameter's index is len(params)
+        if not (isinstance(rp, dict) and _PARAM_KEYS.issuperset(rp)):
+            _mapping(origin, f"{path}.parameters[{len(params)}]", rp, _PARAM_KEYS, "parameter")
+        pname = rp.get("name")
+        if not isinstance(pname, str) or not pname:
+            _required(origin, f"{path}.parameters[{len(params)}]", rp, "name")
         io_text = rp.get("io")
         try:
             io = _IO_OF_TEXT[io_text]
         except (KeyError, TypeError):
             raise _fail(
                 origin,
-                f"{ppath}.io",
+                f"{path}.parameters[{len(params)}].io",
                 f"must be one of input/container/mutable/output, got {io_text!r}",
             ) from None
-        ptype = _parse_type_at(origin, ppath, "type", rp.get("type"), shared)
+        text = rp.get("type")
+        ptype = shared.get(text) if text.__class__ is str else None
+        if ptype is None:
+            ptype = _parse_type_at(
+                origin, f"{path}.parameters[{len(params)}]", "type", text, shared
+            )
         optional = pname in optional_names
-        pdesc = _text(origin, ppath, rp, "description")
+        pdesc = rp.get("description", "")
+        if not isinstance(pdesc, str):
+            _text(origin, f"{path}.parameters[{len(params)}]", rp, "description")
         # the io text names one Io; a str key is cheaper to hash than the member
         key = (pname, ptype._str, io_text, optional, pdesc)
         param = shared.get(key)
         if param is None:
             param = shared[key] = ParamSpec(pname, ptype, io, optional, pdesc)
         params.append(param)
+        if io is not Io.INPUT:
+            roles.append(io)
     if optional_names:
         param_names = {p.name for p in params}
         for oname in optional_names:
@@ -360,32 +397,45 @@ def read_entry(
         raise _fail(origin, f"{path}.dependencies", "must be a list")
     deps: list[DependencySpec] = []
     for j, rd in enumerate(raw_deps):
-        dpath = f"{path}.dependencies[{j}]"
-        _mapping(origin, dpath, rd, _DEP_KEYS, "dependency")
-        dfield = _required(origin, dpath, rd, "field")
-        dname = _required(origin, dpath, rd, "name")
-        dkind = _kind(origin, dpath, rd)
+        if not (isinstance(rd, dict) and _DEP_KEYS.issuperset(rd)):
+            _mapping(origin, f"{path}.dependencies[{j}]", rd, _DEP_KEYS, "dependency")
+        dfield = rd.get("field")
+        if not isinstance(dfield, str) or not dfield:
+            _required(origin, f"{path}.dependencies[{j}]", rd, "field")
+        dname = rd.get("name")
+        if not isinstance(dname, str) or not dname:
+            _required(origin, f"{path}.dependencies[{j}]", rd, "name")
+        dkind = rd.get("kind")
+        dkind = _KIND_OF_TEXT.get(dkind) if dkind.__class__ is str else None
+        if dkind is None:
+            dkind = _kind(origin, f"{path}.dependencies[{j}]", rd)
         raw_sig = rd.get("signature")
         if not isinstance(raw_sig, list) or not raw_sig:
-            raise _fail(origin, f"{dpath}.signature", "required non-empty list")
-        sig = tuple(
-            _parse_type_at(origin, dpath, f"signature[{k}]", t, shared)
-            for k, t in enumerate(raw_sig)
-        )
-        deps.append(DependencySpec(dfield, dname, dkind, sig))
+            raise _fail(origin, f"{path}.dependencies[{j}].signature", "required non-empty list")
+        sig = []
+        for t in raw_sig:
+            found = shared.get(t) if t.__class__ is str else None
+            if found is None:
+                found = _parse_type_at(
+                    origin, f"{path}.dependencies[{j}]", f"signature[{len(sig)}]", t, shared
+                )
+            sig.append(found)
+        deps.append(DependencySpec(dfield, dname, dkind, tuple(sig)))
 
-    try:
-        derived = infer_kind(params)
-    except RegistrationError as e:
-        raise _fail(origin, f"{path}.parameters", str(e)) from e
-    if entry.get("kind") is not None:
-        declared = _kind(origin, path, entry)
-        if declared is not derived:
-            raise _fail(
-                origin,
-                f"{path}.kind",
-                f"declared {declared.value} but io roles imply {derived.value}",
-            )
+    if len(roles) != 1:
+        try:
+            infer_kind(params)  # raises: the io roles name no single kind
+        except RegistrationError as e:
+            raise _fail(origin, f"{path}.parameters", str(e)) from e
+    derived = _KIND_OF_ROLE[roles[0]]
+    declared = entry.get("kind")
+    if declared is not None and declared != derived._value_:
+        # an unknown kind raises in _kind; a known one contradicts the roles
+        raise _fail(
+            origin,
+            f"{path}.kind",
+            f"declared {_kind(origin, path, entry).value} but io roles imply {derived.value}",
+        )
 
     try:
         return OpInfo(
@@ -511,6 +561,12 @@ def parse_descriptors(text: str, origin: str = "<string>") -> list[OpInfo]:
 def read_document(doc: Any, origin: str) -> list[OpInfo]:
     """The OpInfo entries of one parsed descriptor document: ``None`` or a
     mapping whose one key, ``ops``, holds a list of entries."""
+    return _read_document(doc, origin, {})
+
+
+def _read_document(doc: Any, origin: str, shared: dict) -> list[OpInfo]:
+    """``read_document`` with ``read_entry``'s ``shared`` table, which a
+    build may pass through several documents."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict) or set(doc) - {"ops"}:
@@ -523,7 +579,6 @@ def read_document(doc: Any, origin: str) -> list[OpInfo]:
 
     infos: list[OpInfo] = []
     seen: set[tuple[str, str, str]] = set()
-    shared: dict = {}
     for i, entry in enumerate(entries):
         info = read_entry(entry, origin, f"ops[{i}]", shared)
         key = (info.name, info.signature_string(), info.source)
@@ -572,7 +627,8 @@ class OpEnvironment:
     (priority desc, canonical name asc, source asc), builds the name index
     and the matcher's tables, resolves the dependency plans that no request
     can change (``matcher.fixed_dependencies``), verifies bindings, and
-    freezes everything.
+    freezes everything. A name's matcher rows (``name_rows``) are built
+    once, at the first match that looks the name up.
     Matching state (cache, counters), the execution history, and progress
     listeners live alongside but never alter the registered content; the
     content hash covers only the op entries. The plan cache is the one
@@ -614,9 +670,13 @@ class OpEnvironment:
                 by_name.setdefault(name, []).append(info)
         self._by_name = {name: tuple(found) for name, found in by_name.items()}
         self.hierarchy = hierarchy if hierarchy is not None else TypeHierarchy()
-        self.direct, self.shaped, self.convert_rows, self.copy_rows = matcher_tables(
+        self.name_rows, self.convert_rows, self.copy_rows = matcher_tables(
             self._by_name, self.hierarchy
         )
+        # the built rows, one attribute away from the matcher: each uncached
+        # match reads them
+        self.direct = self.name_rows.direct
+        self.shaped = self.name_rows.shaped
         # fixed dependency plans resolve against those tables with the plan
         # cache off, so a fresh environment's cache is empty either way
         self.cache_enabled = False

@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..registry import OpEnvironment, read_descriptor_files, read_document
+from ..registry import OpEnvironment, _read_document, read_descriptor_files
 from ..types import DescriptorTable, TypeHierarchy
 from . import adapt, bodies, legacy
 
@@ -154,11 +154,15 @@ def default_environment(
     if include_legacy:
         bundled.append(legacy_descriptors_path())
     # package data, which YAML reads alike (tests/test_registry.py checks both
-    # loaders); user files in extra_paths are read as YAML
+    # loaders); user files in extra_paths are read as YAML. The two files
+    # share one table of types and parameters, made for this build alone.
+    shared: dict = {}
     infos = [
         info
         for path in bundled
-        for info in read_document(json.loads(path.read_text(encoding="utf-8")), str(path))
+        for info in _read_document(
+            json.loads(path.read_text(encoding="utf-8")), str(path), shared
+        )
     ]
     infos += read_descriptor_files(extra_paths)
     bindings = dict(BINDINGS)

@@ -81,6 +81,12 @@ class SemanticType:
     def __setattr__(self, name, value):
         raise AttributeError("SemanticType is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the type through the constructor: the slots
+        # cannot be set from outside, and the hash slot holds hash(text),
+        # which differs between processes under hash randomization
+        return SemanticType, (self.base, self.params, self.is_var)
+
     def __str__(self) -> str:
         return self._str
 

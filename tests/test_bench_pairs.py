@@ -204,7 +204,7 @@ def test_benchmark_spec_is_benchmark_json():
 
 BUILD_STAGES = {f"stdlib_build.{stage}" for stage in (
     "json_loads", "read_document", "environment_init", "matcher_tables",
-    "fixed_dependencies", "other")}
+    "name_rows", "fixed_dependencies", "other")}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -228,17 +228,21 @@ def test_committed_bench_files_follow_the_schema(path):
         assert side in ("parent", "head")
         # the third count, sub_handle, since BENCH_16.json, the uncached
         # mutate() beside them since BENCH_22.json, the uncached dog match
-        # since BENCH_23.json, one stdlib build since BENCH_36.json, and its
-        # stages and the synthetic build since BENCH_40.json
+        # since BENCH_23.json, one stdlib build since BENCH_36.json, its
+        # stages and the synthetic build since BENCH_40.json, and the
+        # name_rows stage and every name's rows since BENCH_42.json
         assert {"increment_mutate", "add_apply"} <= set(counts)
         number = int(bench_pairs.BENCH_NAME.fullmatch(path.name).group(1))
         if number >= 36:
             assert "stdlib_build" in counts
         if number >= 40:
-            assert BUILD_STAGES | {"synth_build"} <= set(counts)
+            assert BUILD_STAGES - {"stdlib_build.name_rows"} | {"synth_build"} <= set(counts)
+        if number >= 42 and side == "head":
+            assert {"stdlib_build.name_rows", "stdlib_rows_all"} <= set(counts)
         assert set(counts) <= {"increment_mutate", "add_apply", "sub_handle",
                                "increment_mutate_uncached", "dog_match_uncached",
-                               "stdlib_build", "synth_build"} | BUILD_STAGES
+                               "stdlib_build", "stdlib_rows_all",
+                               "synth_build"} | BUILD_STAGES
         assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
@@ -383,9 +387,12 @@ def test_the_stdlib_build_counts_alike_at_two_checkout_depths(tmp_path):
 
 def test_the_build_stages_add_up_to_the_build_and_both_builds_repeat():
     counts = bench_pairs.build_opcodes()
-    assert set(counts) == {"stdlib_build", "synth_build"} | BUILD_STAGES
+    assert set(counts) == {"stdlib_build", "stdlib_rows_all", "synth_build"} | BUILD_STAGES
     assert sum(counts[stage] for stage in BUILD_STAGES) == counts["stdlib_build"]
     assert all(counts[stage] > 0 for stage in BUILD_STAGES)
+    # the fixed dependency plans build the rows of two names at build; every
+    # name's rows take more than that
+    assert counts["stdlib_rows_all"] > counts["stdlib_build.name_rows"]
     # the synthetic build reads ten times the entries, through the YAML walk
     assert counts["synth_build"] > 10 * counts["stdlib_build"]
     assert bench_pairs.build_opcodes() == counts

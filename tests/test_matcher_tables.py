@@ -171,7 +171,7 @@ def _reference_copy(env, t):
 
 def _check_tables(env):
     for name in {n for info in env.infos for n in info.names}:
-        direct = env.direct[name]
+        direct, rows = env.name_rows(name)
         assert [info for info, _ in direct] == list(env.candidates(name))
         for info, shape in direct:
             types = tuple(p.type for p in info.arg_params)
@@ -183,7 +183,6 @@ def _check_tables(env):
         # a candidate's DIRECT row and its shaped row hold one shape object
         shapes = {id(info): shape for info, shape in direct}
         expected = [i for i in env.candidates(name) if ADAPT_NAME not in i.names]
-        rows = env.shaped.get(name, ())
         assert [info for info, _, _ in rows] == expected
         for info, shape, adaptations in rows:
             ref = _reference_shape(info)
@@ -224,9 +223,9 @@ def test_shuffled_load_order_tables_match_linear_scans(order):
     twin = _env(files, edges)
     _check_tables(twin)
     in_order = _env(FILES)
-    assert twin.direct == in_order.direct
-    assert twin.shaped == in_order.shaped
-    generic = [row for row in twin.shaped["math.add"] if row[1] is None]
+    names = {n for info in in_order.infos for n in info.names}
+    assert {n: twin.name_rows(n) for n in names} == {n: in_order.name_rows(n) for n in names}
+    generic = [row for row in twin.name_rows("math.add")[1] if row[1] is None]
     assert [info.source for info, _, _ in generic] == ["extra:math/generic_add"]
     # each usable row sits at least under its own source base
     indexed = [*twin.convert_rows.values(), *twin.copy_rows.values()]

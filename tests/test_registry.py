@@ -899,15 +899,16 @@ def test_candidates_of_one_shape_share_its_adaptations():
         env = default_environment(cache_enabled=False, extra_paths=[synth.name])
     finally:
         Path(synth.name).unlink()
+    shaped = {n: env.name_rows(n)[1] for info in env.infos for n in info.names}
     made = {}
-    for rows in env.shaped.values():
+    for rows in shaped.values():
         for _, shape, adaptations in rows:
             if shape is not None:
                 made.setdefault(shape, set()).add((id(shape), id(adaptations)))
     assert all(len(ids) == 1 for ids in made.values())
     # 486 synthetic entries and 81 reduced variants hold 4 shapes
     synthetic = {
-        shape for name, rows in env.shaped.items() if name.startswith("synth.")
+        shape for name, rows in shaped.items() if name.startswith("synth.")
         for _, shape, _ in rows
     }
     assert len(synthetic) == 4

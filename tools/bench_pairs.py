@@ -48,8 +48,11 @@ read every entry, build the tables. Its two descriptor files are read before
 counting starts and served from memory under one-part paths, so the count
 does not move with the depth of the checkout. A second counted build splits
 it by stage (``stdlib_build.<stage>``): the JSON read, ``read_document``,
-``OpEnvironment.__init__`` with ``matcher_tables`` and ``fixed_dependencies``
-apart, and the rest. ``synth_build`` counts one ``parse_descriptors`` of
+``OpEnvironment.__init__`` with ``matcher_tables`` (the tables built with
+the environment), ``name_rows`` (the rows of the names that the fixed
+dependency plans look up) and ``fixed_dependencies`` apart, and the rest.
+``stdlib_rows_all`` counts the rows of every stdlib name built on a fresh
+environment, the work a build leaves to first matches. ``synth_build`` counts one ``parse_descriptors`` of
 perfbench's synthetic registry (seed 1, match_cold's size) plus the
 ``OpEnvironment`` build over it and the stdlib entries, from a text and
 entries made before counting starts. These too are reported, not pinned.
@@ -314,18 +317,48 @@ def dispatch_opcodes() -> dict:
 
 def build_opcodes() -> dict:
     """``stdlib_build`` (``stdlib_build_opcodes``), its split by stage as
-    ``stdlib_build.<stage>`` and ``synth_build`` (``synth_build_opcodes``)."""
-    from opsforge.matcher import fixed_dependencies, matcher_tables
-    from opsforge.registry import OpEnvironment, read_document
+    ``stdlib_build.<stage>``, ``stdlib_rows_all`` (``stdlib_rows_opcodes``)
+    and ``synth_build`` (``synth_build_opcodes``). A tree from before rows
+    were built per name (a parent, say) has no ``name_rows`` stage and no
+    ``stdlib_rows_all``: it built every name's rows in ``matcher_tables``."""
+    from opsforge import matcher, registry
 
-    stages = {json.loads: "json_loads", read_document: "read_document",
-              OpEnvironment.__init__: "environment_init", matcher_tables: "matcher_tables",
-              fixed_dependencies: "fixed_dependencies"}
+    stages = {json.loads: "json_loads", registry.read_document: "read_document",
+              registry.OpEnvironment.__init__: "environment_init",
+              matcher.matcher_tables: "matcher_tables",
+              matcher.fixed_dependencies: "fixed_dependencies"}
+    per_name = hasattr(matcher, "NameRows")
+    if per_name:
+        stages[registry._read_document] = "read_document"
+        stages[matcher.NameRows.__call__] = "name_rows"
     counts = {"stdlib_build": stdlib_build_opcodes()}
     split = stdlib_build_opcodes(lambda build: count_opcodes_by_stage(build, stages))
     counts.update((f"stdlib_build.{stage}", n) for stage, n in split.items())
+    if per_name:
+        counts["stdlib_rows_all"] = stdlib_rows_opcodes()
     counts["synth_build"] = synth_build_opcodes()
     return counts
+
+
+def stdlib_rows_opcodes() -> int:
+    """Bytecodes of building every name's matcher rows on a fresh
+    ``default_environment()``, the work a build leaves to each name's first
+    match; counted after three warm-ups, each on its own environment."""
+    from opsforge.stdlib import default_environment
+
+    def rows_builder():
+        env = default_environment()
+        names = sorted({name for info in env.infos for name in info.names})
+
+        def build_rows():
+            for name in names:
+                env.name_rows(name)
+
+        return build_rows
+
+    for _ in range(3):
+        rows_builder()()
+    return count_opcodes(rows_builder())
 
 
 def stdlib_build_opcodes(count=count_opcodes):
