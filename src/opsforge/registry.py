@@ -429,13 +429,14 @@ def read_entry(
             raise _fail(origin, f"{path}.parameters", str(e)) from e
     derived = _KIND_OF_ROLE[roles[0]]
     declared = entry.get("kind")
-    if declared is not None and declared != derived._value_:
-        # an unknown kind raises in _kind; a known one contradicts the roles
-        raise _fail(
-            origin,
-            f"{path}.kind",
-            f"declared {_kind(origin, path, entry).value} but io roles imply {derived.value}",
-        )
+    if declared is not None and (declared.__class__ is not str or declared != derived._value_):
+        declared = _kind(origin, path, entry)  # raises for an unknown kind
+        if declared is not derived:
+            raise _fail(
+                origin,
+                f"{path}.kind",
+                f"declared {declared.value} but io roles imply {derived.value}",
+            )
 
     try:
         return OpInfo(
