@@ -52,10 +52,11 @@ it by stage (``stdlib_build.<stage>``): the JSON read, ``read_document``,
 the environment), ``name_rows`` (the rows of the names that the fixed
 dependency plans look up) and ``fixed_dependencies`` apart, and the rest.
 ``stdlib_rows_all`` counts the rows of every stdlib name built on a fresh
-environment, the work a build leaves to first matches. ``synth_build`` counts one ``parse_descriptors`` of
-perfbench's synthetic registry (seed 1, match_cold's size) plus the
-``OpEnvironment`` build over it and the stdlib entries, from a text and
-entries made before counting starts. These too are reported, not pinned.
+environment, the work a build leaves to first matches. ``synth_build``
+counts one ``parse_descriptors`` of perfbench's synthetic registry (seed 1,
+match_cold's size) plus the ``OpEnvironment`` build over it and the stdlib
+entries, from a text and entries made before counting starts. These too are
+reported, not pinned.
 """
 
 from __future__ import annotations
